@@ -253,8 +253,8 @@ def cmd_verify(args) -> int:
         outputs, phases = pipeline.apply_superposer_to_set(cfg, params)
 
     inputs = pipeline.build_counterexample(params)
-    input_rank = linalg.numerical_rank(inputs.gram(), args.tol)
-    cert = pipeline.certify_independence(outputs)
+    input_rank = linalg.numerical_rank(inputs.amplitude_matrix(), args.tol)
+    cert = pipeline.certify_independence(outputs, args.tol)
     result = {
         "input_rank": input_rank.rank,
         "input_singular_values": [float(s) for s in input_rank.singular_values],
@@ -332,10 +332,10 @@ def cmd_demo(args) -> int:
     explicit = _explicit_phases(args)
     if explicit is not None:
         report = pipeline.forbidden_task_demo_explicit(
-            params, alpha, beta, success, explicit, args.trials, rng)
+            params, alpha, beta, success, explicit, args.trials, rng, args.tol)
     else:
         cfg = SuperposerConfig(alpha, beta, _resolve_phase_policy(args), success)
-        report = pipeline.forbidden_task_demo(params, cfg, args.trials, rng)
+        report = pipeline.forbidden_task_demo(params, cfg, args.trials, rng, args.tol)
 
     result = {
         "trials": report.trials,

@@ -74,7 +74,7 @@ def build_usd(hypotheses: StateSet) -> USDMeasurement:
     scale = 1.0 / linalg.max_eigenvalue_hermitian(total)
     elements = [scale * p for p in projectors]
 
-    span = linalg.orthonormal_span_basis(hypotheses.amplitude_matrix())
+    span, _ = np.linalg.qr(hypotheses.amplitude_matrix())  # independent columns
     span_projector = span @ span.conj().T
     inconclusive = span_projector - sum(elements)
     inconclusive = 0.5 * (inconclusive + inconclusive.conj().T)

@@ -21,10 +21,6 @@ class NotHermitian(NogoError):
     pass
 
 
-class NonConvergence(NogoError):
-    """Jacobi sweeps failed to drive the off-diagonal norm below threshold."""
-
-
 class LinearlyDependentInput(NogoError):
     """The requested construction needs linearly independent states."""
 

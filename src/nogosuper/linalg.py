@@ -1,8 +1,11 @@
-"""Small dense complex linear algebra with explicit tolerance discipline.
+"""Small dense complex linear algebra on numpy's LAPACK.
 
-Everything here targets matrices of dimension <= 16, so the cyclic Jacobi
-iteration and Gauss-Jordan elimination are perfectly adequate and keep the
-numerics self-contained and easy to audit.
+Every decomposition is one numpy call: `np.linalg.svd` for rank and
+reciprocal bases, `np.linalg.eigvalsh` for the largest eigenvalue of a
+Hermitian matrix. The package has one rank rule, `RankResult.of`: count the
+singular values above `tol * sigma_max`. Callers apply it to the amplitude
+matrix of a state set (states as columns), never to its Gram matrix, whose
+eigenvalues are the squares sigma^2 and would square the tolerance too.
 """
 
 from __future__ import annotations
@@ -15,14 +18,11 @@ from .errors import (
     DimensionMismatch,
     EmptySet,
     LinearlyDependentInput,
-    NonConvergence,
     NonFiniteEntry,
     NotHermitian,
 )
 
 HERMITIAN_TOL = 1e-12
-JACOBI_OFF_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 100
 DEFAULT_RANK_TOL = 1e-9
 
 
@@ -34,147 +34,35 @@ class RankResult:
     singular_values: np.ndarray  # descending, all >= 0
     tolerance_used: float
 
+    @classmethod
+    def of(cls, sigma: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> "RankResult":
+        """Rank = number of singular values above the relative threshold
+        tol * sigma_max; `sigma` is nonempty and sorted descending."""
+        if not 0.0 < tol < 1.0:
+            raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
+        rank = int(np.count_nonzero(sigma > tol * sigma[0]))
+        return cls(rank=rank, singular_values=sigma, tolerance_used=tol)
+
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def jacobi_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
-    eigenvectors as the corresponding columns. Each rotation diagonalizes one
-    2x2 Hermitian subproblem exactly, so off-diagonal mass shrinks every sweep.
-    """
-    a = np.array(m, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
-    v = np.eye(n, dtype=complex)
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-        if off < JACOBI_OFF_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) < np.finfo(float).tiny:
-                    # subnormal leftovers: flush to zero instead of rotating
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                j2 = _two_by_two_eigvecs(a[p, p].real, a[q, q].real, a[p, q])
-                a[:, [p, q]] = a[:, [p, q]] @ j2
-                a[[p, q], :] = j2.conj().T @ a[[p, q], :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                v[:, [p, q]] = v[:, [p, q]] @ j2
-    else:
-        raise NonConvergence(
-            f"off-diagonal norm still {off:.3e} after {JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    eigvals = np.real(np.diag(a))
-    order = np.argsort(eigvals)[::-1]
-    return eigvals[order], v[:, order]
-
-
-def _two_by_two_eigvecs(app: float, aqq: float, apq: complex) -> np.ndarray:
-    """Unitary diagonalizing [[app, apq], [conj(apq), aqq]] by conjugation.
-
-    Factor the off-diagonal phase out first, then use the cancellation-free
-    real Jacobi rotation (Rutishauser's t-formula)."""
-    g = abs(apq)
-    phase = apq / g
-    tau = (app - aqq) / (2.0 * g)
-    t = 1.0 / (abs(tau) + np.hypot(1.0, tau))
-    if tau < 0.0:
-        t = -t
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    return np.array([[phase * c, -phase * s], [s, c]], dtype=complex)
-
-
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values, descending.
-
-    Hermitian input: |eigenvalues| straight from Jacobi, which keeps tiny
-    singular values accurate. General input: Jacobi on M^H M (one squaring,
-    which the rank tolerance of 1e-9 comfortably tolerates)."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape[0] == m.shape[1] and is_hermitian(m):
-        eigvals, _ = jacobi_eigh(m)
-        return np.sort(np.abs(eigvals))[::-1]
-    h = m.conj().T @ m
-    h = 0.5 * (h + h.conj().T)
-    eigvals, _ = jacobi_eigh(h)
-    return np.sqrt(np.clip(eigvals, 0.0, None))
-
-
 def numerical_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RankResult:
-    """Rank = number of singular values above the relative threshold tol * sigma_max."""
+    """Rank of any matrix from its singular values (`RankResult.of`)."""
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         raise EmptySet("cannot rank an empty matrix")
     if not np.all(np.isfinite(m)):
         raise NonFiniteEntry("matrix contains NaN or infinite entries")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
-    sigma = singular_values(m)
-    sigma_max = sigma[0] if sigma.size else 0.0
-    if sigma_max == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sigma > tol * sigma_max))
-    return RankResult(rank=rank, singular_values=sigma, tolerance_used=tol)
+    return RankResult.of(np.linalg.svd(m, compute_uv=False), tol)
 
 
 def max_eigenvalue_hermitian(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=complex)
     if not is_hermitian(m):
         raise NotHermitian("matrix is not Hermitian within 1e-12")
-    eigvals, _ = jacobi_eigh(0.5 * (m + m.conj().T))
-    return float(eigvals[0])
-
-
-def gauss_jordan_inverse(m: np.ndarray) -> np.ndarray:
-    """Matrix inverse by Gauss-Jordan elimination with partial pivoting."""
-    a = np.array(m, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
-    aug = np.hstack([a, np.eye(n, dtype=complex)])
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[pivot_row, col]) < 1e-13:
-            raise LinearlyDependentInput("matrix is singular to working precision")
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        aug[col] /= aug[col, col]
-        for row in range(n):
-            if row != col and aug[row, col] != 0.0:
-                aug[row] -= aug[row, col] * aug[col]
-    return aug[:, n:]
-
-
-def orthonormal_span_basis(vectors: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of the given columns, via
-    modified Gram-Schmidt with drop-out of numerically dependent vectors."""
-    vectors = np.asarray(vectors, dtype=complex)
-    basis: list[np.ndarray] = []
-    for j in range(vectors.shape[1]):
-        v = vectors[:, j].copy()
-        for b in basis:
-            v -= np.vdot(b, v) * b
-        # second pass for numerical orthogonality
-        for b in basis:
-            v -= np.vdot(b, v) * b
-        norm = np.linalg.norm(v)
-        if norm > tol:
-            basis.append(v / norm)
-    if not basis:
-        raise EmptySet("no independent vectors to span")
-    return np.column_stack(basis)
+    return float(np.linalg.eigvalsh(m)[-1])
 
 
 def gram(states) -> np.ndarray:
@@ -199,17 +87,13 @@ def reciprocal_basis(states):
     """
     from .states import PureState, StateSet
 
-    g = gram(states)
-    n = len(states.members)
-    if numerical_rank(g, DEFAULT_RANK_TOL).rank < n:
+    a = states.amplitude_matrix()
+    u, sigma, vh = np.linalg.svd(a, full_matrices=False)
+    if RankResult.of(sigma).rank < a.shape[1]:
         raise LinearlyDependentInput(
             "reciprocal basis requires linearly independent states"
         )
-    ginv = gauss_jordan_inverse(g)
-    a = np.column_stack([s.amplitudes for s in states.members])
-    tilde = a @ ginv  # column i is sum_j Ginv[j, i] psi_j
-    members = []
-    for i in range(n):
-        col = tilde[:, i]
-        members.append(PureState(col / np.linalg.norm(col)))
-    return StateSet(members)
+    # with A = U S V^H, the columns of A (A^H A)^-1 = U S^-1 V^H are the
+    # reciprocal vectors, found without squaring the condition number
+    tilde = (u / sigma) @ vh
+    return StateSet([PureState(col / np.linalg.norm(col)) for col in tilde.T])

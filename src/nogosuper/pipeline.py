@@ -89,7 +89,8 @@ class PhaseTriple:
 @dataclass
 class DependenceCertificate:
     """Either a rank-3 certificate of independence or explicit coefficients
-    witnessing a vanishing linear combination."""
+    witnessing a vanishing linear combination. `gram_rank` is decided on the
+    amplitude singular values, so its rank is also the Gram rank."""
 
     independent: bool
     coefficients: np.ndarray | None  # max modulus 1, present iff dependent
@@ -144,22 +145,23 @@ def apply_with_phases(
     return StateSet(members)
 
 
-def certify_independence(outputs: StateSet) -> DependenceCertificate:
-    """Rank-certify a 3-state set; on dependence, extract the vanishing
-    combination from the Gram null vector and verify its residual."""
+def certify_independence(
+    outputs: StateSet, tol: float = linalg.DEFAULT_RANK_TOL
+) -> DependenceCertificate:
+    """Rank-certify a 3-state set from one SVD of its amplitude matrix; on
+    dependence, the last right singular vector gives the vanishing
+    combination, whose residual is verified."""
     if len(outputs) != 3:
         raise WrongSetSize(f"expected exactly 3 states, got {len(outputs)}")
-    g = outputs.gram()
-    rank = linalg.numerical_rank(g, linalg.DEFAULT_RANK_TOL)
     a = outputs.amplitude_matrix()
-    _, vecs = linalg.jacobi_eigh(g)
-    null_candidate = vecs[:, -1]  # eigenvector of the smallest eigenvalue
-    residual = float(np.linalg.norm(a @ null_candidate))
+    _, sigma, vh = np.linalg.svd(a)
+    rank = linalg.RankResult.of(sigma, tol)
+    null_candidate = vh[-1].conj()  # right singular vector of the smallest sigma
     if rank.rank == 3:
         return DependenceCertificate(
             independent=True,
             coefficients=None,
-            residual_norm=residual,
+            residual_norm=float(np.linalg.norm(a @ null_candidate)),
             gram_rank=rank,
         )
     coeffs = _normalize_coefficients(null_candidate)
@@ -276,15 +278,16 @@ def forbidden_task_demo(
     cfg: SuperposerConfig,
     trials: int,
     rng: np.random.Generator,
+    tol: float = linalg.DEFAULT_RANK_TOL,
 ) -> DemoReport:
     """Per trial: draw a secret input, run the oracle (honoring its success
     policy), unambiguously discriminate the output, and clone on success.
 
-    Raises DependentOutputs when the configured phase policy lands on the
-    degeneracy locus, where the demonstration is genuinely impossible.
+    Raises DependentOutputs when the outputs are dependent at rank tolerance
+    `tol`: on the degeneracy locus the demonstration is genuinely impossible.
     """
     outputs, phases = apply_superposer_to_set(cfg, p)
-    return _demo_core(p, outputs, phases, cfg.success_policy, trials, rng)
+    return _demo_core(p, outputs, phases, cfg.success_policy, trials, rng, tol)
 
 
 def forbidden_task_demo_explicit(
@@ -295,11 +298,12 @@ def forbidden_task_demo_explicit(
     phases: PhaseTriple,
     trials: int,
     rng: np.random.Generator,
+    tol: float = linalg.DEFAULT_RANK_TOL,
 ) -> DemoReport:
     """Same demonstration but with explicitly pinned phases instead of a policy
     (the route used to show the on-locus refusal)."""
     outputs = apply_with_phases(alpha, beta, p, phases)
-    return _demo_core(p, outputs, phases, success_policy, trials, rng)
+    return _demo_core(p, outputs, phases, success_policy, trials, rng, tol)
 
 
 def _demo_core(
@@ -309,11 +313,12 @@ def _demo_core(
     success_policy,
     trials: int,
     rng: np.random.Generator,
+    tol: float,
 ) -> DemoReport:
     if trials < 0:
         raise InvalidParams("trials must be >= 0")
     inputs = build_counterexample(p)
-    cert = certify_independence(outputs)
+    cert = certify_independence(outputs, tol)
     if not cert.independent:
         raise DependentOutputs(
             "phase policy produced linearly dependent outputs; USD and cloning "

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -84,7 +84,6 @@ class StateSet:
     """Ordered, nonempty collection of pure states sharing one dimension."""
 
     members: list[PureState]
-    _gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.members = list(self.members)
@@ -110,9 +109,7 @@ class StateSet:
         return np.column_stack([s.amplitudes for s in self.members])
 
     def gram(self) -> np.ndarray:
-        if self._gram is None:
-            self._gram = linalg.gram(self)
-        return self._gram
+        return linalg.gram(self)
 
 
 def basis_state(dim: int, index: int) -> PureState:
@@ -122,5 +119,6 @@ def basis_state(dim: int, index: int) -> PureState:
 
 
 def is_linearly_independent(s: StateSet, tol: float = linalg.DEFAULT_RANK_TOL) -> bool:
-    """True iff the Gram matrix has full numerical rank at the given tolerance."""
-    return linalg.numerical_rank(s.gram(), tol).rank == len(s)
+    """True iff the amplitude matrix has full numerical column rank at the
+    given tolerance."""
+    return linalg.numerical_rank(s.amplitude_matrix(), tol).rank == len(s)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nogosuper.cli import main
@@ -50,6 +51,19 @@ class TestVerify:
         assert report["result"]["output_rank"] == 2
         assert not report["result"]["certificate"]["independent"]
 
+    def test_output_rank_honours_tol(self, capsys):
+        for tol in ("1e-9", "0.05", "0.3", "0.6"):
+            code, out, _ = run(capsys, "verify", "--tol", tol, "--deterministic")
+            assert code == 0
+            result = json.loads(out)["result"]
+            z = np.asarray(result["output_states"], dtype=float)
+            a = (z[..., 0] + 1j * z[..., 1]).T
+            sigma = np.linalg.svd(a, compute_uv=False)
+            assert result["output_rank"] == np.sum(sigma > float(tol) * sigma[0])
+            cert = result["certificate"]
+            assert cert["singular_values"] == pytest.approx(sigma)
+            assert cert["independent"] == (result["output_rank"] == 3)
+
 
 class TestScan:
     def test_summary_deviation_within_grid_step(self, capsys, tmp_path):
@@ -96,6 +110,15 @@ class TestDemo:
             capsys, "demo", "--phase-policy", "constant",
             "--theta2", "1.5707963267948966", "--theta3", "0.7853981633974483",
         )
+        assert code == 4
+
+    def test_certificate_honours_tol(self, capsys):
+        # output sigma ratios are (1, 0.449, 0.083): rank 3 at 0.05, 2 at 0.3
+        code, out, _ = run(capsys, "demo", "--trials", "0", "--tol", "0.05",
+                           "--deterministic")
+        assert code == 0
+        assert json.loads(out)["result"]["certificate"]["gram_rank"] == 3
+        code, _, _ = run(capsys, "demo", "--trials", "0", "--tol", "0.3")
         assert code == 4
 
     def test_zero_trials(self, capsys):

@@ -50,6 +50,23 @@ class TestBuildUSD:
         with pytest.raises(LinearlyDependentInput):
             build_usd(s)
 
+    def test_ill_conditioned_independent_set_accepted(self):
+        # amplitude singular values (1.41, 1, 7.1e-7): independent at the
+        # default rank tolerance 1e-9, so USD exists, if barely
+        s = StateSet.from_vectors([[1, 0, 0], [1, 1e-6, 0], [0, 0, 1]])
+        m = build_usd(s)
+        # oracle: p_j = scale / (G^-1)_jj with one common scale; by hand,
+        # G = [[1, c, 0], [c, 1, 0], [0, 0, 1]] with c^2 = 1 / (1 + eps)
+        eps = 1e-12
+        inv_diag = np.array([(1 + eps) / eps, (1 + eps) / eps, 1.0])
+        probs = np.array(success_probabilities(m, s))
+        assert np.all(probs > 0.0)
+        np.testing.assert_allclose(probs * inv_diag, probs[2] * inv_diag[2], rtol=1e-6)
+        for k, e in enumerate(m.elements):
+            for j, psi in enumerate(s.members):
+                if j != k:
+                    assert abs(np.vdot(psi.amplitudes, e @ psi.amplitudes)) <= 1e-20
+
     def test_more_states_than_dimensions_rejected(self):
         s = StateSet.from_vectors([[1, 0], [1, 1], [0, 1]])
         with pytest.raises(LinearlyDependentInput):

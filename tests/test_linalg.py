@@ -117,6 +117,21 @@ class TestNumericalRank:
             ])
             assert linalg.numerical_rank(linalg.gram(phased), 1e-9).rank == base
 
+    def test_hermitian_singular_values_match_eigvalsh_up_to_dim_16(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(2, 17))
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = m + m.conj().T
+            r = linalg.numerical_rank(h, 1e-9)
+            want = np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1]
+            np.testing.assert_allclose(r.singular_values, want, atol=1e-10)
+            # zero out k eigenvalues of h: the rank drops by exactly k
+            k = int(rng.integers(1, n))
+            vals, vecs = np.linalg.eigh(h)
+            vals[rng.permutation(n)[:k]] = 0.0
+            deficient = vecs @ np.diag(vals) @ vecs.conj().T
+            assert linalg.numerical_rank(deficient, 1e-9).rank == n - k
+
     def test_nonfinite_and_bad_tolerance_rejected(self):
         with pytest.raises(NonFiniteEntry):
             linalg.numerical_rank(np.array([[np.nan, 0], [0, 1]]), 1e-9)
@@ -146,6 +161,23 @@ class TestReciprocalBasis:
 
     def test_dependent_input_raises(self):
         s = StateSet.from_vectors([[1, 0], [0, 1], [1, 1]])
+        with pytest.raises(LinearlyDependentInput):
+            linalg.reciprocal_basis(s)
+
+    def test_matches_inverse_gram_oracle_up_to_dim_16(self, rng):
+        for _ in range(20):
+            dim = int(rng.integers(2, 17))
+            s = random_state_set(rng, dim, int(rng.integers(1, dim + 1)))
+            a = s.amplitude_matrix()
+            want = a @ np.linalg.inv(a.conj().T @ a)
+            r = linalg.reciprocal_basis(s)
+            for got, col in zip(r.members, want.T):
+                overlap = np.vdot(col / np.linalg.norm(col), got.amplitudes)
+                assert overlap == pytest.approx(1.0, abs=1e-9)
+
+    def test_singular_gram_rejected(self):
+        # Gram matrix [[1, 1], [1, 1]]: the same state twice
+        s = StateSet([basis_state(2, 0), basis_state(2, 0)])
         with pytest.raises(LinearlyDependentInput):
             linalg.reciprocal_basis(s)
 
@@ -198,28 +230,3 @@ class TestMaxEigenvalueHermitian:
             assert linalg.max_eigenvalue_hermitian(h) == pytest.approx(
                 np.linalg.eigvalsh(h)[-1], abs=1e-10
             )
-
-
-class TestJacobi:
-    def test_reconstruction_and_unitarity(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(2, 17))
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            h = m + m.conj().T
-            vals, vecs = linalg.jacobi_eigh(h)
-            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(n), atol=1e-12)
-            np.testing.assert_allclose(
-                vecs @ np.diag(vals) @ vecs.conj().T, h, atol=1e-10
-            )
-            assert np.all(np.diff(vals) <= 1e-12)
-
-    def test_gauss_jordan_inverse(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(1, 9))
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            inv = linalg.gauss_jordan_inverse(m)
-            np.testing.assert_allclose(inv @ m, np.eye(n), atol=1e-9)
-
-    def test_gauss_jordan_singular_rejected(self):
-        with pytest.raises(LinearlyDependentInput):
-            linalg.gauss_jordan_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))

@@ -122,6 +122,29 @@ class TestCertifyIndependence:
         assert not cert.independent
         assert cert.residual_norm <= 1e-8
 
+    def test_null_vector_matches_svd_oracle_up_to_dim_16(self, rng):
+        for _ in range(20):
+            dim = int(rng.integers(3, 17))
+            v = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            s = StateSet.from_vectors([v[:, 0], v[:, 1], v @ c])
+            a = s.amplitude_matrix()
+            sigma = np.linalg.svd(a, compute_uv=False)
+            cert = pipeline.certify_independence(s)
+            np.testing.assert_allclose(cert.gram_rank.singular_values, sigma, atol=1e-12)
+            assert not cert.independent and cert.gram_rank.rank == 2
+            assert np.max(np.abs(cert.coefficients)) == pytest.approx(1.0, abs=1e-12)
+            assert cert.residual_norm <= 1e-12
+            assert np.linalg.norm(a @ cert.coefficients) <= 1e-12
+
+    def test_rank_follows_tolerance(self):
+        outputs, _ = pipeline.apply_superposer_to_set(balanced_cfg(), balanced_params())
+        sigma = np.linalg.svd(outputs.amplitude_matrix(), compute_uv=False)
+        for tol in (1e-9, 0.05, 0.3, 0.6):
+            cert = pipeline.certify_independence(outputs, tol)
+            assert cert.gram_rank.rank == np.sum(sigma > tol * sigma[0])
+            assert cert.independent == (cert.gram_rank.rank == 3)
+
     def test_wrong_set_size_rejected(self):
         with pytest.raises(WrongSetSize):
             pipeline.certify_independence(StateSet.from_vectors([[1, 0], [0, 1]]))

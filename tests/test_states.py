@@ -113,6 +113,14 @@ def test_dependent_counterexample_inputs():
     assert not is_linearly_independent(s)
 
 
+def test_ill_conditioned_set_is_independent():
+    # amplitude singular values (1.41, 1, 7.1e-7): independent at 1e-9, although
+    # the smallest Gram eigenvalue, sigma^2 = 5e-13, lies below 1e-9
+    s = StateSet.from_vectors([[1, 0, 0], [1, 1e-6, 0], [0, 0, 1]])
+    assert is_linearly_independent(s)
+    assert not is_linearly_independent(s, 1e-6)
+
+
 def test_zero_plus_pair_independent():
     # 2x2 Gram determinant is 1 - 1/2 = 1/2 > 0
     assert is_linearly_independent(StateSet.from_vectors([[1, 0], [1, 1]]))
