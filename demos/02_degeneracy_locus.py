@@ -29,12 +29,7 @@ print("Detected rank-deficient grid points:")
 for t21, t31 in scan.detected.solutions:
     print(f"  ({t21:.6f}, {t31:.6f})")
 
-with open("degeneracy_grid.csv", "w") as fh:
-    fh.write("theta21,theta31,min_singular_value,rank\n")
-    for i, t21 in enumerate(scan.theta21_grid):
-        for j, t31 in enumerate(scan.theta31_grid):
-            fh.write(f"{t21!r},{t31!r},"
-                     f"{scan.min_singular_values[i, j]!r},{scan.ranks[i, j]}\n")
+scan.write_csv("degeneracy_grid.csv")  # the same format as `nogo scan --csv`
 print(f"\nFull grid written to degeneracy_grid.csv "
       f"({scan.ranks.size} rows); everywhere off the locus the rank is 3.")
 print("Off-locus phases are generic: a phase policy that cannot see the "

@@ -25,7 +25,6 @@ from .pipeline import (
     PhaseTriple,
     ScanResult,
     apply_superposer_to_set,
-    apply_with_phases,
     build_counterexample,
     certify_independence,
     forbidden_task_demo,
@@ -51,8 +50,11 @@ from .superposer import (
     OverlapScaledSuccess,
     SuperposeOutcome,
     SuperposerConfig,
+    given_frame_phase,
     superpose,
     superpose_deterministic,
+    superpose_many,
+    unit_pair,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ error, 3 numerical or I/O error, 4 on-locus demo refusal.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -44,10 +43,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_ON_LOCUS = 4
-
-
-class ConfigError(Exception):
-    """CLI-level configuration problem (maps to exit status 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -171,32 +166,23 @@ def _resolve_seed(args) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise ConfigError(f"NOGO_SEED is not an integer: {env!r}") from exc
+            raise InvalidParams(f"NOGO_SEED is not an integer: {env!r}") from exc
     return DEFAULT_SEED
 
 
 def _resolve_params(args) -> pipeline.CounterexampleParams:
-    if args.dim < 3:
-        raise ConfigError(f"--dim must be >= 3, got {args.dim}")
-    if args.a == 0.0 or args.b == 0.0:
-        raise ConfigError("a and b must both be nonzero (--a/--b)")
-    if abs(args.a**2 + args.b**2 - 1.0) > 1e-9:
-        raise ConfigError(f"a^2 + b^2 must equal 1, got {args.a**2 + args.b**2!r}")
-    # renormalize tiny float drift so downstream invariants hold exactly
-    scale = math.hypot(args.a, args.b)
-    return pipeline.standard_params(args.a / scale, args.b / scale, dim=args.dim)
+    return pipeline.standard_params(args.a, args.b, dim=args.dim)
 
 
 def _resolve_weights(args) -> tuple[complex, complex]:
     alpha = args.alpha_mod * complex(math.cos(args.alpha_arg), math.sin(args.alpha_arg))
     beta = args.beta_mod * complex(math.cos(args.beta_arg), math.sin(args.beta_arg))
-    if abs(alpha) == 0.0 or abs(beta) == 0.0:
-        raise ConfigError("alpha and beta must both be nonzero")
-    total = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"|alpha|^2 + |beta|^2 must equal 1, got {total!r}")
-    norm = math.sqrt(total)
-    return alpha / norm, beta / norm
+    return alpha, beta
+
+
+def _resolve_config(args) -> SuperposerConfig:
+    return SuperposerConfig(*_resolve_weights(args), _resolve_phase_policy(args),
+                            _resolve_success_policy(args))
 
 
 def _resolve_phase_policy(args):
@@ -211,8 +197,6 @@ def _resolve_success_policy(args):
     if args.success_policy == "always":
         return AlwaysSucceed()
     if args.success_policy == "constant":
-        if not 0.0 < args.success_p <= 1.0:
-            raise ConfigError(f"--success-p must lie in (0, 1], got {args.success_p}")
         return ConstantSuccess(args.success_p)
     return OverlapScaledSuccess()
 
@@ -242,15 +226,8 @@ def _config_dict(args, seed: int) -> dict:
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     params = _resolve_params(args)
-    alpha, beta = _resolve_weights(args)
-    explicit = _explicit_phases(args)
-    if explicit is not None:
-        outputs = pipeline.apply_with_phases(alpha, beta, params, explicit)
-        phases = explicit
-    else:
-        cfg = SuperposerConfig(alpha, beta, _resolve_phase_policy(args),
-                               _resolve_success_policy(args))
-        outputs, phases = pipeline.apply_superposer_to_set(cfg, params)
+    outputs, phases = pipeline.apply_superposer_to_set(
+        _resolve_config(args), params, _explicit_phases(args))
 
     inputs = pipeline.build_counterexample(params)
     input_rank = linalg.numerical_rank(inputs.amplitude_matrix(), args.tol)
@@ -280,22 +257,9 @@ def cmd_scan(args) -> int:
     seed = _resolve_seed(args)
     params = _resolve_params(args)
     alpha, beta = _resolve_weights(args)
-    if not 0.0 < args.grid_step <= 0.1:
-        raise ConfigError(f"--grid-step must lie in (0, 0.1], got {args.grid_step}")
-
     scan = pipeline.scan_degeneracy_numeric(params, alpha, beta, args.grid_step)
     analytic = pipeline.solve_degeneracy_analytic(params.a, params.b)
-
-    with open(args.csv, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["theta21", "theta31", "min_singular_value", "rank"])
-        for i, t21 in enumerate(scan.theta21_grid):
-            for j, t31 in enumerate(scan.theta31_grid):
-                writer.writerow([
-                    repr(float(t21)), repr(float(t31)),
-                    repr(float(scan.min_singular_values[i, j])),
-                    int(scan.ranks[i, j]),
-                ])
+    scan.write_csv(args.csv)
 
     detected = scan.detected.solutions
     dev_detected = max(
@@ -324,18 +288,9 @@ def cmd_scan(args) -> int:
 def cmd_demo(args) -> int:
     seed = _resolve_seed(args)
     params = _resolve_params(args)
-    alpha, beta = _resolve_weights(args)
-    success = _resolve_success_policy(args)
-    if args.trials < 0:
-        raise ConfigError(f"--trials must be >= 0, got {args.trials}")
-    rng = np.random.default_rng(seed)
-    explicit = _explicit_phases(args)
-    if explicit is not None:
-        report = pipeline.forbidden_task_demo_explicit(
-            params, alpha, beta, success, explicit, args.trials, rng, args.tol)
-    else:
-        cfg = SuperposerConfig(alpha, beta, _resolve_phase_policy(args), success)
-        report = pipeline.forbidden_task_demo(params, cfg, args.trials, rng, args.tol)
+    report = pipeline.forbidden_task_demo(
+        params, _resolve_config(args), args.trials, np.random.default_rng(seed),
+        args.tol, _explicit_phases(args))
 
     result = {
         "trials": report.trials,
@@ -361,18 +316,18 @@ def cmd_usd(args) -> int:
         with open(args.states_file) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read states file: {exc}") from exc
+        raise InvalidParams(f"cannot read states file: {exc}") from exc
     try:
         vectors = [[complex(re, im) for re, im in state] for state in raw]
     except (TypeError, ValueError) as exc:
-        raise ConfigError(
+        raise InvalidParams(
             "states file must be a JSON list of states, each a list of [re, im] pairs"
         ) from exc
     states = StateSet.from_vectors(vectors)
     if not 0 <= args.truth_index < len(states):
-        raise ConfigError(f"--truth-index out of range 0..{len(states) - 1}")
+        raise InvalidParams(f"--truth-index out of range 0..{len(states) - 1}")
     if args.trials < 1:
-        raise ConfigError("--trials must be >= 1")
+        raise InvalidParams("--trials must be >= 1")
 
     m = build_usd(states)
     probs = success_probabilities(m, states)
@@ -404,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, InvalidParams) as exc:
+    except InvalidParams as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DependentOutputs as exc:

@@ -17,9 +17,6 @@ from . import linalg
 from .errors import DimensionMismatch, LinearlyDependentInput, MeasurementMismatch, NogoError
 from .states import PureState, StateSet
 
-COMPLETENESS_TOL = 1e-10
-PSD_TOL = 1e-10
-UNAMBIGUITY_TOL = 1e-9
 BORN_SUM_TOL = 1e-9
 
 
@@ -57,8 +54,11 @@ class CloneResult:
     fidelity_to_input: float
 
 
-def build_usd(hypotheses: StateSet) -> USDMeasurement:
-    """Construct the USD POVM for linearly independent hypotheses.
+def build_usd(
+    hypotheses: StateSet, tol: float = linalg.DEFAULT_RANK_TOL
+) -> USDMeasurement:
+    """Construct the USD POVM for hypotheses linearly independent at rank
+    tolerance `tol`.
 
     Conclusive elements are uniformly scaled reciprocal-basis projectors,
     E_j = s |r_j><r_j| with s = 1 / lambda_max(sum_j |r_j><r_j|), the largest
@@ -68,7 +68,7 @@ def build_usd(hypotheses: StateSet) -> USDMeasurement:
         raise LinearlyDependentInput(
             f"{len(hypotheses)} states cannot be independent in dimension {hypotheses.dim}"
         )
-    recip = linalg.reciprocal_basis(hypotheses)  # raises LinearlyDependentInput
+    recip = linalg.reciprocal_basis(hypotheses, tol)  # raises LinearlyDependentInput
     projectors = [s.density_matrix() for s in recip.members]
     total = np.sum(projectors, axis=0)
     scale = 1.0 / linalg.max_eigenvalue_hermitian(total)

@@ -78,18 +78,18 @@ def gram(states) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def reciprocal_basis(states):
+def reciprocal_basis(states, tol: float = DEFAULT_RANK_TOL):
     """Reciprocal (biorthogonal) vectors: <tilde_i | psi_j> = 0 for i != j and
     <tilde_i | psi_i> real positive, each returned with unit norm.
 
-    Raises LinearlyDependentInput when the set is not independent at 1e-9,
+    Raises LinearlyDependentInput when the set is not independent at `tol`,
     which is exactly the regime where unambiguous discrimination breaks down.
     """
     from .states import PureState, StateSet
 
     a = states.amplitude_matrix()
     u, sigma, vh = np.linalg.svd(a, full_matrices=False)
-    if RankResult.of(sigma).rank < a.shape[1]:
+    if RankResult.of(sigma, tol).rank < a.shape[1]:
         raise LinearlyDependentInput(
             "reciprocal basis requires linearly independent states"
         )

@@ -9,6 +9,7 @@ forbidden tasks (USD and cloning) on the independent outputs.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 
@@ -18,11 +19,16 @@ from . import linalg
 from .discrimination import born_distribution, build_usd, success_probabilities
 from .errors import DependentOutputs, InvalidParams, WrongSetSize
 from .states import PureState, StateSet, basis_state, normalize
-from .superposer import TWO_PI, SuperposerConfig
+from .superposer import (
+    TWO_PI,
+    SuperposerConfig,
+    given_frame_phase,
+    superpose_many,
+    unit_pair,
+)
 
 ORTHOGONALITY_TOL = 1e-10
 SCAN_RANK_TOL = 1e-6
-DEPENDENCE_RESIDUAL_TOL = 1e-8
 
 
 @dataclass
@@ -36,10 +42,7 @@ class CounterexampleParams:
     phi: PureState
 
     def __post_init__(self):
-        if self.a == 0.0 or self.b == 0.0:
-            raise InvalidParams("a and b must both be nonzero")
-        if abs(self.a**2 + self.b**2 - 1.0) > 1e-12:
-            raise InvalidParams(f"a^2 + b^2 must equal 1, got {self.a**2 + self.b**2!r}")
+        self.a, self.b = unit_pair(self.a, self.b, "a", "b")
         dims = {self.psi.dim, self.psi_perp.dim, self.phi.dim}
         if len(dims) != 1:
             raise InvalidParams(f"states have mixed dimensions {sorted(dims)}")
@@ -116,6 +119,20 @@ class ScanResult:
     ranks: np.ndarray  # shape (n21, n31)
     detected: DegeneracyLocus = field(default=None)  # pairs where rank < 3
 
+    def write_csv(self, path: str) -> None:
+        """The grid as CSV: header theta21,theta31,min_singular_value,rank,
+        one row per point, LF line endings, floats as round-trip `repr`."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["theta21", "theta31", "min_singular_value", "rank"])
+            for i, t21 in enumerate(self.theta21_grid):
+                for j, t31 in enumerate(self.theta31_grid):
+                    writer.writerow([
+                        repr(float(t21)), repr(float(t31)),
+                        repr(float(self.min_singular_values[i, j])),
+                        int(self.ranks[i, j]),
+                    ])
+
 
 def build_counterexample(p: CounterexampleParams) -> StateSet:
     psi3 = normalize(p.a * p.psi.amplitudes + p.b * p.psi_perp.amplitudes)
@@ -123,26 +140,24 @@ def build_counterexample(p: CounterexampleParams) -> StateSet:
 
 
 def apply_superposer_to_set(
-    cfg: SuperposerConfig, p: CounterexampleParams
+    cfg: SuperposerConfig, p: CounterexampleParams, phases: PhaseTriple | None = None
 ) -> tuple[StateSet, PhaseTriple]:
-    """Superpose each triple member with phi; the phase policy picks each theta_j."""
-    inputs = build_counterexample(p)
-    thetas = [cfg.phase_policy(s, p.phi) for s in inputs.members]
-    outputs = apply_with_phases(cfg.alpha, cfg.beta, p, PhaseTriple(*thetas))
-    return outputs, PhaseTriple(*thetas)
+    """Output triple Psi_j = normalize(alpha psi_j + beta e^{i theta_j} phi).
 
-
-def apply_with_phases(
-    alpha: complex, beta: complex, p: CounterexampleParams, phases: PhaseTriple
-) -> StateSet:
-    """Output triple Psi_j = normalize(alpha psi_j + beta e^{i theta_j} phi)
-    with explicitly chosen phases (bypasses any phase policy)."""
+    The phases act on the given representatives psi_j and phi. With
+    `phases=None` the phase policy picks each theta_j on canonical forms and
+    it is moved into that frame, so the outputs equal the oracle's
+    `superpose_deterministic(cfg, psi_j, phi)` and feeding the returned
+    phases back reproduces them.
+    """
     inputs = build_counterexample(p)
-    members = []
-    for s, theta in zip(inputs.members, (phases.theta1, phases.theta2, phases.theta3)):
-        raw = alpha * s.amplitudes + beta * np.exp(1j * theta) * p.phi.amplitudes
-        members.append(normalize(raw))
-    return StateSet(members)
+    if phases is None:
+        phases = PhaseTriple(*(given_frame_phase(cfg.phase_policy, s, p.phi)
+                               for s in inputs.members))
+    thetas = [phases.theta1, phases.theta2, phases.theta3]
+    out = superpose_many(cfg.alpha, cfg.beta, inputs.amplitude_matrix(),
+                         p.phi.amplitudes, thetas)
+    return StateSet([PureState(col) for col in out.T]), phases
 
 
 def certify_independence(
@@ -187,10 +202,7 @@ def solve_degeneracy_analytic(a: float, b: float) -> DegeneracyLocus:
     """Exact phase pairs where the output triple stays dependent:
     theta21 = pi/2 with (cos, sin)(theta31) = (a, b), and
     theta21 = 3*pi/2 with (cos, sin)(theta31) = (a, -b)."""
-    if a == 0.0 or b == 0.0:
-        raise InvalidParams("a and b must both be nonzero")
-    if abs(a**2 + b**2 - 1.0) > 1e-12:
-        raise InvalidParams(f"a^2 + b^2 must equal 1, got {a**2 + b**2!r}")
+    a, b = unit_pair(a, b, "a", "b")
     t31_plus = math.atan2(b, a) % TWO_PI
     t31_minus = math.atan2(-b, a) % TWO_PI
     return DegeneracyLocus(
@@ -209,27 +221,16 @@ def scan_degeneracy_numeric(
     the output Gram rank drops below 3 at the (looser) scan tolerance."""
     if not 0.0 < grid_step <= 0.1:
         raise InvalidParams(f"grid_step must lie in (0, 0.1], got {grid_step}")
-    if abs(alpha) == 0.0 or abs(beta) == 0.0:
-        raise InvalidParams("alpha and beta must both be nonzero")
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-12:
-        raise InvalidParams("|alpha|^2 + |beta|^2 must equal 1")
+    alpha, beta = unit_pair(alpha, beta, "alpha", "beta")
     n = int(math.floor((TWO_PI - 1e-12) / grid_step)) + 1
     thetas = grid_step * np.arange(n)
 
-    inputs = build_counterexample(p)
-    base = inputs.amplitude_matrix()  # (dim, 3)
-    phi = p.phi.amplitudes
-
-    # batched output states: S[k, l] is a (dim, 3) matrix for the phase pair
-    # (thetas[k], thetas[l]); column norms are 1 automatically since phi is
-    # orthogonal to every input and |alpha|^2 + |beta|^2 = 1
+    # s[k, l] is the (dim, 3) output triple for (theta21, theta31) =
+    # (thetas[k], thetas[l])
     t21, t31 = np.meshgrid(thetas, thetas, indexing="ij")
-    phases = np.stack(
-        [np.zeros_like(t21), t21, t31], axis=-1
-    )  # (n, n, 3)
-    s = alpha * base[None, None, :, :] + beta * (
-        np.exp(1j * phases)[:, :, None, :] * phi[None, None, :, None]
-    )
+    phases = np.stack([np.zeros_like(t21), t21, t31], axis=-1)  # (n, n, 3)
+    s = superpose_many(alpha, beta, build_counterexample(p).amplitude_matrix(),
+                       p.phi.amplitudes, phases)
     g = np.einsum("klij,klim->kljm", s.conj(), s)
     eigvals = np.linalg.eigvalsh(g)  # ascending, shape (n, n, 3)
     sigma = np.sqrt(np.clip(eigvals, 0.0, None))
@@ -279,55 +280,30 @@ def forbidden_task_demo(
     trials: int,
     rng: np.random.Generator,
     tol: float = linalg.DEFAULT_RANK_TOL,
+    phases: PhaseTriple | None = None,
 ) -> DemoReport:
     """Per trial: draw a secret input, run the oracle (honoring its success
     policy), unambiguously discriminate the output, and clone on success.
+    `phases` pins the phases as in `apply_superposer_to_set`; None lets the
+    phase policy choose them.
 
     Raises DependentOutputs when the outputs are dependent at rank tolerance
     `tol`: on the degeneracy locus the demonstration is genuinely impossible.
     """
-    outputs, phases = apply_superposer_to_set(cfg, p)
-    return _demo_core(p, outputs, phases, cfg.success_policy, trials, rng, tol)
-
-
-def forbidden_task_demo_explicit(
-    p: CounterexampleParams,
-    alpha: complex,
-    beta: complex,
-    success_policy,
-    phases: PhaseTriple,
-    trials: int,
-    rng: np.random.Generator,
-    tol: float = linalg.DEFAULT_RANK_TOL,
-) -> DemoReport:
-    """Same demonstration but with explicitly pinned phases instead of a policy
-    (the route used to show the on-locus refusal)."""
-    outputs = apply_with_phases(alpha, beta, p, phases)
-    return _demo_core(p, outputs, phases, success_policy, trials, rng, tol)
-
-
-def _demo_core(
-    p: CounterexampleParams,
-    outputs: StateSet,
-    phases: PhaseTriple,
-    success_policy,
-    trials: int,
-    rng: np.random.Generator,
-    tol: float,
-) -> DemoReport:
     if trials < 0:
-        raise InvalidParams("trials must be >= 0")
+        raise InvalidParams(f"trials must be >= 0, got {trials}")
+    outputs, phases = apply_superposer_to_set(cfg, p, phases)
     inputs = build_counterexample(p)
     cert = certify_independence(outputs, tol)
     if not cert.independent:
         raise DependentOutputs(
-            "phase policy produced linearly dependent outputs; USD and cloning "
+            "the phases produce linearly dependent outputs; USD and cloning "
             "stay impossible for this configuration"
         )
-    m = build_usd(outputs)
+    m = build_usd(outputs, tol)
     usd_probs = success_probabilities(m, outputs)
     oracle_probs = np.array(
-        [success_policy.probability(s, p.phi) for s in inputs.members]
+        [cfg.success_policy.probability(s, p.phi) for s in inputs.members]
     )
     dists = np.stack([born_distribution(m, out) for out in outputs.members])
     edges = np.cumsum(dists, axis=1)

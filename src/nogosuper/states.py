@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, EmptySet, NullVector
+from .errors import DimensionMismatch, EmptySet, NonFiniteEntry, NullVector
 
 NORM_TOL = 1e-12
 NULL_THRESHOLD = 1e-10
@@ -17,7 +17,7 @@ CANONICAL_PIVOT_FLOOR = 1e-10
 
 @dataclass
 class PureState:
-    """Unit-norm complex amplitude vector of dimension >= 2."""
+    """Unit-norm, finite complex amplitude vector of dimension >= 2."""
 
     amplitudes: np.ndarray
 
@@ -28,6 +28,7 @@ class PureState:
                 f"a pure state needs a 1-d amplitude vector of length >= 2, "
                 f"got shape {self.amplitudes.shape}"
             )
+        _require_finite(self.amplitudes)
         norm = np.linalg.norm(self.amplitudes)
         if abs(norm - 1.0) > NORM_TOL:
             raise NullVector(f"amplitudes are not unit norm (norm = {norm!r})")
@@ -57,10 +58,16 @@ class CanonicalForm:
 def normalize(v: Sequence[complex] | np.ndarray) -> PureState:
     """Scale a vector to unit norm; NullVector if it is numerically zero."""
     v = np.asarray(v, dtype=complex)
+    _require_finite(v)  # before dividing: inf / inf would warn and give NaN
     norm = np.linalg.norm(v)
     if norm <= NULL_THRESHOLD:
         raise NullVector(f"vector norm {norm!r} is below {NULL_THRESHOLD}")
     return PureState(v / norm)
+
+
+def _require_finite(v: np.ndarray) -> None:
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteEntry("amplitudes contain non-finite (NaN or infinite) entries")
 
 
 def canonicalize(s: PureState) -> CanonicalForm:

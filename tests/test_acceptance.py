@@ -87,7 +87,8 @@ def test_criterion_3_on_locus_dependence():
     p = pipeline.standard_params(SQ2, SQ2)
     theta31 = math.atan2(p.b, p.a)  # a = cos(theta31), b = sin(theta31)
     phases = pipeline.PhaseTriple(0.0, math.pi / 2.0, theta31)
-    outputs = pipeline.apply_with_phases(SQ2, SQ2, p, phases)
+    cfg = SuperposerConfig(SQ2, SQ2, ConstantPhase(0.0), AlwaysSucceed())
+    outputs, _ = pipeline.apply_superposer_to_set(cfg, p, phases)
     cert = pipeline.certify_independence(outputs)
     ok = (not cert.independent) and cert.residual_norm <= 1e-8
     report(3, ok, f"(dependent with residual {cert.residual_norm:.2e})")

@@ -64,6 +64,51 @@ class TestVerify:
             assert cert["singular_values"] == pytest.approx(sigma)
             assert cert["independent"] == (result["output_rank"] == 3)
 
+    @pytest.mark.parametrize("policy", ["constant", "overlap_arg", "canonical_hash"])
+    def test_reported_phases_reproduce_outputs(self, capsys, policy):
+        # a < 0: the third input's canonical form is -psi3, so the policy's
+        # phase differs from the reported given-frame phase by pi
+        common = ["verify", "--a", "-0.6", "--b", "0.8", "--deterministic"]
+        code, out, _ = run(capsys, *common, "--phase-policy", policy, "--theta0", "0.4")
+        assert code == 0
+        first = json.loads(out)["result"]
+        thetas = [repr(first["phases"][f"theta{k}"]) for k in (1, 2, 3)]
+        code, out, _ = run(capsys, *common, "--theta1", thetas[0],
+                           "--theta2", thetas[1], "--theta3", thetas[2])
+        assert code == 0
+        second = json.loads(out)["result"]
+        assert second["phases"] == first["phases"]
+        for x, y in zip(first["output_states"], second["output_states"]):
+            u, v = (np.asarray(z, dtype=float) @ [1, 1j] for z in (x, y))
+            np.testing.assert_allclose(np.outer(u, u.conj()), np.outer(v, v.conj()),
+                                       atol=1e-15)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--dim", "2"],
+    ["verify", "--a", "0"],
+    ["verify", "--a", "0.5", "--b", "0.5"],
+    ["verify", "--alpha-mod", "0"],
+    ["verify", "--alpha-mod", "1", "--beta-mod", "1"],
+    ["scan", "--grid-step", "0.2"],
+    ["demo", "--trials", "-1"],
+    ["demo", "--success-policy", "constant", "--success-p", "0"],
+    ["demo", "--success-policy", "constant", "--success-p", "1.5"],
+])
+def test_invalid_parameters_exit_two(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # where scan would write its default CSV
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("config error:")
+    assert not list(tmp_path.iterdir())
+
+
+def test_unit_pair_drift_within_contract_accepted(capsys):
+    code, out, _ = run(capsys, "verify", "--a", "0.6", "--b", "0.8000000001",
+                       "--deterministic")
+    assert code == 0
+    assert json.loads(out)["result"]["output_rank"] == 3
+
 
 class TestScan:
     def test_summary_deviation_within_grid_step(self, capsys, tmp_path):
@@ -121,6 +166,18 @@ class TestDemo:
         code, _, _ = run(capsys, "demo", "--trials", "0", "--tol", "0.3")
         assert code == 4
 
+    def test_usd_build_honours_tol(self, capsys):
+        # 1e-11 off the locus the smallest output sigma ratio is ~2e-12:
+        # independent at --tol 1e-13, so the USD must be built at that tol too
+        code, out, err = run(
+            capsys, "demo", "--trials", "1000", "--theta2", "1.5707963267948966",
+            "--theta3", repr(math.pi / 4 + 1e-11), "--tol", "1e-13", "--deterministic",
+        )
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert result["certificate"]["independent"]
+        assert result["misidentifications"] == 0
+
     def test_zero_trials(self, capsys):
         code, out, _ = run(capsys, "demo", "--trials", "0", "--deterministic")
         assert code == 0
@@ -167,6 +224,12 @@ class TestUSD:
         )
         code, _, _ = run(capsys, "usd", path)
         assert code == 3
+
+    def test_non_finite_amplitude_numerical_error(self, capsys, tmp_path):
+        path = self.write_states(tmp_path, [[[float("nan"), 0], [0, 0]], [[SQ2, 0], [SQ2, 0]]])
+        code, _, err = run(capsys, "usd", path)
+        assert code == 3
+        assert "non-finite" in err
 
     def test_malformed_file_config_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -67,6 +67,13 @@ class TestBuildUSD:
                 if j != k:
                     assert abs(np.vdot(psi.amplitudes, e @ psi.amplitudes)) <= 1e-20
 
+    def test_rank_tolerance_reaches_the_reciprocal_basis(self):
+        # sigma ratio 5e-7: independent at tol 1e-9, dependent at tol 1e-6
+        s = StateSet.from_vectors([[1, 0, 0], [1, 1e-6, 0], [0, 0, 1]])
+        assert build_usd(s, 1e-9).n_hypotheses == 3
+        with pytest.raises(LinearlyDependentInput):
+            build_usd(s, 1e-6)
+
     def test_more_states_than_dimensions_rejected(self):
         s = StateSet.from_vectors([[1, 0], [1, 1], [0, 1]])
         with pytest.raises(LinearlyDependentInput):

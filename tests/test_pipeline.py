@@ -11,7 +11,9 @@ from nogosuper.superposer import (
     CanonicalHashPhase,
     ConstantPhase,
     ConstantSuccess,
+    OverlapArgPhase,
     SuperposerConfig,
+    superpose_deterministic,
 )
 
 from conftest import random_orthonormal
@@ -95,6 +97,36 @@ class TestApplySuperposer:
             np.testing.assert_array_equal(x.amplitudes, y.amplitudes)
 
 
+    def test_outputs_equal_the_oracle_on_random_params(self, rng):
+        # random orthonormal states carry arbitrary global phases, so the
+        # policies' canonical frame differs from the given one
+        policies = (ConstantPhase(0.9), OverlapArgPhase(), CanonicalHashPhase())
+        for _ in range(30):
+            dim = int(rng.integers(3, 7))
+            psi, perp, phi = random_orthonormal(rng, dim, 3)
+            angle = rng.uniform(0.05, 2 * math.pi)
+            p = pipeline.CounterexampleParams(
+                a=math.cos(angle), b=math.sin(angle), psi=psi, psi_perp=perp, phi=phi
+            )
+            alpha = np.exp(1j * rng.uniform(0, 2 * math.pi)) * math.cos(0.4)
+            for policy in policies:
+                cfg = SuperposerConfig(alpha, math.sin(0.4), policy, AlwaysSucceed())
+                outputs, _ = pipeline.apply_superposer_to_set(cfg, p)
+                inputs = pipeline.build_counterexample(p)
+                for s, out in zip(inputs.members, outputs.members):
+                    oracle = superpose_deterministic(cfg, s, p.phi)
+                    assert abs(oracle.inner(out)) ** 2 >= 1 - 1e-12
+
+    def test_explicit_phases_act_on_the_given_representatives(self):
+        p = balanced_params()
+        phases = pipeline.PhaseTriple(0.3, 1.1, 2.5)
+        outputs, _ = pipeline.apply_superposer_to_set(balanced_cfg(), p, phases)
+        inputs = pipeline.build_counterexample(p)
+        for s, out, theta in zip(inputs.members, outputs.members, (0.3, 1.1, 2.5)):
+            expected = SQ2 * s.amplitudes + SQ2 * np.exp(1j * theta) * p.phi.amplitudes
+            np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
+
+
 class TestCertifyIndependence:
     def test_generic_outputs_independent(self):
         outputs, _ = pipeline.apply_superposer_to_set(balanced_cfg(), balanced_params())
@@ -117,7 +149,8 @@ class TestCertifyIndependence:
         p = balanced_params()
         theta31 = math.atan2(p.b, p.a)  # a = cos, b = sin branch
         phases = pipeline.PhaseTriple(0.0, math.pi / 2.0, theta31)
-        outputs = pipeline.apply_with_phases(SQ2, SQ2, p, phases)
+        outputs, used = pipeline.apply_superposer_to_set(balanced_cfg(), p, phases)
+        assert used == phases
         cert = pipeline.certify_independence(outputs)
         assert not cert.independent
         assert cert.residual_norm <= 1e-8
@@ -227,9 +260,7 @@ class TestForbiddenTaskDemo:
         p = balanced_params()
         phases = pipeline.PhaseTriple(0.0, math.pi / 2.0, math.atan2(p.b, p.a))
         with pytest.raises(DependentOutputs):
-            pipeline.forbidden_task_demo_explicit(
-                p, SQ2, SQ2, AlwaysSucceed(), phases, 10, rng
-            )
+            pipeline.forbidden_task_demo(p, balanced_cfg(), 10, rng, phases=phases)
 
     def test_large_run_statistics(self):
         trials = 100_000

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nogosuper.errors import DimensionMismatch, EmptySet, NullVector
+from nogosuper.errors import DimensionMismatch, EmptySet, NonFiniteEntry, NullVector
 from nogosuper.states import (
     PureState,
     StateSet,
@@ -37,6 +37,14 @@ def test_pure_state_validation():
         PureState(np.array([1.0]))
     with pytest.raises(NullVector):
         PureState(np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_non_finite_amplitudes_rejected(bad):
+    with pytest.raises(NonFiniteEntry):
+        PureState(np.array([bad, 0.0]))
+    with pytest.raises(NonFiniteEntry):
+        normalize([bad, 1.0])
 
 
 def test_canonicalize_strips_global_phase():

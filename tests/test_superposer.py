@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nogosuper.errors import DimensionMismatch, InvalidParams, NullSuperposition
-from nogosuper.states import PureState, basis_state
+from nogosuper.states import PureState, basis_state, canonicalize
 from nogosuper.superposer import (
     AlwaysSucceed,
     CanonicalHashPhase,
@@ -12,9 +12,13 @@ from nogosuper.superposer import (
     ConstantSuccess,
     OverlapArgPhase,
     OverlapScaledSuccess,
+    PhasePolicy,
     SuperposerConfig,
+    given_frame_phase,
     superpose,
     superpose_deterministic,
+    superpose_many,
+    unit_pair,
 )
 
 from conftest import random_pure_state
@@ -45,6 +49,48 @@ class TestConfigValidation:
             ConstantSuccess(0.0)
         with pytest.raises(InvalidParams):
             ConstantSuccess(1.5)
+
+
+class CountingPhase(PhasePolicy):
+    def __init__(self):
+        self.calls = 0
+
+    def phase(self, psi, phi):
+        self.calls += 1
+        return 0.3
+
+
+class TestUnitPair:
+    def test_drift_within_tolerance_renormalized(self):
+        x, y = unit_pair(0.6, 0.8000000001, "a", "b")
+        assert x * x + y * y == pytest.approx(1.0, abs=1e-15)
+        assert y / x == pytest.approx(0.8000000001 / 0.6, rel=1e-15)
+
+    @pytest.mark.parametrize("pair", [(0.0, 1.0), (1.0, 0.0), (0.6, 0.8001), (math.nan, 1.0)])
+    def test_invalid_pairs_rejected(self, pair):
+        with pytest.raises(InvalidParams):
+            unit_pair(*pair, "a", "b")
+
+    def test_config_stores_the_renormalized_weights(self):
+        cfg = SuperposerConfig(0.6j, 0.8000000001, ConstantPhase(), AlwaysSucceed())
+        assert abs(cfg.alpha) ** 2 + abs(cfg.beta) ** 2 == pytest.approx(1.0, abs=1e-15)
+
+
+class TestSuperposeMany:
+    def test_broadcasts_over_leading_phase_axes(self, rng):
+        psis = np.column_stack([random_pure_state(rng, 4).amplitudes for _ in range(3)])
+        phi = random_pure_state(rng, 4).amplitudes
+        thetas = rng.uniform(0, 2 * np.pi, size=(5, 2, 3))
+        out = superpose_many(0.6, 0.8j, psis, phi, thetas)
+        assert out.shape == (5, 2, 4, 3)
+        raw = 0.6 * psis[:, 1] + 0.8j * np.exp(1j * thetas[4, 1, 1]) * phi
+        np.testing.assert_allclose(out[4, 1, :, 1], raw / np.linalg.norm(raw), atol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(out, axis=-2), 1.0, atol=1e-15)
+
+    def test_one_cancelled_column_raises(self):
+        psis = np.eye(2, dtype=complex)
+        with pytest.raises(NullSuperposition):
+            superpose_many(SQ2, SQ2, psis, np.array([0.0, 1.0]), [0.0, math.pi])
 
 
 class TestDeterministicSuperpose:
@@ -92,6 +138,28 @@ class TestDeterministicSuperpose:
                 np.testing.assert_allclose(
                     rotated.density_matrix(), base.density_matrix(), atol=1e-10
                 )
+
+    def test_given_frame_phase_reproduces_the_canonical_superposition(self, rng):
+        for policy in (ConstantPhase(0.7), OverlapArgPhase(), CanonicalHashPhase()):
+            cfg = balanced_cfg(policy)
+            for _ in range(20):
+                dim = int(rng.integers(2, 6))
+                psi, phi = random_pure_state(rng, dim), random_pure_state(rng, dim)
+                theta = given_frame_phase(policy, psi, phi)
+                out = superpose_deterministic(cfg, psi, phi)
+                raw = SQ2 * psi.amplitudes + SQ2 * np.exp(1j * theta) * phi.amplitudes
+                np.testing.assert_allclose(out.amplitudes, raw / np.linalg.norm(raw),
+                                           atol=1e-14)
+                c_psi = canonicalize(psi).amplitudes
+                c_phi = canonicalize(phi).amplitudes
+                canon = SQ2 * c_psi + SQ2 * np.exp(1j * policy(psi, phi)) * c_phi
+                canon = PureState(canon / np.linalg.norm(canon))
+                assert abs(canon.inner(out)) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_canonical_inputs_keep_the_policy_phase(self):
+        e1, e2 = basis_state(3, 0), basis_state(3, 1)
+        assert given_frame_phase(ConstantPhase(0.0), e1, e2) == 0.0
+        assert given_frame_phase(ConstantPhase(1.25), e1, e2) == 1.25
 
 
 class TestPhasePolicies:
@@ -158,6 +226,13 @@ class TestProbabilisticSuperpose:
         assert out.probability == pytest.approx(0.01)
         if not out.succeeded:
             assert out.state is None
+
+    def test_policy_evaluated_once_per_call(self, rng):
+        policy = CountingPhase()
+        cfg = balanced_cfg(policy)
+        out = superpose(cfg, basis_state(2, 0), basis_state(2, 1), rng)
+        assert out.succeeded
+        assert policy.calls == 1
 
     def test_bit_identical_for_identical_seed(self):
         cfg = balanced_cfg(CanonicalHashPhase(), ConstantSuccess(0.7))
