@@ -29,6 +29,8 @@ class USDMeasurement:
     elements: list[np.ndarray]  # E_1 ... E_n, one per hypothesis
     inconclusive: np.ndarray  # E_0
     span_projector: np.ndarray
+    reciprocal: StateSet  # unit r_j with E_j = scale |r_j><r_j|
+    scale: float
 
     @property
     def n_hypotheses(self) -> int:
@@ -83,19 +85,20 @@ def build_usd(
         elements=elements,
         inconclusive=inconclusive,
         span_projector=span_projector,
+        reciprocal=recip,
+        scale=scale,
     )
 
 
 def success_probabilities(m: USDMeasurement, hypotheses: StateSet) -> list[float]:
-    """Tr(E_j rho_j) for each hypothesis j; all strictly positive by construction."""
+    """Tr(E_j rho_j) = scale |<r_j|psi_j>|^2 for each hypothesis j, a product
+    of non-negative factors, so round-off cannot make it negative."""
     if m.n_hypotheses != len(hypotheses) or m.dim != hypotheses.dim:
         raise MeasurementMismatch(
             "measurement was not built from this hypothesis set"
         )
-    probs = []
-    for element, state in zip(m.elements, hypotheses.members):
-        probs.append(float(np.real(np.vdot(state.amplitudes, element @ state.amplitudes))))
-    return probs
+    return [m.scale * abs(r.inner(state)) ** 2
+            for r, state in zip(m.reciprocal.members, hypotheses.members)]
 
 
 def born_distribution(m: USDMeasurement, truth: PureState) -> np.ndarray:

@@ -9,7 +9,6 @@ forbidden tasks (USD and cloning) on the independent outputs.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -121,17 +120,17 @@ class ScanResult:
 
     def write_csv(self, path: str) -> None:
         """The grid as CSV: header theta21,theta31,min_singular_value,rank,
-        one row per point, LF line endings, floats as round-trip `repr`."""
+        one row per point, LF line endings, floats as round-trip `repr`.
+        Each theta is formatted once and each theta21 row block is one write."""
+        t31s = [repr(t) for t in self.theta31_grid.tolist()]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["theta21", "theta31", "min_singular_value", "rank"])
-            for i, t21 in enumerate(self.theta21_grid):
-                for j, t31 in enumerate(self.theta31_grid):
-                    writer.writerow([
-                        repr(float(t21)), repr(float(t31)),
-                        repr(float(self.min_singular_values[i, j])),
-                        int(self.ranks[i, j]),
-                    ])
+            fh.write("theta21,theta31,min_singular_value,rank\n")
+            for t21, sigmas, ranks in zip(self.theta21_grid.tolist(),
+                                          self.min_singular_values.tolist(),
+                                          self.ranks.tolist()):
+                lead = repr(t21) + ","
+                fh.write("".join([f"{lead}{t31},{s!r},{r}\n"
+                                  for t31, s, r in zip(t31s, sigmas, ranks)]))
 
 
 def build_counterexample(p: CounterexampleParams) -> StateSet:
@@ -218,25 +217,33 @@ def scan_degeneracy_numeric(
 ) -> ScanResult:
     """Sweep (theta21, theta31) over [0, 2*pi)^2 with theta1 = 0, build the
     output triples with those explicit phases, and flag every grid point where
-    the output Gram rank drops below 3 at the (looser) scan tolerance."""
+    their rank drops below 3 at the (looser) scan tolerance.
+
+    The outputs lie in span{psi, psi_perp, phi}, so each grid point is the
+    3x3 matrix C of their coordinates in an orthonormal basis Q of that span,
+    whatever the dimension: C = Q^H (outputs) has the outputs' singular
+    values. Output j depends on theta_j alone, so `superpose_many` forms each
+    column once per grid phase and the grid's C are broadcast from them.
+    """
     if not 0.0 < grid_step <= 0.1:
         raise InvalidParams(f"grid_step must lie in (0, 0.1], got {grid_step}")
     alpha, beta = unit_pair(alpha, beta, "alpha", "beta")
     n = int(math.floor((TWO_PI - 1e-12) / grid_step)) + 1
     thetas = grid_step * np.arange(n)
 
-    # s[k, l] is the (dim, 3) output triple for (theta21, theta31) =
-    # (thetas[k], thetas[l])
-    t21, t31 = np.meshgrid(thetas, thetas, indexing="ij")
-    phases = np.stack([np.zeros_like(t21), t21, t31], axis=-1)  # (n, n, 3)
-    s = superpose_many(alpha, beta, build_counterexample(p).amplitude_matrix(),
-                       p.phi.amplitudes, phases)
-    g = np.einsum("klij,klim->kljm", s.conj(), s)
-    eigvals = np.linalg.eigvalsh(g)  # ascending, shape (n, n, 3)
-    sigma = np.sqrt(np.clip(eigvals, 0.0, None))
-    min_sigma = sigma[:, :, 0]
-    max_sigma = sigma[:, :, -1]
-    ranks = np.sum(sigma > SCAN_RANK_TOL * max_sigma[:, :, None], axis=-1)
+    q, _ = np.linalg.qr(np.column_stack(
+        [p.psi.amplitudes, p.psi_perp.amplitudes, p.phi.amplitudes]))
+    qh = q.conj().T
+    # out[k, :, j]: coordinates of output j with theta_j = thetas[k]
+    out = superpose_many(alpha, beta, qh @ build_counterexample(p).amplitude_matrix(),
+                         qh @ p.phi.amplitudes, np.broadcast_to(thetas[:, None], (n, 3)))
+    # C[k, l] has columns output 1 at theta1 = thetas[0] = 0, output 2 at
+    # theta21 = thetas[k] and output 3 at theta31 = thetas[l]
+    lam_min, lam_mid, lam_max = _squared_singular_values_3x3(
+        (out[0, :, 0], out[:, None, :, 1], out[None, :, :, 2]))
+    # sigma > SCAN_RANK_TOL * sigma_max, squared; sigma_max itself always counts
+    cut = SCAN_RANK_TOL**2 * lam_max
+    ranks = 1 + (lam_mid > cut) + (lam_min > cut)
 
     hits = np.argwhere(ranks < 3)
     detected = DegeneracyLocus(
@@ -245,10 +252,50 @@ def scan_degeneracy_numeric(
     return ScanResult(
         theta21_grid=thetas,
         theta31_grid=thetas.copy(),
-        min_singular_values=min_sigma,
+        min_singular_values=np.sqrt(lam_min),
         ranks=ranks,
         detected=detected,
     )
+
+
+def _squared_singular_values_3x3(
+    cols: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues lam_min <= lam_mid <= lam_max of C^H C, in closed form, for
+    3x3 matrices C given by their columns: three arrays of shape (..., 3)
+    that broadcast against each other. Needs rank(C) >= 2.
+
+    The characteristic polynomial lam^3 - c1 lam^2 + c2 lam - c3 has the
+    invariants c1 = ||C||_F^2, c2 = the sum of |2x2 minors of C|^2
+    (Cauchy-Binet) and c3 = |det C|^2, each a sum of non-negative terms, so
+    no Gram entry cancels. lam_max is the largest root (trigonometric form);
+    the other two come from deflating it off the constant end:
+    lam_min lam_mid = c3 / lam_max and lam_min + lam_mid =
+    (c2 - lam_min lam_mid) / lam_max. That keeps lam_min accurate where
+    lam_max is not, at a near double root.
+    """
+    e = [[col[..., r] for col in cols] for r in range(3)]  # e[r][j] = C[r, j]
+    c1 = sum(np.sum(col.real**2 + col.imag**2, axis=-1) for col in cols)
+    pairs = ((1, 2), (0, 2), (0, 1))
+    c2 = 0.0
+    cofactors = []  # minors on columns (1, 2), leaving out row 0, 1, 2
+    for r, s in pairs:
+        for j, k in pairs:
+            m = e[r][j] * e[s][k] - e[s][j] * e[r][k]
+            c2 = c2 + (m.real**2 + m.imag**2)
+            if j == 1:
+                cofactors.append(m)
+    det = e[0][0] * cofactors[0] - e[1][0] * cofactors[1] + e[2][0] * cofactors[2]
+    c3 = det.real**2 + det.imag**2
+
+    spread = np.maximum(c1 * c1 - 3.0 * c2, 0.0) / 9.0  # 0 only if all are equal
+    half_q = (2.0 * c1**3 - 9.0 * c1 * c2 + 27.0 * c3) / 54.0
+    cos3 = np.clip(half_q / spread**1.5, -1.0, 1.0)
+    lam_max = c1 / 3.0 + 2.0 * np.sqrt(spread) * np.cos(np.arccos(cos3) / 3.0)
+    prod = c3 / lam_max
+    total = (c2 - prod) / lam_max
+    lam_mid = 0.5 * (total + np.sqrt(np.maximum(total * total - 4.0 * prod, 0.0)))
+    return prod / lam_mid, lam_mid, lam_max
 
 
 @dataclass

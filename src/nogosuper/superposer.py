@@ -34,9 +34,17 @@ class PhasePolicy:
     def phase(self, psi: CanonicalForm, phi: CanonicalForm) -> float:
         raise NotImplementedError
 
-    def __call__(self, psi: PureState, phi: PureState) -> float:
-        theta = self.phase(canonicalize(psi), canonicalize(phi))
+    def __call__(
+        self, psi: PureState | CanonicalForm, phi: PureState | CanonicalForm
+    ) -> float:
+        """One policy evaluation: states are canonicalized first, canonical
+        forms are taken as given."""
+        theta = self.phase(_canonical(psi), _canonical(phi))
         return theta % TWO_PI
+
+
+def _canonical(s: PureState | CanonicalForm) -> CanonicalForm:
+    return s if isinstance(s, CanonicalForm) else canonicalize(s)
 
 
 @dataclass(frozen=True)
@@ -83,13 +91,14 @@ def given_frame_phase(policy: PhasePolicy, psi: PureState, phi: PureState) -> fl
     the canonical-form superposition up to the global phase e^{-i kappa_psi}."""
     if psi.dim != phi.dim:
         raise DimensionMismatch(f"dimensions {psi.dim} and {phi.dim} differ")
-    theta = policy(psi, phi) + _canonical_phase(phi) - _canonical_phase(psi)
+    c_psi, c_phi = canonicalize(psi), canonicalize(phi)
+    theta = policy(c_psi, c_phi) + _canonical_phase(phi, c_phi) - _canonical_phase(psi, c_psi)
     return theta % TWO_PI
 
 
-def _canonical_phase(s: PureState) -> float:
-    """kappa_s = arg <s|canonicalize(s)>; exactly 0 for a canonical s."""
-    z = complex(np.vdot(s.amplitudes, canonicalize(s).amplitudes))
+def _canonical_phase(s: PureState, c: CanonicalForm) -> float:
+    """kappa_s = arg <s|c> for c = canonicalize(s); exactly 0 for a canonical s."""
+    z = complex(np.vdot(s.amplitudes, c.amplitudes))
     return math.atan2(z.imag, z.real)
 
 

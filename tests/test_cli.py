@@ -178,6 +178,19 @@ class TestDemo:
         assert result["certificate"]["independent"]
         assert result["misidentifications"] == 0
 
+    def test_predicted_usd_probabilities_non_negative_near_locus(self, capsys):
+        # 1e-9 off the locus Tr(E_j rho_j) is ~1e-19; formed as a quadratic
+        # form it came out as round-off of either sign
+        code, out, err = run(
+            capsys, "demo", "--trials", "1000", "--theta2", "1.5707963267948966",
+            "--theta3", repr(math.pi / 4 + 1e-9), "--tol", "1e-13", "--deterministic",
+        )
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert min(result["predicted_usd_probabilities"]) >= 0.0
+        assert result["predicted_conclusive_rate"] >= 0.0
+        assert result["misidentifications"] == 0
+
     def test_zero_trials(self, capsys):
         code, out, _ = run(capsys, "demo", "--trials", "0", "--deterministic")
         assert code == 0

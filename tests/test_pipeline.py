@@ -1,4 +1,6 @@
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,41 @@ def balanced_params(dim=3):
 def balanced_cfg(policy=None, success=None):
     return SuperposerConfig(SQ2, SQ2, policy or ConstantPhase(0.0),
                             success or AlwaysSucceed())
+
+
+def rotated_params(rng, dim, angle):
+    """psi, psi_perp, phi: a random orthonormal triple, not basis vectors."""
+    psi, perp, phi = random_orthonormal(rng, dim, 3)
+    return pipeline.CounterexampleParams(
+        a=math.cos(angle), b=math.sin(angle), psi=psi, psi_perp=perp, phi=phi
+    )
+
+
+def scan_svd_oracle(p, alpha, beta, thetas):
+    """Smallest singular value and rank at SCAN_RANK_TOL of the dim x 3 output
+    triple of every grid point (theta21, theta31), theta1 = 0, by numpy SVD."""
+    inputs = pipeline.build_counterexample(p).amplitude_matrix()
+    t21, t31 = np.meshgrid(thetas, thetas, indexing="ij")
+    phases = np.exp(1j * np.stack([np.zeros_like(t21), t21, t31], axis=-1))
+    out = alpha * inputs + beta * p.phi.amplitudes[:, None] * phases[..., None, :]
+    out /= np.linalg.norm(out, axis=-2, keepdims=True)
+    sigma = np.linalg.svd(out, compute_uv=False)
+    ranks = np.sum(sigma > pipeline.SCAN_RANK_TOL * sigma[..., :1], axis=-1)
+    return sigma[..., -1], ranks
+
+
+def write_csv_reference(scan, path):
+    """The scan CSV through csv.writer, one row per call (reference writer)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["theta21", "theta31", "min_singular_value", "rank"])
+        for i, t21 in enumerate(scan.theta21_grid):
+            for j, t31 in enumerate(scan.theta31_grid):
+                writer.writerow([
+                    repr(float(t21)), repr(float(t31)),
+                    repr(float(scan.min_singular_values[i, j])),
+                    int(scan.ranks[i, j]),
+                ])
 
 
 class TestCounterexample:
@@ -245,6 +282,77 @@ class TestScan:
     def test_bad_grid_step_rejected(self):
         with pytest.raises(InvalidParams):
             pipeline.scan_degeneracy_numeric(balanced_params(), SQ2, SQ2, 0.2)
+
+    @pytest.mark.parametrize("dim", [3, 8, 16])
+    @pytest.mark.parametrize("alpha_mod", [None, 1e-4, 1e-7])
+    def test_matches_svd_of_the_output_triples(self, rng, dim, alpha_mod):
+        # None draws |alpha|; 1e-4 and 1e-7 make the outputs nearly parallel
+        # to phi, where sigma_min is small against sigma_max
+        p = rotated_params(rng, dim, rng.uniform(0, 2 * math.pi))
+        mod = rng.uniform(0.05, 0.95) if alpha_mod is None else alpha_mod
+        alpha = mod * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        beta = math.sqrt(1 - mod**2) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        scan = pipeline.scan_degeneracy_numeric(p, alpha, beta, 0.05)
+        sigma_min, ranks = scan_svd_oracle(p, alpha, beta, scan.theta21_grid)
+        np.testing.assert_allclose(scan.min_singular_values, sigma_min,
+                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_array_equal(scan.ranks, ranks)
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_grid_on_the_locus_detects_the_analytic_pairs(self, rng, dim):
+        # a = cos 60 deg: both analytic pairs are 1 degree grid points
+        p = rotated_params(rng, dim, math.pi / 3)
+        alpha = SQ2 * np.exp(0.7j)
+        step = math.pi / 180.0
+        scan = pipeline.scan_degeneracy_numeric(p, alpha, SQ2, step)
+        sigma_min, ranks = scan_svd_oracle(p, alpha, SQ2, scan.theta21_grid)
+        np.testing.assert_allclose(scan.min_singular_values, sigma_min,
+                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_array_equal(scan.ranks, ranks)
+
+        def gap(x, y):
+            d = abs(x - y) % (2 * math.pi)
+            return min(d, 2 * math.pi - d)
+
+        def distance(u, v):
+            return max(gap(u[0], v[0]), gap(u[1], v[1]))
+
+        detected = scan.detected.solutions
+        analytic = pipeline.solve_degeneracy_analytic(p.a, p.b).solutions
+        assert detected
+        for d in detected:
+            assert min(distance(d, s) for s in analytic) <= step + 1e-12
+        for s in analytic:
+            assert min(distance(s, d) for d in detected) <= step + 1e-12
+
+    def test_peak_memory_per_point_does_not_depend_on_dim(self, rng):
+        per_point = []
+        for dim in (3, 16):
+            p = rotated_params(rng, dim, 0.9)
+            tracemalloc.start()
+            try:
+                scan = pipeline.scan_degeneracy_numeric(p, SQ2, SQ2, math.pi / 180.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            per_point.append(peak / scan.ranks.size)
+        assert per_point[1] == pytest.approx(per_point[0], rel=0.1)
+
+    def test_csv_bytes_match_the_reference_writer(self, tmp_path):
+        thetas = 0.05 * np.arange(3)
+        small = pipeline.ScanResult(
+            theta21_grid=thetas,
+            theta31_grid=thetas.copy(),
+            min_singular_values=np.array(
+                [[0.0, 5e-324, 1e-300], [0.1, 0.30000000000000004, 1.0],
+                 [2.5e-17, 123456.789, 1e22]]),
+            ranks=np.array([[2, 2, 2], [3, 3, 3], [2, 3, 3]]),
+        )
+        real = pipeline.scan_degeneracy_numeric(balanced_params(), SQ2, SQ2, 0.1)
+        for scan in (small, real):
+            scan.write_csv(tmp_path / "new.csv")
+            write_csv_reference(scan, tmp_path / "reference.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestForbiddenTaskDemo:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nogosuper import superposer
 from nogosuper.errors import DimensionMismatch, InvalidParams, NullSuperposition
 from nogosuper.states import PureState, basis_state, canonicalize
 from nogosuper.superposer import (
@@ -160,6 +161,20 @@ class TestDeterministicSuperpose:
         e1, e2 = basis_state(3, 0), basis_state(3, 1)
         assert given_frame_phase(ConstantPhase(0.0), e1, e2) == 0.0
         assert given_frame_phase(ConstantPhase(1.25), e1, e2) == 1.25
+
+    def test_each_input_canonicalized_once_per_evaluation(self, monkeypatch, rng):
+        calls = []
+
+        def counting_canonicalize(s):
+            calls.append(s)
+            return canonicalize(s)
+
+        monkeypatch.setattr(superposer, "canonicalize", counting_canonicalize)
+        psi, phi = random_pure_state(rng, 4), random_pure_state(rng, 4)
+        for policy in (ConstantPhase(0.7), OverlapArgPhase(), CanonicalHashPhase()):
+            calls.clear()
+            given_frame_phase(policy, psi, phi)
+            assert calls == [psi, phi]
 
 
 class TestPhasePolicies:
