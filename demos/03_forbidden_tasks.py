@@ -42,7 +42,8 @@ print(f"Misidentifications:     {report.misidentifications}")
 print(f"Conclusive rate:        {report.conclusive_rate:.5f} "
       f"(predicted {report.predicted_conclusive_rate:.5f})")
 print(f"Clones produced:        {report.clone_successes} "
-      f"(every clone exact, fidelity {report.clone_fidelity_min})")
+      f"(one per conclusive identification; lowest fidelity to the true "
+      f"output {report.clone_fidelity_min:.12f})")
 print("\nUnambiguous identification and exact cloning of states drawn from a "
       "linearly dependent set: both are forbidden in quantum theory (and in "
       "any no-signaling theory), so the oracle assumed here cannot exist.")

@@ -326,8 +326,6 @@ def cmd_usd(args) -> int:
     states = StateSet.from_vectors(vectors)
     if not 0 <= args.truth_index < len(states):
         raise InvalidParams(f"--truth-index out of range 0..{len(states) - 1}")
-    if args.trials < 1:
-        raise InvalidParams("--trials must be >= 1")
 
     m = build_usd(states)
     probs = success_probabilities(m, states)

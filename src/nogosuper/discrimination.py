@@ -14,10 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, LinearlyDependentInput, MeasurementMismatch, NogoError
+from .errors import (DimensionMismatch, InvalidParams, LinearlyDependentInput,
+                     MeasurementMismatch, NogoError)
 from .states import PureState, StateSet
 
 BORN_SUM_TOL = 1e-9
+MAX_TRIALS = 2**63 - 1  # numpy's samplers count in int64
+
+
+def check_trials(trials: int, least: int) -> None:
+    """The one bound on a trial count: least <= trials <= MAX_TRIALS."""
+    if not least <= trials <= MAX_TRIALS:
+        raise InvalidParams(f"trials must lie in [{least}, {MAX_TRIALS}], got {trials}")
 
 
 @dataclass
@@ -90,31 +98,44 @@ def build_usd(
     )
 
 
+def _conclusive_probability(m: USDMeasurement, r: PureState, state: PureState) -> float:
+    """Tr(E_j rho) = scale |<r_j|state>|^2, a product of non-negative factors,
+    so round-off cannot make it negative; capped at 1, which orthonormal sets
+    overshoot by about 1e-15."""
+    return min(m.scale * abs(r.inner(state)) ** 2, 1.0)
+
+
 def success_probabilities(m: USDMeasurement, hypotheses: StateSet) -> list[float]:
-    """Tr(E_j rho_j) = scale |<r_j|psi_j>|^2 for each hypothesis j, a product
-    of non-negative factors, so round-off cannot make it negative."""
+    """Tr(E_j rho_j) for each hypothesis j."""
     if m.n_hypotheses != len(hypotheses) or m.dim != hypotheses.dim:
         raise MeasurementMismatch(
             "measurement was not built from this hypothesis set"
         )
-    return [m.scale * abs(r.inner(state)) ** 2
+    return [_conclusive_probability(m, r, state)
             for r, state in zip(m.reciprocal.members, hypotheses.members)]
 
 
 def born_distribution(m: USDMeasurement, truth: PureState) -> np.ndarray:
-    """Outcome probabilities [E_1, ..., E_n, E_0] for the given true state."""
+    """Outcome probabilities [E_1, ..., E_n, E_0] for the given true state.
+
+    Conclusive entries come from the reciprocal overlaps, so a hypothesis'
+    own entry equals its `success_probabilities` entry; the inconclusive
+    entry is the rest, 1 - sum, which must match <truth|E_0|truth>: it does
+    not when the truth leaves the hypothesis span.
+    """
     if truth.dim != m.dim:
         raise DimensionMismatch(f"state dimension {truth.dim} != measurement {m.dim}")
+    probs = [_conclusive_probability(m, r, truth) for r in m.reciprocal.members]
+    rest = 1.0 - sum(probs)
     amps = truth.amplitudes
-    probs = [float(np.real(np.vdot(amps, e @ amps))) for e in m.elements]
-    probs.append(float(np.real(np.vdot(amps, m.inconclusive @ amps))))
-    probs = np.clip(np.array(probs), 0.0, None)
-    total = probs.sum()
-    if abs(total - 1.0) > BORN_SUM_TOL:
+    direct = float(np.real(np.vdot(amps, m.inconclusive @ amps)))
+    if abs(rest - direct) > BORN_SUM_TOL:
         raise NogoError(
-            f"Born probabilities sum to {total!r}; measurement is inconsistent"
+            f"inconclusive probability {rest!r} != <truth|E_0|truth> = {direct!r}; "
+            "the truth leaves the hypothesis span or the measurement is inconsistent"
         )
-    return probs / total
+    probs.append(max(rest, 0.0))  # round-off takes 1 - sum to -1e-15; numpy wants >= 0
+    return np.array(probs)
 
 
 def simulate_usd(
@@ -123,15 +144,10 @@ def simulate_usd(
     trials: int,
     rng: np.random.Generator,
 ) -> DiscriminationOutcome:
-    """Sample Born outcomes by inverse CDF; label n (last) is inconclusive."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    probs = born_distribution(m, truth)
-    edges = np.cumsum(probs)
-    draws = rng.random(trials)
-    labels = np.searchsorted(edges, draws, side="right")
-    labels = np.minimum(labels, len(probs) - 1)
-    counts = np.bincount(labels, minlength=len(probs))
+    """Label counts of `trials` Born outcomes, one multinomial draw; label n
+    (last) is inconclusive."""
+    check_trials(trials, 1)
+    counts = rng.multinomial(trials, born_distribution(m, truth))
     return DiscriminationOutcome(trials=trials, per_label_counts=counts)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .discrimination import born_distribution, build_usd, success_probabilities
+from .discrimination import born_distribution, build_usd, check_trials, success_probabilities
 from .errors import DependentOutputs, InvalidParams, WrongSetSize
 from .states import PureState, StateSet, basis_state, normalize
 from .superposer import (
@@ -310,7 +310,7 @@ class DemoReport:
     conclusive_counts: np.ndarray  # per hypothesis
     misidentifications: int
     clone_successes: int
-    clone_fidelity_min: float  # 1.0 whenever any clone succeeded
+    clone_fidelity_min: float  # min |<Psi_i|Psi_j>|^2, secret i cloned as j; 1.0 if none
     predicted_usd_probabilities: list[float]
     predicted_conclusive_rate: float
 
@@ -330,15 +330,19 @@ def forbidden_task_demo(
     phases: PhaseTriple | None = None,
 ) -> DemoReport:
     """Per trial: draw a secret input, run the oracle (honoring its success
-    policy), unambiguously discriminate the output, and clone on success.
+    policy), unambiguously discriminate the output, and clone on a conclusive
+    identification by preparing two copies of the identified output.
     `phases` pins the phases as in `apply_superposer_to_set`; None lets the
     phase policy choose them.
+
+    The trials are drawn as counts, whose cost does not depend on `trials`:
+    secrets from a multinomial, oracle successes per secret from a binomial,
+    and Born labels per secret from a multinomial over its row.
 
     Raises DependentOutputs when the outputs are dependent at rank tolerance
     `tol`: on the degeneracy locus the demonstration is genuinely impossible.
     """
-    if trials < 0:
-        raise InvalidParams(f"trials must be >= 0, got {trials}")
+    check_trials(trials, 0)
     outputs, phases = apply_superposer_to_set(cfg, p, phases)
     inputs = build_counterexample(p)
     cert = certify_independence(outputs, tol)
@@ -353,49 +357,24 @@ def forbidden_task_demo(
         [cfg.success_policy.probability(s, p.phi) for s in inputs.members]
     )
     dists = np.stack([born_distribution(m, out) for out in outputs.members])
-    edges = np.cumsum(dists, axis=1)
 
-    predicted_rate = float(np.mean(oracle_probs * np.array(usd_probs)))
-
-    secret_counts = np.zeros(3, dtype=np.int64)
-    conclusive_counts = np.zeros(3, dtype=np.int64)
-    misid = 0
-    sup_failures = 0
-    clone_successes = 0
-    clone_fid_min = 1.0
-
-    if trials > 0:
-        secrets = rng.integers(0, 3, size=trials)
-        secret_counts = np.bincount(secrets, minlength=3)
-        sup_ok = rng.random(trials) < oracle_probs[secrets]
-        sup_failures = int(trials - sup_ok.sum())
-
-        live = secrets[sup_ok]
-        draws = rng.random(live.size)
-        labels = (draws[:, None] >= edges[live, :-1]).sum(axis=1)
-        conclusive = labels < 3
-        misid = int(np.sum(conclusive & (labels != live)))
-        conclusive_counts = np.bincount(live[conclusive], minlength=3)
-
-        # clone each conclusively identified output: one more USD trial on the
-        # true output state, exact copies on any conclusive outcome
-        identified = live[conclusive]
-        clone_conclusive_prob = 1.0 - dists[identified, -1]
-        clone_hits = rng.random(identified.size) < clone_conclusive_prob
-        clone_successes = int(clone_hits.sum())
-        # identify-then-prepare emits the identified hypothesis itself
-        clone_fid_min = 1.0
-
+    secret_counts = rng.multinomial(trials, [1.0 / 3.0] * 3)
+    live = rng.binomial(secret_counts, oracle_probs)
+    # outcomes[i, j]: secret i identified as output j, or inconclusive at j = 3
+    outcomes = rng.multinomial(live, dists)
+    identified = outcomes[:, :3]
+    # a clone is the identified output itself, prepared twice
+    fidelities = np.abs(linalg.gram(outputs)) ** 2  # [i, j] = |<Psi_i|Psi_j>|^2
     return DemoReport(
         trials=trials,
         phases=phases,
         certificate=cert,
         secret_counts=secret_counts,
-        superposer_failures=sup_failures,
-        conclusive_counts=conclusive_counts,
-        misidentifications=misid,
-        clone_successes=clone_successes,
-        clone_fidelity_min=clone_fid_min,
+        superposer_failures=int(trials - live.sum()),
+        conclusive_counts=identified.sum(axis=1),
+        misidentifications=int(identified.sum() - np.trace(identified)),
+        clone_successes=int(identified.sum()),
+        clone_fidelity_min=float(fidelities[identified > 0].min(initial=1.0)),
         predicted_usd_probabilities=usd_probs,
-        predicted_conclusive_rate=predicted_rate,
+        predicted_conclusive_rate=float(np.mean(oracle_probs * np.array(usd_probs))),
     )

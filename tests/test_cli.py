@@ -94,10 +94,15 @@ class TestVerify:
     ["demo", "--trials", "-1"],
     ["demo", "--success-policy", "constant", "--success-p", "0"],
     ["demo", "--success-policy", "constant", "--success-p", "1.5"],
+    ["demo", "--trials", "100000000000000000000"],
+    ["usd", "STATES", "--trials", "100000000000000000000"],
+    ["usd", "STATES", "--trials", "0"],
 ])
-def test_invalid_parameters_exit_two(capsys, monkeypatch, tmp_path, argv):
+def test_invalid_parameters_exit_two(capsys, monkeypatch, tmp_path, tmp_path_factory, argv):
     monkeypatch.chdir(tmp_path)  # where scan would write its default CSV
-    code, _, err = run(capsys, *argv)
+    states = tmp_path_factory.mktemp("usd") / "states.json"  # a valid {|0>, |+>} file
+    states.write_text(json.dumps([[[1, 0], [0, 0]], [[SQ2, 0], [SQ2, 0]]]))
+    code, _, err = run(capsys, *(str(states) if a == "STATES" else a for a in argv))
     assert code == 2
     assert err.startswith("config error:")
     assert not list(tmp_path.iterdir())
@@ -190,6 +195,15 @@ class TestDemo:
         assert min(result["predicted_usd_probabilities"]) >= 0.0
         assert result["predicted_conclusive_rate"] >= 0.0
         assert result["misidentifications"] == 0
+
+    def test_trillion_trials(self, capsys):
+        # counts are sampled, so 10^12 trials cost what 10^3 do
+        code, out, err = run(capsys, "demo", "--trials", "1000000000000", "--deterministic")
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert sum(result["secret_counts"]) == 10**12
+        assert result["misidentifications"] == 0
+        assert result["clone_successes"] == sum(result["conclusive_counts"])
 
     def test_zero_trials(self, capsys):
         code, out, _ = run(capsys, "demo", "--trials", "0", "--deterministic")

@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from nogosuper import linalg
+from nogosuper import linalg, pipeline
 from nogosuper.discrimination import (
+    MAX_TRIALS,
     born_distribution,
     build_usd,
     probabilistic_clone,
     simulate_usd,
     success_probabilities,
 )
-from nogosuper.errors import LinearlyDependentInput, MeasurementMismatch
-from nogosuper.states import StateSet, basis_state
+from nogosuper.errors import InvalidParams, LinearlyDependentInput, MeasurementMismatch, NogoError
+from nogosuper.states import StateSet, basis_state, normalize
 
-from conftest import random_state_set
+from nogosuper.superposer import AlwaysSucceed, ConstantPhase, SuperposerConfig
+
+from conftest import random_orthonormal, random_state_set
 
 SQ2 = 1.0 / math.sqrt(2.0)
 ZERO_PLUS = [[1, 0], [1, 1]]  # {|0>, |+>}
@@ -155,6 +158,70 @@ class TestSimulateUSD:
         m = build_usd(s)
         for member in s.members:
             assert born_distribution(m, member).sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("trials", [0, -1, MAX_TRIALS + 1])
+    def test_trials_out_of_bounds_rejected(self, trials, rng):
+        s = StateSet.from_vectors(ZERO_PLUS)
+        with pytest.raises(InvalidParams):
+            simulate_usd(build_usd(s), s.members[0], trials, rng)
+
+    def test_cross_talk_of_a_truth_in_the_span(self, rng):
+        # normalize(|0> + |+>) is in the span but is neither hypothesis, so
+        # both conclusive labels have positive probability
+        s = StateSet.from_vectors(ZERO_PLUS)
+        m = build_usd(s)
+        truth = normalize(s.members[0].amplitudes + s.members[1].amplitudes)
+        row = born_distribution(m, truth)
+        assert row[0] > 0.0 and row[1] > 0.0
+        assert row.sum() == pytest.approx(1.0)
+        out = simulate_usd(m, truth, 10_000, rng)
+        assert np.count_nonzero(out.per_label_counts[:2]) == 2
+
+
+class TestBornDistribution:
+    def test_row_diagonal_equals_success_probabilities_near_locus(self):
+        # 1e-9 off the locus Tr(E_j rho_j) is ~1e-19; as a quadratic form it
+        # came out as round-off of either sign and was clipped to 0
+        p = pipeline.standard_params(SQ2, SQ2)
+        cfg = SuperposerConfig(SQ2, SQ2, ConstantPhase(0.0), AlwaysSucceed())
+        phases = pipeline.PhaseTriple(0.0, math.pi / 2.0, math.pi / 4.0 + 1e-9)
+        outputs, _ = pipeline.apply_superposer_to_set(cfg, p, phases)
+        m = build_usd(outputs, 1e-13)
+        probs = success_probabilities(m, outputs)
+        for j, out in enumerate(outputs.members):
+            row = born_distribution(m, out)
+            assert row[j] == probs[j]
+            assert min(row) >= 0.0
+
+    def test_rows_of_orthonormal_sets_are_probabilities(self, rng):
+        # scale |<r_j|psi_j>|^2 reaches 1 + 1e-15 on a few percent of the rows
+        # of orthonormal sets; the rows must still be multinomial probabilities
+        for dim in range(2, 17):
+            for size in range(1, dim + 1):
+                s = StateSet(random_orthonormal(rng, dim, size))
+                m = build_usd(s)
+                for j, member in enumerate(s.members):
+                    row = born_distribution(m, member)
+                    assert 0.0 <= row.min() and row.max() <= 1.0
+                    assert simulate_usd(m, member, 100, rng).per_label_counts[j] == 100
+
+    def test_rows_without_an_inconclusive_outcome_are_probabilities(self, rng):
+        # along the top eigenvector of sum_j |r_j><r_j| the conclusive entries
+        # sum to 1, and round-off takes 1 - sum below 0 on about 40% of sets
+        for _ in range(50):
+            s = random_independent_set(rng, int(rng.integers(2, 9)), 2)
+            m = build_usd(s)
+            total = sum(r.density_matrix() for r in m.reciprocal.members)
+            truth = normalize(np.linalg.eigh(total)[1][:, -1])
+            row = born_distribution(m, truth)
+            assert row[-1] == pytest.approx(0.0, abs=1e-12) and row.min() >= 0.0
+            assert simulate_usd(m, truth, 100, rng).inconclusive_count == 0
+
+    @pytest.mark.parametrize("truth", [[0, 0, 1], [1, 0, 1]])
+    def test_truth_outside_the_span_refused(self, truth):
+        s = StateSet([basis_state(3, 0), basis_state(3, 1)])
+        with pytest.raises(NogoError):
+            born_distribution(build_usd(s), normalize(np.array(truth, dtype=complex)))
 
 
 class TestProbabilisticClone:

@@ -361,6 +361,58 @@ class TestForbiddenTaskDemo:
         assert report.trials == 0
         assert report.conclusive_counts.sum() == 0
         assert report.misidentifications == 0
+        assert report.clone_successes == 0
+        assert report.clone_fidelity_min == 1.0
+
+    @pytest.mark.parametrize("trials", [-1, 2**63])
+    def test_trials_out_of_bounds_rejected(self, trials, rng):
+        with pytest.raises(InvalidParams):
+            pipeline.forbidden_task_demo(balanced_params(), balanced_cfg(), trials, rng)
+
+    def test_peak_memory_does_not_depend_on_trials(self):
+        peaks = []
+        for trials in (10**3, 10**6):
+            tracemalloc.start()
+            try:
+                pipeline.forbidden_task_demo(balanced_params(), balanced_cfg(), trials,
+                                             np.random.default_rng(1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 2**20
+
+    def test_count_spread_matches_the_binomial(self):
+        # z-scores over 200 seeds: mean 0 +- 0.3 (4.2 standard errors of a
+        # mean of 200) and variance in [0.6, 1.5] (about 4 standard errors of
+        # a variance of 200 normal draws) for each secret's conclusive count
+        # and for the oracle failures
+        trials, seeds = 10_000, 200
+        cfg = balanced_cfg(success=ConstantSuccess(0.5))
+        z = []
+        for seed in range(seeds):
+            r = pipeline.forbidden_task_demo(balanced_params(), cfg, trials,
+                                             np.random.default_rng(seed))
+            q = np.append(0.5 * np.array(r.predicted_usd_probabilities) / 3.0, 0.5)
+            counts = np.append(r.conclusive_counts, r.superposer_failures)
+            z.append((counts - trials * q) / np.sqrt(trials * q * (1.0 - q)))
+        z = np.array(z)
+        assert np.all(np.abs(z.mean(axis=0)) < 0.3), z.mean(axis=0)
+        assert np.all((z.var(axis=0) > 0.6) & (z.var(axis=0) < 1.5)), z.var(axis=0)
+
+    def test_clone_fidelity_from_the_prepared_copies(self, monkeypatch):
+        # a measurement that sends every secret to label 0: secrets 1 and 2
+        # are misidentified and cloned as output 0
+        row = np.array([1.0, 0.0, 0.0, 0.0])
+        monkeypatch.setattr(pipeline, "born_distribution", lambda m, truth: row)
+        report = pipeline.forbidden_task_demo(
+            balanced_params(), balanced_cfg(), 3000, np.random.default_rng(2))
+        outputs, _ = pipeline.apply_superposer_to_set(balanced_cfg(), balanced_params())
+        a = outputs.amplitude_matrix()
+        overlaps = np.abs(a[:, 0].conj() @ a) ** 2
+        assert report.misidentifications == report.secret_counts[1:].sum()
+        assert report.clone_successes == 3000
+        assert report.clone_fidelity_min == pytest.approx(overlaps.min(), abs=1e-12)
+        assert report.clone_fidelity_min < 0.99
 
     def test_on_locus_policy_refused(self, rng):
         # constant policies give theta21 = 0, never on the locus; pin the
@@ -382,6 +434,8 @@ class TestForbiddenTaskDemo:
         assert abs(report.conclusive_rate - pred) < sigma3
         assert report.clone_fidelity_min == pytest.approx(1.0, abs=1e-10)
         assert report.secret_counts.sum() == trials
+        # identify-then-prepare: a clone exactly when identification is conclusive
+        assert report.clone_successes == report.conclusive_counts.sum()
 
     def test_success_policy_reduces_conclusive_rate(self):
         full = pipeline.forbidden_task_demo(
