@@ -2,18 +2,15 @@
 forbidden tasks unlocked."""
 
 from .discrimination import (
-    CloneResult,
     DiscriminationOutcome,
     USDMeasurement,
     build_usd,
-    probabilistic_clone,
     simulate_usd,
     success_probabilities,
 )
 from .linalg import (
     RankResult,
     gram,
-    max_eigenvalue_hermitian,
     numerical_rank,
     reciprocal_basis,
 )
@@ -48,10 +45,8 @@ from .superposer import (
     ConstantSuccess,
     OverlapArgPhase,
     OverlapScaledSuccess,
-    SuperposeOutcome,
     SuperposerConfig,
     given_frame_phase,
-    superpose,
     superpose_deterministic,
     superpose_many,
     unit_pair,

@@ -104,7 +104,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="omit timestamps so identical runs are byte-identical")
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
+def _add_state_flags(p: argparse.ArgumentParser) -> None:
+    """The counterexample triple and the oracle weights: verify, scan, demo."""
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--a", type=float, default=1.0 / math.sqrt(2.0))
     p.add_argument("--b", type=float, default=1.0 / math.sqrt(2.0))
@@ -112,6 +113,11 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha-arg", type=float, default=0.0)
     p.add_argument("--beta-mod", type=float, default=1.0 / math.sqrt(2.0))
     p.add_argument("--beta-arg", type=float, default=0.0)
+
+
+def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
+    """Phase and success policies and the rank tolerance: verify and demo.
+    The scan sets its own phases and rank tolerance."""
     p.add_argument("--phase-policy", choices=["constant", "overlap_arg", "canonical_hash"],
                    default="constant")
     p.add_argument("--theta0", type=float, default=0.0,
@@ -136,17 +142,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="certify (in)dependence of the superposer outputs")
-    _add_pipeline_flags(p_verify)
+    _add_state_flags(p_verify)
+    _add_oracle_flags(p_verify)
     _add_common(p_verify)
 
     p_scan = sub.add_parser("scan", help="grid sweep of the degeneracy locus")
-    _add_pipeline_flags(p_scan)
+    _add_state_flags(p_scan)
     p_scan.add_argument("--grid-step", type=float, default=math.pi / 180.0)
     p_scan.add_argument("--csv", default="scan_grid.csv", help="CSV grid output path")
     _add_common(p_scan)
 
     p_demo = sub.add_parser("demo", help="forbidden-task demonstration (USD + cloning)")
-    _add_pipeline_flags(p_demo)
+    _add_state_flags(p_demo)
+    _add_oracle_flags(p_demo)
     p_demo.add_argument("--trials", type=int, default=100_000)
     _add_common(p_demo)
 
@@ -266,11 +274,10 @@ def cmd_scan(args) -> int:
         (min(_pair_distance(d, s) for s in analytic.solutions) for d in detected),
         default=0.0,
     )
+    # null, not Infinity, when the grid detects nothing: strict JSON has no Infinity
     dev_analytic = max(
-        (min((_pair_distance(s, d) for d in detected), default=math.inf)
-         for s in analytic.solutions),
-        default=0.0,
-    )
+        min(_pair_distance(s, d) for d in detected) for s in analytic.solutions
+    ) if detected else None
     result = {
         "grid_step": args.grid_step,
         "grid_points": int(scan.ranks.size),

@@ -1,10 +1,12 @@
-"""Unambiguous state discrimination (USD) and identify-then-prepare cloning.
+"""Unambiguous state discrimination (USD): the POVM, its Born rows and
+sampled outcome counts.
 
 A USD measurement never misidentifies a hypothesis state: each conclusive
 element is built on the reciprocal basis, so it annihilates every hypothesis
-but its own. The price is an inconclusive outcome. Both constructions exist
-exactly when the hypotheses are linearly independent, which is the hinge the
-whole no-go argument turns on.
+but its own. The price is an inconclusive outcome. USD, and with it the
+identify-then-prepare cloning that `pipeline.forbidden_task_demo` builds on
+it, exists exactly when the hypotheses are linearly independent, which is
+the hinge the whole no-go argument turns on.
 """
 
 from __future__ import annotations
@@ -57,13 +59,6 @@ class DiscriminationOutcome:
         return int(self.per_label_counts[-1])
 
 
-@dataclass
-class CloneResult:
-    succeeded: bool
-    copies: tuple[PureState, PureState] | None
-    fidelity_to_input: float
-
-
 def build_usd(
     hypotheses: StateSet, tol: float = linalg.DEFAULT_RANK_TOL
 ) -> USDMeasurement:
@@ -81,7 +76,7 @@ def build_usd(
     recip = linalg.reciprocal_basis(hypotheses, tol)  # raises LinearlyDependentInput
     projectors = [s.density_matrix() for s in recip.members]
     total = np.sum(projectors, axis=0)
-    scale = 1.0 / linalg.max_eigenvalue_hermitian(total)
+    scale = 1.0 / float(np.linalg.eigvalsh(total)[-1])
     elements = [scale * p for p in projectors]
 
     span, _ = np.linalg.qr(hypotheses.amplitude_matrix())  # independent columns
@@ -150,22 +145,3 @@ def simulate_usd(
     counts = rng.multinomial(trials, born_distribution(m, truth))
     return DiscriminationOutcome(trials=trials, per_label_counts=counts)
 
-
-def probabilistic_clone(
-    hypotheses: StateSet,
-    truth: PureState,
-    rng: np.random.Generator,
-) -> CloneResult:
-    """Identify-then-prepare cloning: one USD trial, then emit two exact copies
-    of whichever hypothesis was identified. Fails (without error) on an
-    inconclusive outcome."""
-    m = build_usd(hypotheses)
-    outcome = simulate_usd(m, truth, 1, rng)
-    label = int(np.argmax(outcome.per_label_counts))
-    if label == m.n_hypotheses:  # inconclusive
-        return CloneResult(succeeded=False, copies=None, fidelity_to_input=0.0)
-    identified = hypotheses.members[label]
-    fidelity = abs(truth.inner(identified)) ** 2
-    return CloneResult(
-        succeeded=True, copies=(identified, identified), fidelity_to_input=fidelity
-    )

@@ -17,10 +17,6 @@ class NonFiniteEntry(NogoError):
     pass
 
 
-class NotHermitian(NogoError):
-    pass
-
-
 class LinearlyDependentInput(NogoError):
     """The requested construction needs linearly independent states."""
 

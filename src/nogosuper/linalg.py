@@ -1,8 +1,7 @@
 """Small dense complex linear algebra on numpy's LAPACK.
 
 Every decomposition is one numpy call: `np.linalg.svd` for rank and
-reciprocal bases, `np.linalg.eigvalsh` for the largest eigenvalue of a
-Hermitian matrix. The package has one rank rule, `RankResult.of`: count the
+reciprocal bases. The package has one rank rule, `RankResult.of`: count the
 singular values above `tol * sigma_max`. Callers apply it to the amplitude
 matrix of a state set (states as columns), never to its Gram matrix, whose
 eigenvalues are the squares sigma^2 and would square the tolerance too.
@@ -14,15 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptySet,
-    LinearlyDependentInput,
-    NonFiniteEntry,
-    NotHermitian,
-)
+from .errors import DimensionMismatch, EmptySet, LinearlyDependentInput, NonFiniteEntry
 
-HERMITIAN_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-9
 
 
@@ -44,10 +36,6 @@ class RankResult:
         return cls(rank=rank, singular_values=sigma, tolerance_used=tol)
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
 def numerical_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RankResult:
     """Rank of any matrix from its singular values (`RankResult.of`)."""
     m = np.asarray(m, dtype=complex)
@@ -56,13 +44,6 @@ def numerical_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RankResult:
     if not np.all(np.isfinite(m)):
         raise NonFiniteEntry("matrix contains NaN or infinite entries")
     return RankResult.of(np.linalg.svd(m, compute_uv=False), tol)
-
-
-def max_eigenvalue_hermitian(m: np.ndarray) -> float:
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m):
-        raise NotHermitian("matrix is not Hermitian within 1e-12")
-    return float(np.linalg.eigvalsh(m)[-1])
 
 
 def gram(states) -> np.ndarray:

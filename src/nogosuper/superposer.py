@@ -162,14 +162,6 @@ class SuperposerConfig:
         object.__setattr__(self, "beta", beta)
 
 
-@dataclass(frozen=True)
-class SuperposeOutcome:
-    succeeded: bool
-    state: PureState | None
-    theta_used: float  # in the frame of the given psi and phi
-    probability: float
-
-
 def superpose_many(
     alpha: complex,
     beta: complex,
@@ -199,33 +191,11 @@ def superpose_many(
     return out
 
 
-def _superpose_pair(
-    cfg: SuperposerConfig, psi: PureState, phi: PureState, theta: float
-) -> PureState:
-    out = superpose_many(cfg.alpha, cfg.beta, psi.amplitudes[:, None], phi.amplitudes, [theta])
-    return PureState(out[:, 0])
-
-
 def superpose_deterministic(
     cfg: SuperposerConfig, psi: PureState, phi: PureState
 ) -> PureState:
     """normalize(alpha * psi + beta * e^{i theta} * phi) with theta the
     policy's phase in the frame of psi and phi."""
-    return _superpose_pair(cfg, psi, phi, given_frame_phase(cfg.phase_policy, psi, phi))
-
-
-def superpose(
-    cfg: SuperposerConfig,
-    psi: PureState,
-    phi: PureState,
-    rng: np.random.Generator,
-) -> SuperposeOutcome:
-    """One probabilistic invocation: Bernoulli success draw, then the
-    deterministic superposition on success."""
     theta = given_frame_phase(cfg.phase_policy, psi, phi)
-    p = cfg.success_policy.probability(psi, phi)
-    succeeded = bool(rng.random() < p)
-    state = _superpose_pair(cfg, psi, phi, theta) if succeeded else None
-    return SuperposeOutcome(
-        succeeded=succeeded, state=state, theta_used=theta, probability=p
-    )
+    out = superpose_many(cfg.alpha, cfg.beta, psi.amplitudes[:, None], phi.amplitudes, [theta])
+    return PureState(out[:, 0])

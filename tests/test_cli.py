@@ -7,6 +7,8 @@ import pytest
 from nogosuper.cli import main
 
 SQ2 = 1.0 / math.sqrt(2.0)
+SCAN_DROPPED_KEYS = {"phase_policy", "theta0", "theta1", "theta2", "theta3",
+                     "success_policy", "success_p", "tol"}
 
 
 def run(capsys, *argv):
@@ -131,6 +133,39 @@ class TestScan:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "theta21,theta31,min_singular_value,rank"
         assert len(lines) == 1 + 360 * 360
+
+    @pytest.mark.parametrize("ab", [[], ["--a", "0.6", "--b", "0.8"]])
+    def test_report_is_strict_json(self, capsys, tmp_path, ab):
+        # 1 degree steps reach the balanced locus (pi/2, pi/4) and miss the
+        # locus of (0.6, 0.8), whose theta31 = atan2(0.8, 0.6) is 53.13 degrees
+        out_path = tmp_path / "scan.json"
+        code, _, _ = run(capsys, "scan", *ab, "--csv", str(tmp_path / "grid.csv"),
+                         "-o", str(out_path), "--deterministic")
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads(out_path.read_text(), parse_constant=refuse)
+        result = report["result"]
+        if ab:
+            assert result["detected_pairs"] == []
+            assert result["max_deviation_analytic_to_detected"] is None
+        else:
+            assert result["max_deviation_analytic_to_detected"] <= math.pi / 180.0
+        assert not SCAN_DROPPED_KEYS & set(report["config"])
+
+    @pytest.mark.parametrize("flag", [
+        ["--tol", "1e-3"], ["--phase-policy", "overlap_arg"], ["--theta0", "0.1"],
+        ["--theta1", "0.1"], ["--theta2", "0.1"], ["--theta3", "0.1"],
+        ["--success-policy", "constant"], ["--success-p", "0.5"],
+    ])
+    def test_oracle_flags_rejected(self, capsys, tmp_path, flag):
+        # the scan sets its own phases and rank tolerance and draws nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", *flag, "--csv", str(tmp_path / "grid.csv")])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
 
     def test_oversized_grid_step_rejected(self, capsys):
         code, _, _ = run(capsys, "scan", "--grid-step", "0.2")

@@ -8,7 +8,6 @@ from nogosuper.discrimination import (
     MAX_TRIALS,
     born_distribution,
     build_usd,
-    probabilistic_clone,
     simulate_usd,
     success_probabilities,
 )
@@ -223,31 +222,3 @@ class TestBornDistribution:
         with pytest.raises(NogoError):
             born_distribution(build_usd(s), normalize(np.array(truth, dtype=complex)))
 
-
-class TestProbabilisticClone:
-    def test_orthonormal_always_clones_exactly(self, rng):
-        s = StateSet([basis_state(2, 0), basis_state(2, 1)])
-        for _ in range(20):
-            result = probabilistic_clone(s, s.members[1], rng)
-            assert result.succeeded
-            for copy in result.copies:
-                np.testing.assert_allclose(copy.amplitudes, s.members[1].amplitudes)
-            assert result.fidelity_to_input == pytest.approx(1.0, abs=1e-10)
-
-    def test_zero_plus_success_rate_and_fidelity(self):
-        s = StateSet.from_vectors(ZERO_PLUS)
-        rng = np.random.default_rng(21)
-        trials = 10_000  # probabilistic_clone rebuilds its USD each call
-        hits = 0
-        for _ in range(trials):
-            result = probabilistic_clone(s, s.members[1], rng)
-            if result.succeeded:
-                hits += 1
-                assert result.fidelity_to_input == pytest.approx(1.0, abs=1e-10)
-        sigma3 = 3.0 * math.sqrt(P_ZERO_PLUS * (1 - P_ZERO_PLUS) / trials)
-        assert abs(hits / trials - P_ZERO_PLUS) < sigma3
-
-    def test_dependent_set_rejected(self, rng):
-        s = StateSet.from_vectors([[1, 0, 0], [0, 1, 0], [SQ2, SQ2, 0]])
-        with pytest.raises(LinearlyDependentInput):
-            probabilistic_clone(s, s.members[0], rng)

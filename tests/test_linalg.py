@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from nogosuper import linalg
-from nogosuper.errors import (
-    DimensionMismatch,
-    EmptySet,
-    LinearlyDependentInput,
-    NonFiniteEntry,
-    NotHermitian,
-)
+from nogosuper.errors import DimensionMismatch, EmptySet, LinearlyDependentInput, NonFiniteEntry
 from nogosuper.states import StateSet, basis_state
 
 from conftest import det3_cofactor, random_state_set, svd_rank_oracle
@@ -60,7 +54,7 @@ class TestGram:
         for _ in range(20):
             s = random_state_set(rng, int(rng.integers(2, 7)), int(rng.integers(1, 7)))
             g = linalg.gram(s)
-            assert linalg.is_hermitian(g)
+            np.testing.assert_array_equal(g, g.conj().T)
             np.testing.assert_allclose(np.diag(g), np.ones(len(s)), atol=1e-12)
 
     def test_empty_and_mismatched_sets_rejected(self):
@@ -199,34 +193,3 @@ class TestReciprocalBasis:
                         assert abs(overlap) <= 1e-9
             built += 1
 
-
-class TestMaxEigenvalueHermitian:
-    def test_identity(self):
-        assert linalg.max_eigenvalue_hermitian(np.eye(2)) == pytest.approx(1.0)
-
-    def test_projector_sum(self):
-        minus = np.array([SQ2, -SQ2])
-        one = np.array([0.0, 1.0])
-        m = np.outer(minus, minus.conj()) + np.outer(one, one.conj())
-        # oracle: roots of the 2x2 characteristic polynomial
-        tr, det = np.trace(m).real, np.linalg.det(m).real
-        lam_oracle = 0.5 * (tr + math.sqrt(tr**2 - 4 * det))
-        got = linalg.max_eigenvalue_hermitian(m)
-        assert got == pytest.approx(lam_oracle, abs=1e-10)
-        assert got == pytest.approx(1.0 + SQ2, abs=1e-10)
-
-    def test_zero_matrix(self):
-        assert linalg.max_eigenvalue_hermitian(np.zeros((3, 3))) == pytest.approx(0.0)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(NotHermitian):
-            linalg.max_eigenvalue_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_matches_numpy_up_to_dim_16(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(2, 17))
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            h = m + m.conj().T
-            assert linalg.max_eigenvalue_hermitian(h) == pytest.approx(
-                np.linalg.eigvalsh(h)[-1], abs=1e-10
-            )

@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nogosuper import pipeline
+from nogosuper import linalg, pipeline
 from nogosuper.errors import DependentOutputs, InvalidParams, WrongSetSize
 from nogosuper.states import StateSet, basis_state
 from nogosuper.superposer import (
@@ -65,6 +67,20 @@ def write_csv_reference(scan, path):
                     repr(float(scan.min_singular_values[i, j])),
                     int(scan.ranks[i, j]),
                 ])
+
+
+ANGLES = st.floats(1e-3, 2.0 * math.pi - 1e-3)  # of (a, b) = (cos, sin)
+OFFSETS = st.floats(1e-7, 1e-3)  # added to theta31 of an analytic pair
+
+
+def near_locus_certificate(angle, branch, delta, tol=linalg.DEFAULT_RANK_TOL):
+    """Certificate of the balanced outputs at theta1 = 0 and analytic pair
+    `branch` of (cos, sin)(angle), with theta31 moved off the locus by delta."""
+    p = pipeline.standard_params(math.cos(angle), math.sin(angle))
+    t21, t31 = pipeline.solve_degeneracy_analytic(p.a, p.b).solutions[branch]
+    outputs, _ = pipeline.apply_superposer_to_set(
+        balanced_cfg(), p, pipeline.PhaseTriple(0.0, t21, t31 + delta))
+    return pipeline.certify_independence(outputs, tol)
 
 
 class TestCounterexample:
@@ -243,6 +259,23 @@ class TestDegeneracyLocus:
                 assert abs(a**2 + abs(bp) ** 2 - 1.0) <= 1e-12
                 # the full degeneracy condition with theta1 = 0
                 assert abs(a + bp - np.exp(1j * t31)) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(angle=ANGLES, branch=st.sampled_from([0, 1]), delta=OFFSETS)
+    def test_sigma_min_grows_linearly_off_the_locus(self, angle, branch, delta):
+        # at balanced weights sigma_min = delta / (2 sqrt(3)) + O(delta^3)
+        sigma = near_locus_certificate(angle, branch, delta).gram_rank.singular_values
+        assert sigma[-1] / delta == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)), rel=1e-6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(angle=ANGLES, branch=st.sampled_from([0, 1]), delta=OFFSETS)
+    def test_verdict_flips_where_the_sigma_ratio_crosses_tol(self, angle, branch, delta):
+        sigma = near_locus_certificate(angle, branch, delta).gram_rank.singular_values
+        ratio = sigma[-1] / sigma[0]
+        below = near_locus_certificate(angle, branch, delta, ratio * (1.0 - 1e-12))
+        above = near_locus_certificate(angle, branch, delta, ratio * (1.0 + 1e-12))
+        assert below.independent and below.gram_rank.rank == 3
+        assert not above.independent and above.gram_rank.rank == 2
 
     def test_invalid_coefficients_rejected(self):
         with pytest.raises(InvalidParams):
@@ -428,6 +461,7 @@ class TestForbiddenTaskDemo:
             balanced_params(), balanced_cfg(), trials, np.random.default_rng(7)
         )
         assert report.misidentifications == 0
+        assert report.superposer_failures == 0
         assert report.conclusive_rate > 0.0
         pred = report.predicted_conclusive_rate
         sigma3 = 3.0 * math.sqrt(pred * (1 - pred) / trials)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nogosuper import superposer
+from nogosuper import pipeline, superposer
 from nogosuper.errors import DimensionMismatch, InvalidParams, NullSuperposition
 from nogosuper.states import PureState, basis_state, canonicalize
 from nogosuper.superposer import (
@@ -16,7 +16,6 @@ from nogosuper.superposer import (
     PhasePolicy,
     SuperposerConfig,
     given_frame_phase,
-    superpose,
     superpose_deterministic,
     superpose_many,
     unit_pair,
@@ -215,52 +214,50 @@ class TestPhasePolicies:
 
 
 class TestProbabilisticSuperpose:
+    """The oracle's per-invocation parts: its success policies, one phase
+    evaluation per call, and its success draws as the demo samples them."""
+
     def test_always_policy_always_succeeds(self, rng):
-        cfg = balanced_cfg()
-        e1, e2 = basis_state(2, 0), basis_state(2, 1)
-        assert all(superpose(cfg, e1, e2, rng).succeeded for _ in range(100))
+        for _ in range(20):
+            dim = int(rng.integers(2, 6))
+            psi, phi = random_pure_state(rng, dim), random_pure_state(rng, dim)
+            assert AlwaysSucceed().probability(psi, phi) == 1.0
 
     def test_constant_half_success_rate(self):
         cfg = balanced_cfg(success_policy=ConstantSuccess(0.5))
-        e1, e2 = basis_state(2, 0), basis_state(2, 1)
-        rng = np.random.default_rng(2024)
+        p = pipeline.standard_params(SQ2, SQ2)
         trials = 100_000
-        hits = sum(superpose(cfg, e1, e2, rng).succeeded for _ in range(trials))
+        report = pipeline.forbidden_task_demo(p, cfg, trials, np.random.default_rng(2024))
+        hits = trials - report.superposer_failures
         # binomial 3 sigma = 3 * sqrt(0.25 / trials)
         assert abs(hits / trials - 0.5) < 3.0 * math.sqrt(0.25 / trials)
 
-    def test_overlap_scaled_orthogonal_is_half(self, rng):
-        cfg = balanced_cfg(success_policy=OverlapScaledSuccess())
-        out = superpose(cfg, basis_state(2, 0), basis_state(2, 1), rng)
-        assert out.probability == 0.5
+    def test_overlap_scaled_orthogonal_is_half(self):
+        assert OverlapScaledSuccess().probability(basis_state(2, 0), basis_state(2, 1)) == 0.5
 
     def test_outcome_reports_theta_and_probability(self, rng):
+        # canonical inputs keep the policy's phase; the oracle's success
+        # probability scales the predicted conclusive rate
         cfg = balanced_cfg(ConstantPhase(1.25), ConstantSuccess(0.01))
-        out = superpose(cfg, basis_state(2, 0), basis_state(2, 1), rng)
-        assert out.theta_used == pytest.approx(1.25)
-        assert out.probability == pytest.approx(0.01)
-        if not out.succeeded:
-            assert out.state is None
+        p = pipeline.standard_params(SQ2, SQ2)
+        report = pipeline.forbidden_task_demo(p, cfg, 1000, rng)
+        for theta in (report.phases.theta1, report.phases.theta2, report.phases.theta3):
+            assert theta == pytest.approx(1.25)
+        assert report.predicted_conclusive_rate == pytest.approx(
+            0.01 * np.mean(report.predicted_usd_probabilities))
 
-    def test_policy_evaluated_once_per_call(self, rng):
+    def test_policy_evaluated_once_per_call(self):
         policy = CountingPhase()
-        cfg = balanced_cfg(policy)
-        out = superpose(cfg, basis_state(2, 0), basis_state(2, 1), rng)
-        assert out.succeeded
+        theta = given_frame_phase(policy, basis_state(2, 0), basis_state(2, 1))
+        assert theta == pytest.approx(0.3)
         assert policy.calls == 1
 
     def test_bit_identical_for_identical_seed(self):
         cfg = balanced_cfg(CanonicalHashPhase(), ConstantSuccess(0.7))
-        psi = random_pure_state(np.random.default_rng(5), 4)
-        phi = random_pure_state(np.random.default_rng(6), 4)
-        runs = []
-        for _ in range(2):
-            out = superpose(cfg, psi, phi, np.random.default_rng(31))
-            runs.append(out)
-        assert runs[0].succeeded == runs[1].succeeded
-        assert runs[0].theta_used == runs[1].theta_used
-        assert runs[0].probability == runs[1].probability
-        if runs[0].succeeded:
-            np.testing.assert_array_equal(
-                runs[0].state.amplitudes, runs[1].state.amplitudes
-            )
+        p = pipeline.standard_params(0.6, 0.8, dim=4)
+        runs = [pipeline.forbidden_task_demo(p, cfg, 1000, np.random.default_rng(31))
+                for _ in range(2)]
+        assert runs[0].phases == runs[1].phases
+        assert runs[0].superposer_failures == runs[1].superposer_failures
+        np.testing.assert_array_equal(runs[0].secret_counts, runs[1].secret_counts)
+        np.testing.assert_array_equal(runs[0].conclusive_counts, runs[1].conclusive_counts)
