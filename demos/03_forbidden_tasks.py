@@ -24,10 +24,10 @@ m = build_usd(pair)
 probs = success_probabilities(m, pair)
 print(f"Per-state conclusive probability: {probs[0]:.6f} "
       f"(theory: 1 - 1/sqrt(2) = {1 - SQ2:.6f})")
-out = simulate_usd(m, pair.members[0], 100_000, np.random.default_rng(1))
-print(f"100k trials with truth |0>: counts {out.per_label_counts.tolist()} "
+counts = simulate_usd(m, pair.members[0], 100_000, np.random.default_rng(1))
+print(f"100k trials with truth |0>: counts {counts.tolist()} "
       f"(label order: |0>, |+>, inconclusive)")
-print(f"Misidentifications: {out.per_label_counts[1]}\n")
+print(f"Misidentifications: {counts[1]}\n")
 
 print("=== Forbidden-task pipeline on a dependent triple ===")
 params = pipeline.standard_params(a=SQ2, b=SQ2, dim=3)

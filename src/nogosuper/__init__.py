@@ -2,7 +2,6 @@
 forbidden tasks unlocked."""
 
 from .discrimination import (
-    DiscriminationOutcome,
     USDMeasurement,
     build_usd,
     simulate_usd,

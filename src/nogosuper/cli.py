@@ -23,9 +23,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import linalg, pipeline
-from .discrimination import build_usd, simulate_usd, success_probabilities
+from .discrimination import build_usd, povm_elements, simulate_usd, success_probabilities
 from .errors import DependentOutputs, InvalidParams, NogoError
-from .states import PureState, StateSet
+from .states import StateSet
 from .superposer import (
     AlwaysSucceed,
     CanonicalHashPhase,
@@ -48,17 +48,9 @@ EXIT_ON_LOCUS = 4
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def _pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _state_json(s: PureState) -> list[list[float]]:
-    return [_pair(z) for z in s.amplitudes]
-
-
-def _matrix_json(m: np.ndarray) -> list[list[float]]:
-    return [_pair(z) for z in np.asarray(m).ravel(order="C")]
+def _complex_json(a: np.ndarray) -> list[list[float]]:
+    """Entries in C order as [re, im] pairs."""
+    return np.stack([a.real, a.imag], -1).reshape(-1, 2).tolist()
 
 
 def _phases_json(t: pipeline.PhaseTriple) -> dict:
@@ -74,7 +66,7 @@ def _phases_json(t: pipeline.PhaseTriple) -> dict:
 def _certificate_json(c: pipeline.DependenceCertificate) -> dict:
     return {
         "independent": c.independent,
-        "coefficients": None if c.coefficients is None else [_pair(z) for z in c.coefficients],
+        "coefficients": None if c.coefficients is None else _complex_json(c.coefficients),
         "residual_norm": c.residual_norm,
         "gram_rank": c.gram_rank.rank,
         "singular_values": [float(s) for s in c.gram_rank.singular_values],
@@ -217,13 +209,8 @@ def _explicit_phases(args) -> pipeline.PhaseTriple | None:
 
 
 def _config_dict(args, seed: int) -> dict:
-    keys = [
-        "command", "dim", "a", "b", "alpha_mod", "alpha_arg", "beta_mod",
-        "beta_arg", "phase_policy", "theta0", "theta1", "theta2", "theta3",
-        "success_policy", "success_p", "tol", "trials", "grid_step", "csv",
-        "truth_index", "states_file",
-    ]
-    cfg = {k: getattr(args, k) for k in keys if hasattr(args, k)}
+    """Every parsed option but the output ones, with the resolved seed."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("output", "deterministic")}
     cfg["seed"] = seed
     return cfg
 
@@ -246,7 +233,7 @@ def cmd_verify(args) -> int:
         "output_rank": cert.gram_rank.rank,
         "phases": _phases_json(phases),
         "certificate": _certificate_json(cert),
-        "output_states": [_state_json(s) for s in outputs.members],
+        "output_states": [_complex_json(s.amplitudes) for s in outputs.members],
     }
     _emit_report(_config_dict(args, seed), result, args)
     return EXIT_OK
@@ -270,11 +257,11 @@ def cmd_scan(args) -> int:
     scan.write_csv(args.csv)
 
     detected = scan.detected.solutions
+    # both deviations are null when the grid detects nothing: there is no
+    # distance to report, and strict JSON has no Infinity
     dev_detected = max(
-        (min(_pair_distance(d, s) for s in analytic.solutions) for d in detected),
-        default=0.0,
-    )
-    # null, not Infinity, when the grid detects nothing: strict JSON has no Infinity
+        min(_pair_distance(d, s) for s in analytic.solutions) for d in detected
+    ) if detected else None
     dev_analytic = max(
         min(_pair_distance(s, d) for d in detected) for s in analytic.solutions
     ) if detected else None
@@ -337,20 +324,20 @@ def cmd_usd(args) -> int:
     m = build_usd(states)
     probs = success_probabilities(m, states)
     rng = np.random.default_rng(seed)
-    outcome = simulate_usd(m, states.members[args.truth_index], args.trials, rng)
-    counts = [int(c) for c in outcome.per_label_counts]
+    counts = simulate_usd(m, states.members[args.truth_index], args.trials, rng).tolist()
+    elements, inconclusive = povm_elements(m)
     result = {
         "n_states": len(states),
         "dim": states.dim,
         "success_probabilities": probs,
         "truth_index": args.truth_index,
-        "trials": outcome.trials,
+        "trials": args.trials,
         "per_label_counts": counts[:-1],
         "inconclusive_count": counts[-1],
         "misidentifications": int(sum(
             c for i, c in enumerate(counts[:-1]) if i != args.truth_index)),
-        "elements": [_matrix_json(e) for e in m.elements],
-        "inconclusive_element": _matrix_json(m.inconclusive),
+        "elements": [_complex_json(e) for e in elements],
+        "inconclusive_element": _complex_json(inconclusive),
     }
     _emit_report(_config_dict(args, seed), result, args)
     return EXIT_OK

@@ -30,33 +30,24 @@ def check_trials(trials: int, least: int) -> None:
         raise InvalidParams(f"trials must lie in [{least}, {MAX_TRIALS}], got {trials}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class USDMeasurement:
-    """POVM on the hypothesis span: one conclusive element per hypothesis plus
-    an inconclusive element absorbing the rest of the span projector."""
+    """USD POVM on the hypothesis span, kept as the data that defines it: the
+    conclusive elements are E_j = scale |r_j><r_j| and the inconclusive
+    element is the rest of the span projector, E_0 = Q Q^H - sum_j E_j.
+    `povm_elements` builds the d x d matrices."""
 
-    dim: int
-    elements: list[np.ndarray]  # E_1 ... E_n, one per hypothesis
-    inconclusive: np.ndarray  # E_0
-    span_projector: np.ndarray
-    reciprocal: StateSet  # unit r_j with E_j = scale |r_j><r_j|
+    reciprocal: np.ndarray  # n x dim, unit reciprocal vectors r_j as rows
+    span: np.ndarray  # dim x n, orthonormal basis Q of the hypothesis span
     scale: float
 
     @property
-    def n_hypotheses(self) -> int:
-        return len(self.elements)
-
-
-@dataclass(frozen=True)
-class DiscriminationOutcome:
-    """Label counts from repeated USD trials; index -1 means inconclusive."""
-
-    trials: int
-    per_label_counts: np.ndarray  # length n+1, last entry is inconclusive
+    def dim(self) -> int:
+        return self.reciprocal.shape[1]
 
     @property
-    def inconclusive_count(self) -> int:
-        return int(self.per_label_counts[-1])
+    def n_hypotheses(self) -> int:
+        return self.reciprocal.shape[0]
 
 
 def build_usd(
@@ -74,30 +65,24 @@ def build_usd(
             f"{len(hypotheses)} states cannot be independent in dimension {hypotheses.dim}"
         )
     recip = linalg.reciprocal_basis(hypotheses, tol)  # raises LinearlyDependentInput
-    projectors = [s.density_matrix() for s in recip.members]
-    total = np.sum(projectors, axis=0)
+    total = np.sum([np.outer(r, r.conj()) for r in recip], axis=0)
     scale = 1.0 / float(np.linalg.eigvalsh(total)[-1])
-    elements = [scale * p for p in projectors]
-
     span, _ = np.linalg.qr(hypotheses.amplitude_matrix())  # independent columns
-    span_projector = span @ span.conj().T
-    inconclusive = span_projector - sum(elements)
-    inconclusive = 0.5 * (inconclusive + inconclusive.conj().T)
-    return USDMeasurement(
-        dim=hypotheses.dim,
-        elements=elements,
-        inconclusive=inconclusive,
-        span_projector=span_projector,
-        reciprocal=recip,
-        scale=scale,
-    )
+    return USDMeasurement(reciprocal=recip, span=span, scale=scale)
 
 
-def _conclusive_probability(m: USDMeasurement, r: PureState, state: PureState) -> float:
-    """Tr(E_j rho) = scale |<r_j|state>|^2, a product of non-negative factors,
+def povm_elements(m: USDMeasurement) -> tuple[list[np.ndarray], np.ndarray]:
+    """The d x d POVM: ([E_1, ..., E_n], E_0)."""
+    elements = [m.scale * np.outer(r, r.conj()) for r in m.reciprocal]
+    inconclusive = m.span @ m.span.conj().T - sum(elements)
+    return elements, 0.5 * (inconclusive + inconclusive.conj().T)
+
+
+def _conclusive_probability(m: USDMeasurement, r: np.ndarray, x: np.ndarray) -> float:
+    """Tr(E_j rho) = scale |<r_j|x>|^2, a product of non-negative factors,
     so round-off cannot make it negative; capped at 1, which orthonormal sets
     overshoot by about 1e-15."""
-    return min(m.scale * abs(r.inner(state)) ** 2, 1.0)
+    return min(m.scale * abs(complex(np.vdot(r, x))) ** 2, 1.0)
 
 
 def success_probabilities(m: USDMeasurement, hypotheses: StateSet) -> list[float]:
@@ -106,8 +91,8 @@ def success_probabilities(m: USDMeasurement, hypotheses: StateSet) -> list[float
         raise MeasurementMismatch(
             "measurement was not built from this hypothesis set"
         )
-    return [_conclusive_probability(m, r, state)
-            for r, state in zip(m.reciprocal.members, hypotheses.members)]
+    return [_conclusive_probability(m, r, state.amplitudes)
+            for r, state in zip(m.reciprocal, hypotheses.members)]
 
 
 def born_distribution(m: USDMeasurement, truth: PureState) -> np.ndarray:
@@ -115,20 +100,20 @@ def born_distribution(m: USDMeasurement, truth: PureState) -> np.ndarray:
 
     Conclusive entries come from the reciprocal overlaps, so a hypothesis'
     own entry equals its `success_probabilities` entry; the inconclusive
-    entry is the rest, 1 - sum, which must match <truth|E_0|truth>: it does
-    not when the truth leaves the hypothesis span.
+    entry is the rest, 1 - sum. That rest equals <truth|E_0|truth> only for
+    a truth in the hypothesis span, so a truth whose span weight
+    ||Q^H truth||^2 is off 1 by more than BORN_SUM_TOL is refused.
     """
     if truth.dim != m.dim:
         raise DimensionMismatch(f"state dimension {truth.dim} != measurement {m.dim}")
-    probs = [_conclusive_probability(m, r, truth) for r in m.reciprocal.members]
-    rest = 1.0 - sum(probs)
     amps = truth.amplitudes
-    direct = float(np.real(np.vdot(amps, m.inconclusive @ amps)))
-    if abs(rest - direct) > BORN_SUM_TOL:
+    weight = float(np.linalg.norm(m.span.conj().T @ amps)) ** 2
+    if abs(1.0 - weight) > BORN_SUM_TOL:
         raise NogoError(
-            f"inconclusive probability {rest!r} != <truth|E_0|truth> = {direct!r}; "
-            "the truth leaves the hypothesis span or the measurement is inconsistent"
+            f"the truth has weight {1.0 - weight!r} outside the hypothesis span"
         )
+    probs = [_conclusive_probability(m, r, amps) for r in m.reciprocal]
+    rest = 1.0 - sum(probs)
     probs.append(max(rest, 0.0))  # round-off takes 1 - sum to -1e-15; numpy wants >= 0
     return np.array(probs)
 
@@ -138,10 +123,8 @@ def simulate_usd(
     truth: PureState,
     trials: int,
     rng: np.random.Generator,
-) -> DiscriminationOutcome:
-    """Label counts of `trials` Born outcomes, one multinomial draw; label n
-    (last) is inconclusive."""
+) -> np.ndarray:
+    """Label counts of `trials` Born outcomes, one multinomial draw: n + 1
+    entries, the last one inconclusive."""
     check_trials(trials, 1)
-    counts = rng.multinomial(trials, born_distribution(m, truth))
-    return DiscriminationOutcome(trials=trials, per_label_counts=counts)
-
+    return rng.multinomial(trials, born_distribution(m, truth))

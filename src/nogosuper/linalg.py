@@ -59,15 +59,14 @@ def gram(states) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def reciprocal_basis(states, tol: float = DEFAULT_RANK_TOL):
-    """Reciprocal (biorthogonal) vectors: <tilde_i | psi_j> = 0 for i != j and
-    <tilde_i | psi_i> real positive, each returned with unit norm.
+def reciprocal_basis(states, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Reciprocal (biorthogonal) vectors of a StateSet as the rows of an
+    n x dim array: <tilde_i | psi_j> = 0 for i != j and <tilde_i | psi_i>
+    real positive, each row of unit norm.
 
     Raises LinearlyDependentInput when the set is not independent at `tol`,
     which is exactly the regime where unambiguous discrimination breaks down.
     """
-    from .states import PureState, StateSet
-
     a = states.amplitude_matrix()
     u, sigma, vh = np.linalg.svd(a, full_matrices=False)
     if RankResult.of(sigma, tol).rank < a.shape[1]:
@@ -77,4 +76,4 @@ def reciprocal_basis(states, tol: float = DEFAULT_RANK_TOL):
     # with A = U S V^H, the columns of A (A^H A)^-1 = U S^-1 V^H are the
     # reciprocal vectors, found without squaring the condition number
     tilde = (u / sigma) @ vh
-    return StateSet([PureState(col / np.linalg.norm(col)) for col in tilde.T])
+    return np.array([col / np.linalg.norm(col) for col in tilde.T])

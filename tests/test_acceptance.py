@@ -112,9 +112,9 @@ def test_criterion_4_usd_correctness():
     prob_ok = all(abs(p - expected) <= 1e-9 for p in probs)
 
     trials = 100_000
-    out = simulate_usd(m, s.members[0], trials, np.random.default_rng(4))
-    misid = int(out.per_label_counts[1])
-    rate = out.per_label_counts[0] / trials
+    counts = simulate_usd(m, s.members[0], trials, np.random.default_rng(4))
+    misid = int(counts[1])
+    rate = counts[0] / trials
     sigma3 = 3.0 * math.sqrt(expected * (1 - expected) / trials)
     elapsed = time.monotonic() - start
     ok = prob_ok and misid == 0 and abs(rate - expected) < sigma3 and elapsed < 2.0

@@ -150,6 +150,7 @@ class TestScan:
         result = report["result"]
         if ab:
             assert result["detected_pairs"] == []
+            assert result["max_deviation_detected_to_analytic"] is None
             assert result["max_deviation_analytic_to_detected"] is None
         else:
             assert result["max_deviation_analytic_to_detected"] <= math.pi / 180.0

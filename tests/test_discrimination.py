@@ -8,6 +8,7 @@ from nogosuper.discrimination import (
     MAX_TRIALS,
     born_distribution,
     build_usd,
+    povm_elements,
     simulate_usd,
     success_probabilities,
 )
@@ -30,13 +31,34 @@ def random_independent_set(rng, dim, size):
             return s
 
 
+def dense_usd_reference(hypotheses):
+    """The USD POVM as the package built it when it kept the d x d matrices:
+    reciprocal vectors as unit columns of A (A^H A)^-1, elements scaled by
+    1 / lambda_max of their projector sum, E_0 the rest of the QR span
+    projector, symmetrised."""
+    a = hypotheses.amplitude_matrix()
+    u, sigma, vh = np.linalg.svd(a, full_matrices=False)
+    tilde = (u / sigma) @ vh
+    recip = [col / np.linalg.norm(col) for col in tilde.T]
+    projectors = [np.outer(r, r.conj()) for r in recip]
+    scale = 1.0 / float(np.linalg.eigvalsh(np.sum(projectors, axis=0))[-1])
+    elements = [scale * p for p in projectors]
+    span, _ = np.linalg.qr(a)
+    inconclusive = span @ span.conj().T - sum(elements)
+    inconclusive = 0.5 * (inconclusive + inconclusive.conj().T)
+    probs = [min(scale * abs(complex(np.vdot(r, psi.amplitudes))) ** 2, 1.0)
+             for r, psi in zip(recip, hypotheses.members)]
+    return elements, inconclusive, probs
+
+
 class TestBuildUSD:
     def test_orthonormal_pair_is_projective(self):
         s = StateSet([basis_state(2, 0), basis_state(2, 1)])
         m = build_usd(s)
-        np.testing.assert_allclose(m.elements[0], [[1, 0], [0, 0]], atol=1e-10)
-        np.testing.assert_allclose(m.elements[1], [[0, 0], [0, 1]], atol=1e-10)
-        np.testing.assert_allclose(m.inconclusive, np.zeros((2, 2)), atol=1e-10)
+        elements, inconclusive = povm_elements(m)
+        np.testing.assert_allclose(elements[0], [[1, 0], [0, 0]], atol=1e-10)
+        np.testing.assert_allclose(elements[1], [[0, 0], [0, 1]], atol=1e-10)
+        np.testing.assert_allclose(inconclusive, np.zeros((2, 2)), atol=1e-10)
         assert success_probabilities(m, s) == pytest.approx([1.0, 1.0], abs=1e-10)
 
     def test_zero_plus_pair_success_probability(self):
@@ -64,7 +86,7 @@ class TestBuildUSD:
         probs = np.array(success_probabilities(m, s))
         assert np.all(probs > 0.0)
         np.testing.assert_allclose(probs * inv_diag, probs[2] * inv_diag[2], rtol=1e-6)
-        for k, e in enumerate(m.elements):
+        for k, e in enumerate(povm_elements(m)[0]):
             for j, psi in enumerate(s.members):
                 if j != k:
                     assert abs(np.vdot(psi.amplitudes, e @ psi.amplitudes)) <= 1e-20
@@ -87,12 +109,13 @@ class TestBuildUSD:
             size = int(rng.integers(2, dim + 1))
             s = random_independent_set(rng, dim, size)
             m = build_usd(s)
-            total = m.inconclusive + sum(m.elements)
-            assert np.max(np.abs(total - m.span_projector)) <= 1e-10
-            for e in [m.inconclusive, *m.elements]:
+            elements, inconclusive = povm_elements(m)
+            total = inconclusive + sum(elements)
+            assert np.max(np.abs(total - m.span @ m.span.conj().T)) <= 1e-10
+            for e in [inconclusive, *elements]:
                 assert np.linalg.eigvalsh(e)[0] >= -1e-10
             # unambiguity: element k never fires on hypothesis j != k
-            for k, e in enumerate(m.elements):
+            for k, e in enumerate(elements):
                 for j, psi in enumerate(s.members):
                     p = np.real(np.vdot(psi.amplitudes, e @ psi.amplitudes))
                     if j != k:
@@ -111,6 +134,21 @@ class TestBuildUSD:
         m = build_usd(s)
         assert success_probabilities(m, s) == pytest.approx([1, 1, 1], abs=1e-10)
 
+    def test_matches_the_dense_reference_bit_for_bit(self, rng):
+        # the `usd` report prints these numbers, so they must keep every bit
+        for dim in range(2, 17):
+            for _ in range(3):
+                s = random_independent_set(rng, dim, int(rng.integers(1, dim + 1)))
+                m = build_usd(s)
+                assert m.reciprocal.shape == (len(s), dim) and m.span.shape == (dim, len(s))
+                elements, inconclusive = povm_elements(m)
+                want_elements, want_inconclusive, want_probs = dense_usd_reference(s)
+                assert len(elements) == len(want_elements)
+                for got, want in zip(elements, want_elements):
+                    assert np.array_equal(got, want)
+                assert np.array_equal(inconclusive, want_inconclusive)
+                assert success_probabilities(m, s) == want_probs
+
     def test_mismatched_measurement_rejected(self):
         m = build_usd(StateSet.from_vectors(ZERO_PLUS))
         with pytest.raises(MeasurementMismatch):
@@ -121,24 +159,24 @@ class TestSimulateUSD:
     def test_orthonormal_truth_always_identified(self):
         s = StateSet([basis_state(2, 0), basis_state(2, 1)])
         m = build_usd(s)
-        out = simulate_usd(m, s.members[0], 100, np.random.default_rng(0))
-        assert out.per_label_counts[0] == 100
+        counts = simulate_usd(m, s.members[0], 100, np.random.default_rng(0))
+        assert counts[0] == 100
 
     def test_zero_plus_statistics(self):
         s = StateSet.from_vectors(ZERO_PLUS)
         m = build_usd(s)
         trials = 100_000
-        out = simulate_usd(m, s.members[0], trials, np.random.default_rng(11))
-        assert out.per_label_counts[1] == 0  # never misidentified
-        rate = out.per_label_counts[0] / trials
+        counts = simulate_usd(m, s.members[0], trials, np.random.default_rng(11))
+        assert counts[1] == 0  # never misidentified
+        rate = counts[0] / trials
         sigma3 = 3.0 * math.sqrt(P_ZERO_PLUS * (1 - P_ZERO_PLUS) / trials)
         assert abs(rate - P_ZERO_PLUS) < sigma3
 
     def test_single_trial_counts_sum(self, rng):
         s = StateSet.from_vectors(ZERO_PLUS)
         m = build_usd(s)
-        out = simulate_usd(m, s.members[1], 1, rng)
-        assert out.per_label_counts.sum() == 1
+        counts = simulate_usd(m, s.members[1], 1, rng)
+        assert counts.sum() == 1
 
     def test_never_misidentifies_across_random_sets(self, rng):
         # cumulative zero-error check over many sets and trials
@@ -148,8 +186,8 @@ class TestSimulateUSD:
             s = random_independent_set(rng, dim, size)
             m = build_usd(s)
             truth_idx = int(rng.integers(size))
-            out = simulate_usd(m, s.members[truth_idx], 2000, rng)
-            wrong = out.per_label_counts[:size].sum() - out.per_label_counts[truth_idx]
+            counts = simulate_usd(m, s.members[truth_idx], 2000, rng)
+            wrong = counts[:size].sum() - counts[truth_idx]
             assert wrong == 0
 
     def test_born_distribution_sums_to_one(self, rng):
@@ -173,8 +211,8 @@ class TestSimulateUSD:
         row = born_distribution(m, truth)
         assert row[0] > 0.0 and row[1] > 0.0
         assert row.sum() == pytest.approx(1.0)
-        out = simulate_usd(m, truth, 10_000, rng)
-        assert np.count_nonzero(out.per_label_counts[:2]) == 2
+        counts = simulate_usd(m, truth, 10_000, rng)
+        assert np.count_nonzero(counts[:2]) == 2
 
 
 class TestBornDistribution:
@@ -202,7 +240,7 @@ class TestBornDistribution:
                 for j, member in enumerate(s.members):
                     row = born_distribution(m, member)
                     assert 0.0 <= row.min() and row.max() <= 1.0
-                    assert simulate_usd(m, member, 100, rng).per_label_counts[j] == 100
+                    assert simulate_usd(m, member, 100, rng)[j] == 100
 
     def test_rows_without_an_inconclusive_outcome_are_probabilities(self, rng):
         # along the top eigenvector of sum_j |r_j><r_j| the conclusive entries
@@ -210,11 +248,24 @@ class TestBornDistribution:
         for _ in range(50):
             s = random_independent_set(rng, int(rng.integers(2, 9)), 2)
             m = build_usd(s)
-            total = sum(r.density_matrix() for r in m.reciprocal.members)
+            total = sum(np.outer(r, r.conj()) for r in m.reciprocal)
             truth = normalize(np.linalg.eigh(total)[1][:, -1])
             row = born_distribution(m, truth)
             assert row[-1] == pytest.approx(0.0, abs=1e-12) and row.min() >= 0.0
-            assert simulate_usd(m, truth, 100, rng).inconclusive_count == 0
+            assert simulate_usd(m, truth, 100, rng)[-1] == 0
+
+    @pytest.mark.parametrize("weight, refused", [(2e-9, True), (5e-10, False)])
+    def test_span_weight_decides_refusal(self, weight, refused):
+        # out-of-span weight w: truth = sqrt(1 - w) |0> + sqrt(w) |2> against
+        # hypotheses spanning {|0>, |1>}, so ||Q^H truth||^2 = 1 - w
+        s = StateSet([basis_state(3, 0), basis_state(3, 1)])
+        truth = normalize(np.array([math.sqrt(1.0 - weight), 0.0, math.sqrt(weight)]))
+        m = build_usd(s)
+        if refused:
+            with pytest.raises(NogoError):
+                born_distribution(m, truth)
+        else:
+            assert born_distribution(m, truth) == pytest.approx([1.0, 0.0, 0.0], abs=1e-9)
 
     @pytest.mark.parametrize("truth", [[0, 0, 1], [1, 0, 1]])
     def test_truth_outside_the_span_refused(self, truth):
