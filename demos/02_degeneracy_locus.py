@@ -19,14 +19,14 @@ params = pipeline.standard_params(a=SQ2, b=SQ2, dim=3)
 
 analytic = pipeline.solve_degeneracy_analytic(params.a, params.b)
 print("Analytic degeneracy pairs (theta21, theta31):")
-for t21, t31 in analytic.solutions:
+for t21, t31 in analytic:
     print(f"  ({t21:.6f}, {t31:.6f})")
-print(f"Family: {analytic.family}\n")
+print(f"Family: {pipeline.LOCUS_FAMILY}\n")
 
 print(f"Sweeping a {int(2 * math.pi / STEP)}x{int(2 * math.pi / STEP)} grid ...")
 scan = pipeline.scan_degeneracy_numeric(params, SQ2, SQ2, STEP)
 print("Detected rank-deficient grid points:")
-for t21, t31 in scan.detected.solutions:
+for t21, t31 in scan.detected:
     print(f"  ({t21:.6f}, {t31:.6f})")
 
 scan.write_csv("degeneracy_grid.csv")  # the same format as `nogo scan --csv`

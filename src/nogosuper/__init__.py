@@ -14,8 +14,8 @@ from .linalg import (
     reciprocal_basis,
 )
 from .pipeline import (
+    LOCUS_FAMILY,
     CounterexampleParams,
-    DegeneracyLocus,
     DemoReport,
     DependenceCertificate,
     PhaseTriple,

@@ -6,7 +6,9 @@ Subcommands:
     demo    end-to-end forbidden-task demonstration (USD + cloning)
     usd     build and simulate USD for states given in a JSON file
 
-All reports are JSON with top-level keys {schema, config, result}; complex
+Each subcommand maps the parsed arguments and the seed to its result;
+`main` resolves the seed, writes the report and picks the exit code. All
+reports are JSON with top-level keys {schema, config, result}; complex
 numbers appear as [re, im] pairs. Exit codes: 0 success, 2 configuration
 error, 3 numerical or I/O error, 4 on-locus demo refusal.
 """
@@ -33,6 +35,7 @@ from .superposer import (
     ConstantSuccess,
     OverlapArgPhase,
     OverlapScaledSuccess,
+    SuccessPolicy,
     SuperposerConfig,
 )
 
@@ -98,7 +101,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_state_flags(p: argparse.ArgumentParser) -> None:
     """The counterexample triple and the oracle weights: verify, scan, demo."""
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=int, default=3, help=f"state dimension, 3 to {pipeline.MAX_DIM}")
     p.add_argument("--a", type=float, default=1.0 / math.sqrt(2.0))
     p.add_argument("--b", type=float, default=1.0 / math.sqrt(2.0))
     p.add_argument("--alpha-mod", type=float, default=1.0 / math.sqrt(2.0))
@@ -107,21 +110,28 @@ def _add_state_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta-arg", type=float, default=0.0)
 
 
+PHASE_POLICIES = {
+    "constant": lambda args: ConstantPhase(args.theta0),
+    "overlap_arg": lambda args: OverlapArgPhase(),
+    "canonical_hash": lambda args: CanonicalHashPhase(),
+}
+SUCCESS_POLICIES = {
+    "always": lambda args: AlwaysSucceed(),
+    "constant": lambda args: ConstantSuccess(args.success_p),
+    "overlap_scaled": lambda args: OverlapScaledSuccess(),
+}
+
+
 def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
-    """Phase and success policies and the rank tolerance: verify and demo.
+    """Phase policy, explicit phases and the rank tolerance: verify and demo.
     The scan sets its own phases and rank tolerance."""
-    p.add_argument("--phase-policy", choices=["constant", "overlap_arg", "canonical_hash"],
-                   default="constant")
+    p.add_argument("--phase-policy", choices=list(PHASE_POLICIES), default="constant")
     p.add_argument("--theta0", type=float, default=0.0,
                    help="phase for the constant policy")
     p.add_argument("--theta1", type=float, default=None,
                    help="explicit per-state phase (overrides the policy)")
     p.add_argument("--theta2", type=float, default=None)
     p.add_argument("--theta3", type=float, default=None)
-    p.add_argument("--success-policy", choices=["always", "constant", "overlap_scaled"],
-                   default="always")
-    p.add_argument("--success-p", type=float, default=0.5,
-                   help="probability for the constant success policy")
     p.add_argument("--tol", type=float, default=linalg.DEFAULT_RANK_TOL,
                    help="rank tolerance for the independence certificate")
 
@@ -147,6 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="forbidden-task demonstration (USD + cloning)")
     _add_state_flags(p_demo)
     _add_oracle_flags(p_demo)
+    p_demo.add_argument("--success-policy", choices=list(SUCCESS_POLICIES), default="always")
+    p_demo.add_argument("--success-p", type=float, default=0.5,
+                        help="probability for the constant success policy")
     p_demo.add_argument("--trials", type=int, default=100_000)
     _add_common(p_demo)
 
@@ -170,35 +183,15 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _resolve_params(args) -> pipeline.CounterexampleParams:
-    return pipeline.standard_params(args.a, args.b, dim=args.dim)
-
-
 def _resolve_weights(args) -> tuple[complex, complex]:
     alpha = args.alpha_mod * complex(math.cos(args.alpha_arg), math.sin(args.alpha_arg))
     beta = args.beta_mod * complex(math.cos(args.beta_arg), math.sin(args.beta_arg))
     return alpha, beta
 
 
-def _resolve_config(args) -> SuperposerConfig:
-    return SuperposerConfig(*_resolve_weights(args), _resolve_phase_policy(args),
-                            _resolve_success_policy(args))
-
-
-def _resolve_phase_policy(args):
-    if args.phase_policy == "constant":
-        return ConstantPhase(args.theta0)
-    if args.phase_policy == "overlap_arg":
-        return OverlapArgPhase()
-    return CanonicalHashPhase()
-
-
-def _resolve_success_policy(args):
-    if args.success_policy == "always":
-        return AlwaysSucceed()
-    if args.success_policy == "constant":
-        return ConstantSuccess(args.success_p)
-    return OverlapScaledSuccess()
+def _resolve_config(args, success: SuccessPolicy) -> SuperposerConfig:
+    return SuperposerConfig(*_resolve_weights(args), PHASE_POLICIES[args.phase_policy](args),
+                            success)
 
 
 def _explicit_phases(args) -> pipeline.PhaseTriple | None:
@@ -218,16 +211,15 @@ def _config_dict(args, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_verify(args) -> int:
-    seed = _resolve_seed(args)
-    params = _resolve_params(args)
+def cmd_verify(args, seed: int) -> dict:
+    params = pipeline.standard_params(args.a, args.b, dim=args.dim)
     outputs, phases = pipeline.apply_superposer_to_set(
-        _resolve_config(args), params, _explicit_phases(args))
+        _resolve_config(args, AlwaysSucceed()), params, _explicit_phases(args))
 
     inputs = pipeline.build_counterexample(params)
     input_rank = linalg.numerical_rank(inputs.amplitude_matrix(), args.tol)
     cert = pipeline.certify_independence(outputs, args.tol)
-    result = {
+    return {
         "input_rank": input_rank.rank,
         "input_singular_values": [float(s) for s in input_rank.singular_values],
         "output_rank": cert.gram_rank.rank,
@@ -235,58 +227,48 @@ def cmd_verify(args) -> int:
         "certificate": _certificate_json(cert),
         "output_states": [_complex_json(s.amplitudes) for s in outputs.members],
     }
-    _emit_report(_config_dict(args, seed), result, args)
-    return EXIT_OK
 
 
-def _angular_gap(x: float, y: float) -> float:
-    d = abs(x - y) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
+def _max_deviation(pairs, targets) -> float | None:
+    """Largest distance from a (theta21, theta31) pair in `pairs` to its
+    nearest pair in `targets`, both angles taken mod 2 pi; None when either
+    list is empty: there is no distance to report, and strict JSON has no
+    Infinity."""
+    if not (pairs and targets):
+        return None
+
+    def gap(x: float, y: float) -> float:
+        d = abs(x - y) % (2.0 * math.pi)
+        return min(d, 2.0 * math.pi - d)
+
+    return max(min(max(gap(p[0], q[0]), gap(p[1], q[1])) for q in targets) for p in pairs)
 
 
-def _pair_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
-    return max(_angular_gap(p[0], q[0]), _angular_gap(p[1], q[1]))
-
-
-def cmd_scan(args) -> int:
-    seed = _resolve_seed(args)
-    params = _resolve_params(args)
+def cmd_scan(args, seed: int) -> dict:
+    params = pipeline.standard_params(args.a, args.b, dim=args.dim)
     alpha, beta = _resolve_weights(args)
     scan = pipeline.scan_degeneracy_numeric(params, alpha, beta, args.grid_step)
     analytic = pipeline.solve_degeneracy_analytic(params.a, params.b)
     scan.write_csv(args.csv)
-
-    detected = scan.detected.solutions
-    # both deviations are null when the grid detects nothing: there is no
-    # distance to report, and strict JSON has no Infinity
-    dev_detected = max(
-        min(_pair_distance(d, s) for s in analytic.solutions) for d in detected
-    ) if detected else None
-    dev_analytic = max(
-        min(_pair_distance(s, d) for d in detected) for s in analytic.solutions
-    ) if detected else None
-    result = {
+    return {
         "grid_step": args.grid_step,
         "grid_points": int(scan.ranks.size),
-        "detected_pairs": [[t21, t31] for t21, t31 in detected],
-        "analytic_pairs": [[t21, t31] for t21, t31 in analytic.solutions],
-        "analytic_family": analytic.family,
-        "max_deviation_detected_to_analytic": dev_detected,
-        "max_deviation_analytic_to_detected": dev_analytic,
+        "detected_pairs": [list(pair) for pair in scan.detected],
+        "analytic_pairs": [list(pair) for pair in analytic],
+        "analytic_family": pipeline.LOCUS_FAMILY,
+        "max_deviation_detected_to_analytic": _max_deviation(scan.detected, analytic),
+        "max_deviation_analytic_to_detected": _max_deviation(analytic, scan.detected),
         "csv_path": args.csv,
     }
-    _emit_report(_config_dict(args, seed), result, args)
-    return EXIT_OK
 
 
-def cmd_demo(args) -> int:
-    seed = _resolve_seed(args)
-    params = _resolve_params(args)
+def cmd_demo(args, seed: int) -> dict:
+    params = pipeline.standard_params(args.a, args.b, dim=args.dim)
+    config = _resolve_config(args, SUCCESS_POLICIES[args.success_policy](args))
     report = pipeline.forbidden_task_demo(
-        params, _resolve_config(args), args.trials, np.random.default_rng(seed),
-        args.tol, _explicit_phases(args))
-
-    result = {
+        params, config, args.trials, np.random.default_rng(seed), args.tol,
+        _explicit_phases(args))
+    return {
         "trials": report.trials,
         "phases": _phases_json(report.phases),
         "certificate": _certificate_json(report.certificate),
@@ -300,12 +282,9 @@ def cmd_demo(args) -> int:
         "predicted_conclusive_rate": report.predicted_conclusive_rate,
         "empirical_conclusive_rate": report.conclusive_rate,
     }
-    _emit_report(_config_dict(args, seed), result, args)
-    return EXIT_OK
 
 
-def cmd_usd(args) -> int:
-    seed = _resolve_seed(args)
+def cmd_usd(args, seed: int) -> dict:
     try:
         with open(args.states_file) as fh:
             raw = json.load(fh)
@@ -326,7 +305,7 @@ def cmd_usd(args) -> int:
     rng = np.random.default_rng(seed)
     counts = simulate_usd(m, states.members[args.truth_index], args.trials, rng).tolist()
     elements, inconclusive = povm_elements(m)
-    result = {
+    return {
         "n_states": len(states),
         "dim": states.dim,
         "success_probabilities": probs,
@@ -339,18 +318,18 @@ def cmd_usd(args) -> int:
         "elements": [_complex_json(e) for e in elements],
         "inconclusive_element": _complex_json(inconclusive),
     }
-    _emit_report(_config_dict(args, seed), result, args)
-    return EXIT_OK
 
 
 COMMANDS = {"verify": cmd_verify, "scan": cmd_scan, "demo": cmd_demo, "usd": cmd_usd}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        seed = _resolve_seed(args)
+        result = COMMANDS[args.command](args, seed)
+        _emit_report(_config_dict(args, seed), result, args)
+        return EXIT_OK
     except InvalidParams as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySet, LinearlyDependentInput, NonFiniteEntry
+from .errors import EmptySet, InvalidParams, LinearlyDependentInput, NonFiniteEntry
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -31,7 +31,7 @@ class RankResult:
         """Rank = number of singular values above the relative threshold
         tol * sigma_max; `sigma` is nonempty and sorted descending."""
         if not 0.0 < tol < 1.0:
-            raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
+            raise InvalidParams(f"tolerance must lie in (0, 1), got {tol}")
         rank = int(np.count_nonzero(sigma > tol * sigma[0]))
         return cls(rank=rank, singular_values=sigma, tolerance_used=tol)
 
@@ -48,13 +48,7 @@ def numerical_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RankResult:
 
 def gram(states) -> np.ndarray:
     """Gram matrix G[i, j] = <state_i | state_j> of a StateSet."""
-    members = getattr(states, "members", states)
-    if len(members) == 0:
-        raise EmptySet("gram of an empty state set")
-    dims = {s.dim for s in members}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"states have mixed dimensions {sorted(dims)}")
-    a = np.column_stack([s.amplitudes for s in members])
+    a = states.amplitude_matrix()
     g = a.conj().T @ a
     return 0.5 * (g + g.conj().T)
 

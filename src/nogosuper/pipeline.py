@@ -10,7 +10,7 @@ forbidden tasks (USD and cloning) on the independent outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .superposer import (
 
 ORTHOGONALITY_TOL = 1e-10
 SCAN_RANK_TOL = 1e-6
+MAX_DIM = 16
+LOCUS_FAMILY = "theta21 in {pi/2, 3*pi/2} with a = cos(theta31), b = +/- sin(theta31)"
 
 
 @dataclass
@@ -58,8 +60,8 @@ class CounterexampleParams:
 
 def standard_params(a: float, b: float, dim: int = 3) -> CounterexampleParams:
     """Computational-basis instantiation: psi = e1, psi_perp = e2, phi = e3."""
-    if dim < 3:
-        raise InvalidParams(f"dimension must be >= 3, got {dim}")
+    if not 3 <= dim <= MAX_DIM:
+        raise InvalidParams(f"dimension must lie in [3, {MAX_DIM}], got {dim}")
     return CounterexampleParams(
         a=a,
         b=b,
@@ -101,31 +103,22 @@ class DependenceCertificate:
 
 
 @dataclass
-class DegeneracyLocus:
-    solutions: list[tuple[float, float]]  # (theta21, theta31) pairs
-    family: str = (
-        "theta21 in {pi/2, 3*pi/2} with a = cos(theta31), b = +/- sin(theta31)"
-    )
-
-
-@dataclass
 class ScanResult:
     """Full grid sweep over (theta21, theta31) with theta1 pinned to 0."""
 
-    theta21_grid: np.ndarray
-    theta31_grid: np.ndarray
-    min_singular_values: np.ndarray  # shape (n21, n31)
-    ranks: np.ndarray  # shape (n21, n31)
-    detected: DegeneracyLocus = field(default=None)  # pairs where rank < 3
+    thetas: np.ndarray  # the grid of both theta21 and theta31
+    min_singular_values: np.ndarray  # shape (n, n), [theta21, theta31]
+    ranks: np.ndarray  # shape (n, n)
+    detected: list[tuple[float, float]]  # (theta21, theta31) where rank < 3
 
     def write_csv(self, path: str) -> None:
         """The grid as CSV: header theta21,theta31,min_singular_value,rank,
         one row per point, LF line endings, floats as round-trip `repr`.
         Each theta is formatted once and each theta21 row block is one write."""
-        t31s = [repr(t) for t in self.theta31_grid.tolist()]
+        t31s = [repr(t) for t in self.thetas.tolist()]
         with open(path, "w", newline="") as fh:
             fh.write("theta21,theta31,min_singular_value,rank\n")
-            for t21, sigmas, ranks in zip(self.theta21_grid.tolist(),
+            for t21, sigmas, ranks in zip(self.thetas.tolist(),
                                           self.min_singular_values.tolist(),
                                           self.ranks.tolist()):
                 lead = repr(t21) + ","
@@ -197,16 +190,13 @@ def _normalize_coefficients(x: np.ndarray) -> np.ndarray:
     return x * phase
 
 
-def solve_degeneracy_analytic(a: float, b: float) -> DegeneracyLocus:
-    """Exact phase pairs where the output triple stays dependent:
-    theta21 = pi/2 with (cos, sin)(theta31) = (a, b), and
+def solve_degeneracy_analytic(a: float, b: float) -> list[tuple[float, float]]:
+    """Exact (theta21, theta31) pairs where the output triple stays dependent
+    (`LOCUS_FAMILY`): theta21 = pi/2 with (cos, sin)(theta31) = (a, b), and
     theta21 = 3*pi/2 with (cos, sin)(theta31) = (a, -b)."""
     a, b = unit_pair(a, b, "a", "b")
-    t31_plus = math.atan2(b, a) % TWO_PI
-    t31_minus = math.atan2(-b, a) % TWO_PI
-    return DegeneracyLocus(
-        solutions=[(math.pi / 2.0, t31_plus), (3.0 * math.pi / 2.0, t31_minus)]
-    )
+    return [(math.pi / 2.0, math.atan2(b, a) % TWO_PI),
+            (3.0 * math.pi / 2.0, math.atan2(-b, a) % TWO_PI)]
 
 
 def scan_degeneracy_numeric(
@@ -245,16 +235,11 @@ def scan_degeneracy_numeric(
     cut = SCAN_RANK_TOL**2 * lam_max
     ranks = 1 + (lam_mid > cut) + (lam_min > cut)
 
-    hits = np.argwhere(ranks < 3)
-    detected = DegeneracyLocus(
-        solutions=[(float(thetas[i]), float(thetas[j])) for i, j in hits]
-    )
     return ScanResult(
-        theta21_grid=thetas,
-        theta31_grid=thetas.copy(),
+        thetas=thetas,
         min_singular_values=np.sqrt(lam_min),
         ranks=ranks,
-        detected=detected,
+        detected=[(float(thetas[i]), float(thetas[j])) for i, j in np.argwhere(ranks < 3)],
     )
 
 

@@ -64,7 +64,7 @@ def test_criterion_2_degeneracy_locus():
     scan = pipeline.scan_degeneracy_numeric(p, SQ2, SQ2, step)
     elapsed = time.monotonic() - start
     analytic = pipeline.solve_degeneracy_analytic(SQ2, SQ2)
-    detected = scan.detected.solutions
+    detected = scan.detected
 
     def gap(x, y):
         d = abs(x - y) % (2 * math.pi)
@@ -76,8 +76,8 @@ def test_criterion_2_degeneracy_locus():
     ok = bool(detected)
     hausdorff = 0.0
     if ok:
-        d1 = max(min(dist(d, s) for s in analytic.solutions) for d in detected)
-        d2 = max(min(dist(s, d) for d in detected) for s in analytic.solutions)
+        d1 = max(min(dist(d, s) for s in analytic) for d in detected)
+        d2 = max(min(dist(s, d) for d in detected) for s in analytic)
         hausdorff = max(d1, d2)
         ok = hausdorff <= step and elapsed < 60.0
     report(2, ok, f"(Hausdorff deviation {hausdorff:.2e} <= {step:.2e}; {elapsed:.2f}s)")

@@ -9,6 +9,20 @@ from nogosuper.cli import main
 SQ2 = 1.0 / math.sqrt(2.0)
 SCAN_DROPPED_KEYS = {"phase_policy", "theta0", "theta1", "theta2", "theta3",
                      "success_policy", "success_p", "tol"}
+ZERO_PLUS = [[[1, 0], [0, 0]], [[SQ2, 0], [SQ2, 0]]]  # {|0>, |+>} as a states file
+
+
+def quick_argvs(tmp_path):
+    """One short run of each subcommand; scan's CSV and usd's states file
+    live in tmp_path."""
+    states = tmp_path / "states.json"
+    states.write_text(json.dumps(ZERO_PLUS))
+    return [
+        ["verify"],
+        ["scan", "--grid-step", "0.1", "--csv", str(tmp_path / "grid.csv")],
+        ["demo", "--trials", "1000"],
+        ["usd", str(states), "--trials", "1000"],
+    ]
 
 
 def run(capsys, *argv):
@@ -31,6 +45,15 @@ class TestVerify:
         assert report["result"]["input_rank"] == 2
         assert report["result"]["output_rank"] == 3
         assert report["config"]["seed"] == 42
+        assert not {"success_policy", "success_p"} & set(report["config"])
+
+    @pytest.mark.parametrize("flag", [["--success-policy", "constant"], ["--success-p", "0.3"]])
+    def test_success_flags_rejected(self, capsys, tmp_path, flag):
+        # verify certifies the outputs and never draws the oracle's success
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *flag, "-o", str(tmp_path / "report.json")])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
 
     def test_zero_a_is_config_error(self, capsys):
         code, _, err = run(capsys, "verify", "--a", "0")
@@ -99,11 +122,17 @@ class TestVerify:
     ["demo", "--trials", "100000000000000000000"],
     ["usd", "STATES", "--trials", "100000000000000000000"],
     ["usd", "STATES", "--trials", "0"],
+    ["verify", "--tol", "2"],
+    ["verify", "--tol", "0"],
+    ["verify", "--tol", "nan"],
+    ["demo", "--tol", "1"],
+    ["verify", "--dim", "17"],
+    ["verify", "--dim", "1000"],
 ])
 def test_invalid_parameters_exit_two(capsys, monkeypatch, tmp_path, tmp_path_factory, argv):
     monkeypatch.chdir(tmp_path)  # where scan would write its default CSV
-    states = tmp_path_factory.mktemp("usd") / "states.json"  # a valid {|0>, |+>} file
-    states.write_text(json.dumps([[[1, 0], [0, 0]], [[SQ2, 0], [SQ2, 0]]]))
+    states = tmp_path_factory.mktemp("usd") / "states.json"
+    states.write_text(json.dumps(ZERO_PLUS))
     code, _, err = run(capsys, *(str(states) if a == "STATES" else a for a in argv))
     assert code == 2
     assert err.startswith("config error:")
@@ -302,17 +331,37 @@ class TestUSD:
 
 
 class TestSeedResolution:
-    def test_env_overrides_default(self, capsys, monkeypatch):
+    # each test runs every subcommand: `main` resolves the seed and writes
+    # the report for all of them
+    def test_env_overrides_default(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("NOGO_SEED", "123")
-        _, out, _ = run(capsys, "verify", "--deterministic")
-        assert json.loads(out)["config"]["seed"] == 123
+        for argv in quick_argvs(tmp_path):
+            code, out, err = run(capsys, *argv, "--deterministic")
+            assert code == 0, err
+            assert json.loads(out)["config"]["seed"] == 123
 
-    def test_flag_beats_env(self, capsys, monkeypatch):
+    def test_flag_beats_env(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("NOGO_SEED", "123")
-        _, out, _ = run(capsys, "verify", "--seed", "9", "--deterministic")
-        assert json.loads(out)["config"]["seed"] == 9
+        for argv in quick_argvs(tmp_path):
+            code, out, err = run(capsys, *argv, "--seed", "9", "--deterministic")
+            assert code == 0, err
+            assert json.loads(out)["config"]["seed"] == 9
 
-    def test_bad_env_seed_rejected(self, capsys, monkeypatch):
+    def test_bad_env_seed_rejected(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("NOGO_SEED", "not-a-number")
-        code, _, _ = run(capsys, "verify")
-        assert code == 2
+        for argv in quick_argvs(tmp_path):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert err.startswith("config error:") and out == ""
+        assert not (tmp_path / "grid.csv").exists()
+
+    def test_output_file_matches_stdout(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("NOGO_SEED", raising=False)
+        report = tmp_path / "report.json"
+        for argv in quick_argvs(tmp_path):
+            code, out, err = run(capsys, *argv, "--deterministic")
+            assert code == 0, err
+            code, to_file, err = run(capsys, *argv, "--deterministic", "-o", str(report))
+            assert code == 0, err
+            assert to_file == ""
+            assert report.read_bytes() == out.encode()

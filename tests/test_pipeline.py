@@ -60,8 +60,8 @@ def write_csv_reference(scan, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["theta21", "theta31", "min_singular_value", "rank"])
-        for i, t21 in enumerate(scan.theta21_grid):
-            for j, t31 in enumerate(scan.theta31_grid):
+        for i, t21 in enumerate(scan.thetas):
+            for j, t31 in enumerate(scan.thetas):
                 writer.writerow([
                     repr(float(t21)), repr(float(t31)),
                     repr(float(scan.min_singular_values[i, j])),
@@ -77,7 +77,7 @@ def near_locus_certificate(angle, branch, delta, tol=linalg.DEFAULT_RANK_TOL):
     """Certificate of the balanced outputs at theta1 = 0 and analytic pair
     `branch` of (cos, sin)(angle), with theta31 moved off the locus by delta."""
     p = pipeline.standard_params(math.cos(angle), math.sin(angle))
-    t21, t31 = pipeline.solve_degeneracy_analytic(p.a, p.b).solutions[branch]
+    t21, t31 = pipeline.solve_degeneracy_analytic(p.a, p.b)[branch]
     outputs, _ = pipeline.apply_superposer_to_set(
         balanced_cfg(), p, pipeline.PhaseTriple(0.0, t21, t31 + delta))
     return pipeline.certify_independence(outputs, tol)
@@ -97,6 +97,11 @@ class TestCounterexample:
     def test_dim_two_rejected(self):
         with pytest.raises(InvalidParams):
             pipeline.standard_params(SQ2, SQ2, dim=2)
+
+    def test_dim_above_the_cap_rejected(self):
+        pipeline.standard_params(SQ2, SQ2, dim=pipeline.MAX_DIM)
+        with pytest.raises(InvalidParams):
+            pipeline.standard_params(SQ2, SQ2, dim=pipeline.MAX_DIM + 1)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(InvalidParams):
@@ -239,21 +244,21 @@ class TestCertifyIndependence:
 class TestDegeneracyLocus:
     def test_balanced_analytic_solutions(self):
         locus = pipeline.solve_degeneracy_analytic(SQ2, SQ2)
-        assert locus.solutions[0] == pytest.approx((math.pi / 2, math.pi / 4))
-        assert locus.solutions[1] == pytest.approx((3 * math.pi / 2, 7 * math.pi / 4))
+        assert locus[0] == pytest.approx((math.pi / 2, math.pi / 4))
+        assert locus[1] == pytest.approx((3 * math.pi / 2, 7 * math.pi / 4))
 
     def test_generic_angle_solutions(self):
         a, b = math.cos(0.3), math.sin(0.3)
         locus = pipeline.solve_degeneracy_analytic(a, b)
-        assert locus.solutions[0] == pytest.approx((math.pi / 2, 0.3))
-        assert locus.solutions[1] == pytest.approx((3 * math.pi / 2, 2 * math.pi - 0.3))
+        assert locus[0] == pytest.approx((math.pi / 2, 0.3))
+        assert locus[1] == pytest.approx((3 * math.pi / 2, 2 * math.pi - 0.3))
 
     def test_solutions_satisfy_phase_constraints(self, rng):
         for _ in range(20):
             angle = rng.uniform(0.05, math.pi / 2 - 0.05)
             a, b = math.cos(angle), math.sin(angle)
             locus = pipeline.solve_degeneracy_analytic(a, b)
-            for t21, t31 in locus.solutions:
+            for t21, t31 in locus:
                 bp = np.exp(1j * t21) * b
                 assert abs(abs(a + bp) - 1.0) <= 1e-12
                 assert abs(a**2 + abs(bp) ** 2 - 1.0) <= 1e-12
@@ -290,14 +295,14 @@ class TestScan:
         step = math.pi / 180.0
         scan = pipeline.scan_degeneracy_numeric(p, SQ2, SQ2, step)
         analytic = pipeline.solve_degeneracy_analytic(p.a, p.b)
-        detected = scan.detected.solutions
+        detected = scan.detected
         assert detected, "scan found no degeneracies"
         for d in detected:
             gap = min(
-                max(abs(d[0] - s[0]), abs(d[1] - s[1])) for s in analytic.solutions
+                max(abs(d[0] - s[0]), abs(d[1] - s[1])) for s in analytic
             )
             assert gap <= step + 1e-12
-        for s in analytic.solutions:
+        for s in analytic:
             gap = min(max(abs(d[0] - s[0]), abs(d[1] - s[1])) for d in detected)
             assert gap <= step + 1e-12
 
@@ -308,8 +313,8 @@ class TestScan:
     def test_detected_rank_is_exactly_two(self):
         p = balanced_params()
         scan = pipeline.scan_degeneracy_numeric(p, SQ2, SQ2, math.pi / 180.0)
-        i = np.argmin(np.abs(scan.theta21_grid - math.pi / 2))
-        j = np.argmin(np.abs(scan.theta31_grid - math.pi / 4))
+        i = np.argmin(np.abs(scan.thetas - math.pi / 2))
+        j = np.argmin(np.abs(scan.thetas - math.pi / 4))
         assert scan.ranks[i, j] == 2
 
     def test_bad_grid_step_rejected(self):
@@ -326,7 +331,7 @@ class TestScan:
         alpha = mod * np.exp(1j * rng.uniform(0, 2 * math.pi))
         beta = math.sqrt(1 - mod**2) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         scan = pipeline.scan_degeneracy_numeric(p, alpha, beta, 0.05)
-        sigma_min, ranks = scan_svd_oracle(p, alpha, beta, scan.theta21_grid)
+        sigma_min, ranks = scan_svd_oracle(p, alpha, beta, scan.thetas)
         np.testing.assert_allclose(scan.min_singular_values, sigma_min,
                                    rtol=1e-9, atol=1e-12)
         np.testing.assert_array_equal(scan.ranks, ranks)
@@ -338,7 +343,7 @@ class TestScan:
         alpha = SQ2 * np.exp(0.7j)
         step = math.pi / 180.0
         scan = pipeline.scan_degeneracy_numeric(p, alpha, SQ2, step)
-        sigma_min, ranks = scan_svd_oracle(p, alpha, SQ2, scan.theta21_grid)
+        sigma_min, ranks = scan_svd_oracle(p, alpha, SQ2, scan.thetas)
         np.testing.assert_allclose(scan.min_singular_values, sigma_min,
                                    rtol=1e-9, atol=1e-12)
         np.testing.assert_array_equal(scan.ranks, ranks)
@@ -350,8 +355,8 @@ class TestScan:
         def distance(u, v):
             return max(gap(u[0], v[0]), gap(u[1], v[1]))
 
-        detected = scan.detected.solutions
-        analytic = pipeline.solve_degeneracy_analytic(p.a, p.b).solutions
+        detected = scan.detected
+        analytic = pipeline.solve_degeneracy_analytic(p.a, p.b)
         assert detected
         for d in detected:
             assert min(distance(d, s) for s in analytic) <= step + 1e-12
@@ -372,14 +377,13 @@ class TestScan:
         assert per_point[1] == pytest.approx(per_point[0], rel=0.1)
 
     def test_csv_bytes_match_the_reference_writer(self, tmp_path):
-        thetas = 0.05 * np.arange(3)
         small = pipeline.ScanResult(
-            theta21_grid=thetas,
-            theta31_grid=thetas.copy(),
+            thetas=0.05 * np.arange(3),
             min_singular_values=np.array(
                 [[0.0, 5e-324, 1e-300], [0.1, 0.30000000000000004, 1.0],
                  [2.5e-17, 123456.789, 1e22]]),
             ranks=np.array([[2, 2, 2], [3, 3, 3], [2, 3, 3]]),
+            detected=[],
         )
         real = pipeline.scan_degeneracy_numeric(balanced_params(), SQ2, SQ2, 0.1)
         for scan in (small, real):
