@@ -36,7 +36,7 @@ outputs, phases = pipeline.apply_superposer_to_set(cfg, params)
 print("Superposer outputs (each input superposed with phi = e3):")
 print(np.round(outputs.amplitude_matrix(), 4))
 
-cert = pipeline.certify_independence(outputs)
+cert = pipeline.certify_independence(linalg.factorize(outputs))
 print(f"\nOutput rank: {cert.gram_rank.rank}")
 print(f"Independent: {cert.independent}")
 # det G = det(A^H A) = product of the squared singular values of A

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from nogosuper import pipeline
+from nogosuper import linalg, pipeline
 from nogosuper.discrimination import build_usd, simulate_usd, success_probabilities
 from nogosuper.states import StateSet
 from nogosuper.superposer import AlwaysSucceed, ConstantPhase, SuperposerConfig
@@ -20,8 +20,8 @@ SQ2 = 1.0 / math.sqrt(2.0)
 
 print("=== USD warm-up: {|0>, |+>} ===")
 pair = StateSet.from_vectors([[1, 0], [1, 1]])
-m = build_usd(pair)
-probs = success_probabilities(m, pair)
+m = build_usd(linalg.factorize(pair))
+probs = success_probabilities(m)
 print(f"Per-state conclusive probability: {probs[0]:.6f} "
       f"(theory: 1 - 1/sqrt(2) = {1 - SQ2:.6f})")
 counts = simulate_usd(m, pair.members[0], 100_000, np.random.default_rng(1))

@@ -8,7 +8,9 @@ from .discrimination import (
     success_probabilities,
 )
 from .linalg import (
+    Factorization,
     RankResult,
+    factorize,
     gram,
     numerical_rank,
     reciprocal_basis,
@@ -34,7 +36,6 @@ from .states import (
     StateSet,
     basis_state,
     canonicalize,
-    is_linearly_independent,
     normalize,
 )
 from .superposer import (

@@ -172,15 +172,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("NOGO_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidParams(f"NOGO_SEED is not an integer: {env!r}") from exc
-    return DEFAULT_SEED
+    env = os.environ.get("NOGO_SEED", str(DEFAULT_SEED))
+    try:
+        seed = args.seed if args.seed is not None else int(env)
+    except ValueError as exc:
+        raise InvalidParams(f"NOGO_SEED is not an integer: {env!r}") from exc
+    if seed < 0:
+        raise InvalidParams(f"seed must be non-negative, got {seed}")
+    return seed
+
+
+def _check_finite(args) -> None:
+    """Refuse NaN and infinite float options; numpy and math take them as given."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidParams(f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
 def _resolve_weights(args) -> tuple[complex, complex]:
@@ -218,7 +224,7 @@ def cmd_verify(args, seed: int) -> dict:
 
     inputs = pipeline.build_counterexample(params)
     input_rank = linalg.numerical_rank(inputs.amplitude_matrix(), args.tol)
-    cert = pipeline.certify_independence(outputs, args.tol)
+    cert = pipeline.certify_independence(linalg.factorize(outputs, args.tol))
     return {
         "input_rank": input_rank.rank,
         "input_singular_values": [float(s) for s in input_rank.singular_values],
@@ -300,8 +306,8 @@ def cmd_usd(args, seed: int) -> dict:
     if not 0 <= args.truth_index < len(states):
         raise InvalidParams(f"--truth-index out of range 0..{len(states) - 1}")
 
-    m = build_usd(states)
-    probs = success_probabilities(m, states)
+    m = build_usd(linalg.factorize(states))
+    probs = success_probabilities(m)
     rng = np.random.default_rng(seed)
     counts = simulate_usd(m, states.members[args.truth_index], args.trials, rng).tolist()
     elements, inconclusive = povm_elements(m)
@@ -327,6 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         seed = _resolve_seed(args)
+        _check_finite(args)
         result = COMMANDS[args.command](args, seed)
         _emit_report(_config_dict(args, seed), result, args)
         return EXIT_OK

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (DimensionMismatch, InvalidParams, LinearlyDependentInput,
-                     MeasurementMismatch, NogoError)
-from .states import PureState, StateSet
+from .errors import DimensionMismatch, InvalidParams, NogoError
+from .states import PureState
 
 BORN_SUM_TOL = 1e-9
 MAX_TRIALS = 2**63 - 1  # numpy's samplers count in int64
@@ -37,6 +36,7 @@ class USDMeasurement:
     element is the rest of the span projector, E_0 = Q Q^H - sum_j E_j.
     `povm_elements` builds the d x d matrices."""
 
+    hypotheses: np.ndarray  # dim x n, the hypothesis states as columns
     reciprocal: np.ndarray  # n x dim, unit reciprocal vectors r_j as rows
     span: np.ndarray  # dim x n, orthonormal basis Q of the hypothesis span
     scale: float
@@ -45,30 +45,20 @@ class USDMeasurement:
     def dim(self) -> int:
         return self.reciprocal.shape[1]
 
-    @property
-    def n_hypotheses(self) -> int:
-        return self.reciprocal.shape[0]
 
-
-def build_usd(
-    hypotheses: StateSet, tol: float = linalg.DEFAULT_RANK_TOL
-) -> USDMeasurement:
-    """Construct the USD POVM for hypotheses linearly independent at rank
-    tolerance `tol`.
+def build_usd(f: linalg.Factorization) -> USDMeasurement:
+    """USD POVM of hypotheses factored by `linalg.factorize`, independent at
+    its tolerance (LinearlyDependentInput otherwise).
 
     Conclusive elements are uniformly scaled reciprocal-basis projectors,
-    E_j = s |r_j><r_j| with s = 1 / lambda_max(sum_j |r_j><r_j|), the largest
-    uniform scale keeping the inconclusive element positive semidefinite.
+    E_j = s |r_j><r_j| with s = 1 / lambda_max(R^H R) for the rows R, the
+    largest uniform scale keeping the inconclusive element positive
+    semidefinite; lambda_max is taken on the n x n R R^H. Q = U[:, :n].
     """
-    if len(hypotheses) > hypotheses.dim:
-        raise LinearlyDependentInput(
-            f"{len(hypotheses)} states cannot be independent in dimension {hypotheses.dim}"
-        )
-    recip = linalg.reciprocal_basis(hypotheses, tol)  # raises LinearlyDependentInput
-    total = np.sum([np.outer(r, r.conj()) for r in recip], axis=0)
-    scale = 1.0 / float(np.linalg.eigvalsh(total)[-1])
-    span, _ = np.linalg.qr(hypotheses.amplitude_matrix())  # independent columns
-    return USDMeasurement(reciprocal=recip, span=span, scale=scale)
+    recip = linalg.reciprocal_basis(f)  # raises LinearlyDependentInput
+    scale = 1.0 / float(np.linalg.eigvalsh(recip @ recip.conj().T)[-1])
+    return USDMeasurement(hypotheses=f.amplitudes, reciprocal=recip,
+                          span=f.u[:, :len(recip)], scale=scale)
 
 
 def povm_elements(m: USDMeasurement) -> tuple[list[np.ndarray], np.ndarray]:
@@ -85,14 +75,11 @@ def _conclusive_probability(m: USDMeasurement, r: np.ndarray, x: np.ndarray) -> 
     return min(m.scale * abs(complex(np.vdot(r, x))) ** 2, 1.0)
 
 
-def success_probabilities(m: USDMeasurement, hypotheses: StateSet) -> list[float]:
-    """Tr(E_j rho_j) for each hypothesis j."""
-    if m.n_hypotheses != len(hypotheses) or m.dim != hypotheses.dim:
-        raise MeasurementMismatch(
-            "measurement was not built from this hypothesis set"
-        )
-    return [_conclusive_probability(m, r, state.amplitudes)
-            for r, state in zip(m.reciprocal, hypotheses.members)]
+def success_probabilities(m: USDMeasurement) -> list[float]:
+    """Tr(E_j rho_j) for each hypothesis j, on contiguous copies of the
+    columns: `born_distribution` gets the same bits from a member's vector."""
+    rows = np.ascontiguousarray(m.hypotheses.T)
+    return [_conclusive_probability(m, r, x) for r, x in zip(m.reciprocal, rows)]
 
 
 def born_distribution(m: USDMeasurement, truth: PureState) -> np.ndarray:

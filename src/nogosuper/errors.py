@@ -37,9 +37,5 @@ class WrongSetSize(NogoError):
     pass
 
 
-class MeasurementMismatch(NogoError):
-    pass
-
-
 class DependentOutputs(NogoError):
     """The chosen phases landed on the degeneracy locus; the demo is impossible there."""

@@ -1,10 +1,10 @@
 """Small dense complex linear algebra on numpy's LAPACK.
 
-Every decomposition is one numpy call: `np.linalg.svd` for rank and
-reciprocal bases. The package has one rank rule, `RankResult.of`: count the
-singular values above `tol * sigma_max`. Callers apply it to the amplitude
-matrix of a state set (states as columns), never to its Gram matrix, whose
-eigenvalues are the squares sigma^2 and would square the tolerance too.
+A state set is factored once, by one full SVD of its amplitude matrix
+(states as columns) in `factorize`. The package has one rank rule,
+`RankResult.of`: count the singular values above `tol * sigma_max` of the
+amplitude matrix, never of the Gram matrix, whose eigenvalues are the
+squares sigma^2 and would square the tolerance too.
 """
 
 from __future__ import annotations
@@ -53,21 +53,38 @@ def gram(states) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def reciprocal_basis(states, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Reciprocal (biorthogonal) vectors of a StateSet as the rows of an
+@dataclass(frozen=True)
+class Factorization:
+    """A state set's amplitude matrix A (dim x n) with its full SVD
+    A = U S V^H; `rank` holds S and the rank decided from it."""
+
+    amplitudes: np.ndarray
+    u: np.ndarray  # dim x dim
+    rank: RankResult
+    vh: np.ndarray  # n x n
+
+
+def factorize(states, tol: float = DEFAULT_RANK_TOL) -> Factorization:
+    """One full SVD of the amplitude matrix of a StateSet, ranked at `tol`."""
+    a = states.amplitude_matrix()
+    u, sigma, vh = np.linalg.svd(a)
+    return Factorization(amplitudes=a, u=u, rank=RankResult.of(sigma, tol), vh=vh)
+
+
+def reciprocal_basis(f: Factorization) -> np.ndarray:
+    """Reciprocal (biorthogonal) vectors of a factored set as the rows of an
     n x dim array: <tilde_i | psi_j> = 0 for i != j and <tilde_i | psi_i>
     real positive, each row of unit norm.
 
-    Raises LinearlyDependentInput when the set is not independent at `tol`,
-    which is exactly the regime where unambiguous discrimination breaks down.
+    Raises LinearlyDependentInput when the set is not independent at the
+    record's tolerance: the regime where unambiguous discrimination fails.
     """
-    a = states.amplitude_matrix()
-    u, sigma, vh = np.linalg.svd(a, full_matrices=False)
-    if RankResult.of(sigma, tol).rank < a.shape[1]:
+    n = f.amplitudes.shape[1]
+    if f.rank.rank < n:
         raise LinearlyDependentInput(
             "reciprocal basis requires linearly independent states"
         )
     # with A = U S V^H, the columns of A (A^H A)^-1 = U S^-1 V^H are the
     # reciprocal vectors, found without squaring the condition number
-    tilde = (u / sigma) @ vh
+    tilde = (f.u[:, :n] / f.rank.singular_values) @ f.vh
     return np.array([col / np.linalg.norm(col) for col in tilde.T])

@@ -152,31 +152,19 @@ def apply_superposer_to_set(
     return StateSet([PureState(col) for col in out.T]), phases
 
 
-def certify_independence(
-    outputs: StateSet, tol: float = linalg.DEFAULT_RANK_TOL
-) -> DependenceCertificate:
-    """Rank-certify a 3-state set from one SVD of its amplitude matrix; on
-    dependence, the last right singular vector gives the vanishing
-    combination, whose residual is verified."""
-    if len(outputs) != 3:
-        raise WrongSetSize(f"expected exactly 3 states, got {len(outputs)}")
-    a = outputs.amplitude_matrix()
-    _, sigma, vh = np.linalg.svd(a)
-    rank = linalg.RankResult.of(sigma, tol)
-    null_candidate = vh[-1].conj()  # right singular vector of the smallest sigma
-    if rank.rank == 3:
-        return DependenceCertificate(
-            independent=True,
-            coefficients=None,
-            residual_norm=float(np.linalg.norm(a @ null_candidate)),
-            gram_rank=rank,
-        )
-    coeffs = _normalize_coefficients(null_candidate)
+def certify_independence(f: linalg.Factorization) -> DependenceCertificate:
+    """Rank-certify a factored 3-state set; on dependence, the last right
+    singular vector is the vanishing combination, its residual verified."""
+    if f.amplitudes.shape[1] != 3:
+        raise WrongSetSize(f"expected exactly 3 states, got {f.amplitudes.shape[1]}")
+    independent = f.rank.rank == 3
+    x = f.vh[-1].conj()  # right singular vector of the smallest sigma
+    coeffs = None if independent else _normalize_coefficients(x)
     return DependenceCertificate(
-        independent=False,
+        independent=independent,
         coefficients=coeffs,
-        residual_norm=float(np.linalg.norm(a @ coeffs)),
-        gram_rank=rank,
+        residual_norm=float(np.linalg.norm(f.amplitudes @ (x if independent else coeffs))),
+        gram_rank=f.rank,
     )
 
 
@@ -330,14 +318,15 @@ def forbidden_task_demo(
     check_trials(trials, 0)
     outputs, phases = apply_superposer_to_set(cfg, p, phases)
     inputs = build_counterexample(p)
-    cert = certify_independence(outputs, tol)
+    factored = linalg.factorize(outputs, tol)
+    cert = certify_independence(factored)
     if not cert.independent:
         raise DependentOutputs(
             "the phases produce linearly dependent outputs; USD and cloning "
             "stay impossible for this configuration"
         )
-    m = build_usd(outputs, tol)
-    usd_probs = success_probabilities(m, outputs)
+    m = build_usd(factored)
+    usd_probs = success_probabilities(m)
     oracle_probs = np.array(
         [cfg.success_policy.probability(s, p.phi) for s in inputs.members]
     )

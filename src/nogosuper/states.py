@@ -7,7 +7,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import linalg
 from .errors import DimensionMismatch, EmptySet, NonFiniteEntry, NullVector
 
 NORM_TOL = 1e-12
@@ -42,9 +41,6 @@ class PureState:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def density_matrix(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
 @dataclass(frozen=True)
@@ -115,17 +111,8 @@ class StateSet:
         """dim x n matrix whose columns are the member amplitudes."""
         return np.column_stack([s.amplitudes for s in self.members])
 
-    def gram(self) -> np.ndarray:
-        return linalg.gram(self)
-
 
 def basis_state(dim: int, index: int) -> PureState:
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return PureState(v)
-
-
-def is_linearly_independent(s: StateSet, tol: float = linalg.DEFAULT_RANK_TOL) -> bool:
-    """True iff the amplitude matrix has full numerical column rank at the
-    given tolerance."""
-    return linalg.numerical_rank(s.amplitude_matrix(), tol).rank == len(s)

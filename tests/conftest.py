@@ -20,6 +20,11 @@ def random_orthonormal(rng: np.random.Generator, dim: int, k: int) -> list[PureS
     return [PureState(q[:, i]) for i in range(k)]
 
 
+def density_matrix(s: PureState) -> np.ndarray:
+    """|s><s| as a dim x dim array."""
+    return np.outer(s.amplitudes, s.amplitudes.conj())
+
+
 def det3_cofactor(g: np.ndarray) -> complex:
     """3x3 determinant by explicit cofactor expansion (independent oracle)."""
     return (

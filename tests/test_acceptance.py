@@ -11,7 +11,7 @@ import pytest
 from nogosuper import linalg, pipeline
 from nogosuper.cli import main as cli_main
 from nogosuper.discrimination import build_usd, simulate_usd, success_probabilities
-from nogosuper.states import StateSet, is_linearly_independent
+from nogosuper.states import StateSet
 from nogosuper.superposer import (
     AlwaysSucceed,
     CanonicalHashPhase,
@@ -47,11 +47,11 @@ def test_criterion_1_counterexample_verification():
     for _ in range(100):
         p = random_params(rng)
         inputs = pipeline.build_counterexample(p)
-        assert linalg.numerical_rank(inputs.gram(), 1e-9).rank == 2
+        assert linalg.numerical_rank(linalg.gram(inputs), 1e-9).rank == 2
         for policy in policies:
             cfg = SuperposerConfig(SQ2, SQ2, policy, AlwaysSucceed())
             outputs, _ = pipeline.apply_superposer_to_set(cfg, p)
-            assert linalg.numerical_rank(outputs.gram(), 1e-9).rank == 3
+            assert linalg.numerical_rank(linalg.gram(outputs), 1e-9).rank == 3
     elapsed = time.monotonic() - start
     report(1, elapsed < 5.0,
            f"(100 params x 3 policies: rank 2 -> 3; {elapsed:.2f}s)")
@@ -89,7 +89,7 @@ def test_criterion_3_on_locus_dependence():
     phases = pipeline.PhaseTriple(0.0, math.pi / 2.0, theta31)
     cfg = SuperposerConfig(SQ2, SQ2, ConstantPhase(0.0), AlwaysSucceed())
     outputs, _ = pipeline.apply_superposer_to_set(cfg, p, phases)
-    cert = pipeline.certify_independence(outputs)
+    cert = pipeline.certify_independence(linalg.factorize(outputs))
     ok = (not cert.independent) and cert.residual_norm <= 1e-8
     report(3, ok, f"(dependent with residual {cert.residual_norm:.2e})")
 
@@ -97,8 +97,8 @@ def test_criterion_3_on_locus_dependence():
 def test_criterion_4_usd_correctness():
     start = time.monotonic()
     s = StateSet.from_vectors([[1, 0], [1, 1]])
-    m = build_usd(s)
-    probs = success_probabilities(m, s)
+    m = build_usd(linalg.factorize(s))
+    probs = success_probabilities(m)
 
     # independent eigen-oracle: scale from the characteristic polynomial of
     # the reciprocal-projector sum, then p = scale * |<minus|0>|^2
@@ -165,7 +165,7 @@ def test_criterion_6_oracle_equivalence():
         s = StateSet(members)
         sigma = np.linalg.svd(s.amplitude_matrix(), compute_uv=False)
         oracle_rank = int(np.sum(sigma > 1e-9 * sigma[0]))
-        got = is_linearly_independent(s, 1e-9)
+        got = linalg.factorize(s, 1e-9).rank.rank == len(s)
         want = oracle_rank == size
         agreements += got == want
         checked += 1

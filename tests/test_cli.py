@@ -128,6 +128,17 @@ class TestVerify:
     ["demo", "--tol", "1"],
     ["verify", "--dim", "17"],
     ["verify", "--dim", "1000"],
+    ["verify", "--seed", "-1"],
+    ["scan", "--seed", "-1"],
+    ["demo", "--seed", "-1", "--trials", "10"],
+    ["verify", "--theta2", "nan"],
+    ["verify", "--theta0", "inf"],
+    ["verify", "--theta1", "inf", "--theta3", "1"],
+    ["verify", "--theta3", "nan"],
+    ["demo", "--theta0", "nan", "--trials", "10"],
+    ["verify", "--alpha-arg", "inf"],
+    ["verify", "--beta-arg", "nan"],
+    ["scan", "--alpha-arg", "nan"],
 ])
 def test_invalid_parameters_exit_two(capsys, monkeypatch, tmp_path, tmp_path_factory, argv):
     monkeypatch.chdir(tmp_path)  # where scan would write its default CSV
@@ -135,7 +146,7 @@ def test_invalid_parameters_exit_two(capsys, monkeypatch, tmp_path, tmp_path_fac
     states.write_text(json.dumps(ZERO_PLUS))
     code, _, err = run(capsys, *(str(states) if a == "STATES" else a for a in argv))
     assert code == 2
-    assert err.startswith("config error:")
+    assert err.startswith("config error:") and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
 
@@ -348,11 +359,12 @@ class TestSeedResolution:
             assert json.loads(out)["config"]["seed"] == 9
 
     def test_bad_env_seed_rejected(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("NOGO_SEED", "not-a-number")
-        for argv in quick_argvs(tmp_path):
-            code, out, err = run(capsys, *argv)
-            assert code == 2
-            assert err.startswith("config error:") and out == ""
+        for env in ("not-a-number", "-5"):
+            monkeypatch.setenv("NOGO_SEED", env)
+            for argv in quick_argvs(tmp_path):
+                code, out, err = run(capsys, *argv)
+                assert code == 2
+                assert err.startswith("config error:") and out == ""
         assert not (tmp_path / "grid.csv").exists()
 
     def test_output_file_matches_stdout(self, capsys, monkeypatch, tmp_path):

@@ -80,7 +80,7 @@ def near_locus_certificate(angle, branch, delta, tol=linalg.DEFAULT_RANK_TOL):
     t21, t31 = pipeline.solve_degeneracy_analytic(p.a, p.b)[branch]
     outputs, _ = pipeline.apply_superposer_to_set(
         balanced_cfg(), p, pipeline.PhaseTriple(0.0, t21, t31 + delta))
-    return pipeline.certify_independence(outputs, tol)
+    return pipeline.certify_independence(linalg.factorize(outputs, tol))
 
 
 class TestCounterexample:
@@ -88,7 +88,7 @@ class TestCounterexample:
         s = pipeline.build_counterexample(balanced_params())
         np.testing.assert_allclose(s.members[2].amplitudes, [SQ2, SQ2, 0], atol=1e-12)
         from nogosuper.linalg import numerical_rank
-        assert numerical_rank(s.gram(), 1e-9).rank == 2
+        assert numerical_rank(linalg.gram(s), 1e-9).rank == 2
 
     def test_zero_coefficient_rejected(self):
         with pytest.raises(InvalidParams):
@@ -126,7 +126,7 @@ class TestCounterexample:
                 a=math.cos(angle), b=math.sin(angle), psi=psi, psi_perp=perp, phi=phi
             )
             s = pipeline.build_counterexample(p)
-            assert numerical_rank(s.gram(), 1e-9).rank == 2
+            assert numerical_rank(linalg.gram(s), 1e-9).rank == 2
 
 
 class TestApplySuperposer:
@@ -188,13 +188,13 @@ class TestApplySuperposer:
 class TestCertifyIndependence:
     def test_generic_outputs_independent(self):
         outputs, _ = pipeline.apply_superposer_to_set(balanced_cfg(), balanced_params())
-        cert = pipeline.certify_independence(outputs)
+        cert = pipeline.certify_independence(linalg.factorize(outputs))
         assert cert.independent and cert.gram_rank.rank == 3
         assert cert.coefficients is None
 
     def test_constructed_dependence_coefficients(self):
         s = StateSet.from_vectors([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
-        cert = pipeline.certify_independence(s)
+        cert = pipeline.certify_independence(linalg.factorize(s))
         assert not cert.independent
         assert cert.residual_norm <= 1e-8
         # coefficients proportional to (1, 1, -sqrt(2)), max modulus 1
@@ -209,7 +209,7 @@ class TestCertifyIndependence:
         phases = pipeline.PhaseTriple(0.0, math.pi / 2.0, theta31)
         outputs, used = pipeline.apply_superposer_to_set(balanced_cfg(), p, phases)
         assert used == phases
-        cert = pipeline.certify_independence(outputs)
+        cert = pipeline.certify_independence(linalg.factorize(outputs))
         assert not cert.independent
         assert cert.residual_norm <= 1e-8
 
@@ -221,7 +221,7 @@ class TestCertifyIndependence:
             s = StateSet.from_vectors([v[:, 0], v[:, 1], v @ c])
             a = s.amplitude_matrix()
             sigma = np.linalg.svd(a, compute_uv=False)
-            cert = pipeline.certify_independence(s)
+            cert = pipeline.certify_independence(linalg.factorize(s))
             np.testing.assert_allclose(cert.gram_rank.singular_values, sigma, atol=1e-12)
             assert not cert.independent and cert.gram_rank.rank == 2
             assert np.max(np.abs(cert.coefficients)) == pytest.approx(1.0, abs=1e-12)
@@ -232,13 +232,14 @@ class TestCertifyIndependence:
         outputs, _ = pipeline.apply_superposer_to_set(balanced_cfg(), balanced_params())
         sigma = np.linalg.svd(outputs.amplitude_matrix(), compute_uv=False)
         for tol in (1e-9, 0.05, 0.3, 0.6):
-            cert = pipeline.certify_independence(outputs, tol)
+            cert = pipeline.certify_independence(linalg.factorize(outputs, tol))
             assert cert.gram_rank.rank == np.sum(sigma > tol * sigma[0])
             assert cert.independent == (cert.gram_rank.rank == 3)
 
     def test_wrong_set_size_rejected(self):
         with pytest.raises(WrongSetSize):
-            pipeline.certify_independence(StateSet.from_vectors([[1, 0], [0, 1]]))
+            pipeline.certify_independence(
+                linalg.factorize(StateSet.from_vectors([[1, 0], [0, 1]])))
 
 
 class TestDegeneracyLocus:
@@ -450,6 +451,24 @@ class TestForbiddenTaskDemo:
         assert report.clone_successes == 3000
         assert report.clone_fidelity_min == pytest.approx(overlaps.min(), abs=1e-12)
         assert report.clone_fidelity_min < 0.99
+
+    def test_outputs_are_factored_once(self, monkeypatch, rng):
+        # the certificate, the reciprocal basis and the USD span and scale
+        # all read one SVD record of the outputs
+        calls = {"svd": 0, "qr": 0}
+
+        def counted(name):
+            fn = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        pipeline.forbidden_task_demo(balanced_params(), balanced_cfg(), 1000, rng)
+        assert calls == {"svd": 1, "qr": 0}
 
     def test_on_locus_policy_refused(self, rng):
         # constant policies give theta21 = 0, never on the locus; pin the
