@@ -47,7 +47,6 @@ from .superposer import (
     OverlapScaledSuccess,
     SuperposerConfig,
     given_frame_phase,
-    superpose_deterministic,
     superpose_many,
     unit_pair,
 )

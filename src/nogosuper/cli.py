@@ -26,7 +26,8 @@ import numpy as np
 
 from . import linalg, pipeline
 from .discrimination import build_usd, povm_elements, simulate_usd, success_probabilities
-from .errors import DependentOutputs, InvalidParams, NogoError
+from .errors import (DependentOutputs, DimensionMismatch, EmptySet, InvalidParams, NogoError,
+                     NullVector)
 from .states import StateSet
 from .superposer import (
     AlwaysSucceed,
@@ -302,7 +303,13 @@ def cmd_usd(args, seed: int) -> dict:
         raise InvalidParams(
             "states file must be a JSON list of states, each a list of [re, im] pairs"
         ) from exc
-    states = StateSet.from_vectors(vectors)
+    try:
+        states = StateSet.from_vectors(vectors)
+    except (EmptySet, DimensionMismatch, NullVector) as exc:  # a NaN stays numerical
+        raise InvalidParams(f"states file: {exc}") from exc
+    if max(states.dim, len(states)) > pipeline.MAX_DIM:
+        raise InvalidParams(f"states file: n = {len(states)}, dim = {states.dim}; "
+                            f"both must be at most {pipeline.MAX_DIM}")
     if not 0 <= args.truth_index < len(states):
         raise InvalidParams(f"--truth-index out of range 0..{len(states) - 1}")
 

@@ -1,4 +1,4 @@
-"""Unambiguous state discrimination (USD): the POVM, its Born rows and
+"""Unambiguous state discrimination (USD): the POVM, its Born table and
 sampled outcome counts.
 
 A USD measurement never misidentifies a hypothesis state: each conclusive
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidParams, NogoError
-from .states import PureState
+from .states import PureState, StateSet
 
 BORN_SUM_TOL = 1e-9
 MAX_TRIALS = 2**63 - 1  # numpy's samplers count in int64
@@ -36,7 +36,7 @@ class USDMeasurement:
     element is the rest of the span projector, E_0 = Q Q^H - sum_j E_j.
     `povm_elements` builds the d x d matrices."""
 
-    hypotheses: np.ndarray  # dim x n, the hypothesis states as columns
+    hypotheses: np.ndarray  # n x dim, the hypothesis states as rows
     reciprocal: np.ndarray  # n x dim, unit reciprocal vectors r_j as rows
     span: np.ndarray  # dim x n, orthonormal basis Q of the hypothesis span
     scale: float
@@ -57,7 +57,8 @@ def build_usd(f: linalg.Factorization) -> USDMeasurement:
     """
     recip = linalg.reciprocal_basis(f)  # raises LinearlyDependentInput
     scale = 1.0 / float(np.linalg.eigvalsh(recip @ recip.conj().T)[-1])
-    return USDMeasurement(hypotheses=f.amplitudes, reciprocal=recip,
+    # the hypotheses as C-order rows, as `_born_table` takes its truths
+    return USDMeasurement(hypotheses=f.amplitudes.T.copy(), reciprocal=recip,
                           span=f.u[:, :len(recip)], scale=scale)
 
 
@@ -68,41 +69,37 @@ def povm_elements(m: USDMeasurement) -> tuple[list[np.ndarray], np.ndarray]:
     return elements, 0.5 * (inconclusive + inconclusive.conj().T)
 
 
-def _conclusive_probability(m: USDMeasurement, r: np.ndarray, x: np.ndarray) -> float:
-    """Tr(E_j rho) = scale |<r_j|x>|^2, a product of non-negative factors,
-    so round-off cannot make it negative; capped at 1, which orthonormal sets
-    overshoot by about 1e-15."""
-    return min(m.scale * abs(complex(np.vdot(r, x))) ** 2, 1.0)
-
-
 def success_probabilities(m: USDMeasurement) -> list[float]:
-    """Tr(E_j rho_j) for each hypothesis j, on contiguous copies of the
-    columns: `born_distribution` gets the same bits from a member's vector."""
-    rows = np.ascontiguousarray(m.hypotheses.T)
-    return [_conclusive_probability(m, r, x) for r, x in zip(m.reciprocal, rows)]
+    """Tr(E_j rho_j) for each hypothesis j: the diagonal of their Born table."""
+    return np.diag(_born_table(m, m.hypotheses)).tolist()
 
 
-def born_distribution(m: USDMeasurement, truth: PureState) -> np.ndarray:
-    """Outcome probabilities [E_1, ..., E_n, E_0] for the given true state.
+def born_distribution(m: USDMeasurement, truths: StateSet) -> np.ndarray:
+    """The Born table, (k, n + 1): row i holds the probabilities of
+    [E_1, ..., E_n, E_0] for the true state truths[i]."""
+    if truths.dim != m.dim:
+        raise DimensionMismatch(f"state dimension {truths.dim} != measurement {m.dim}")
+    return _born_table(m, np.array([s.amplitudes for s in truths.members]))
 
-    Conclusive entries come from the reciprocal overlaps, so a hypothesis'
-    own entry equals its `success_probabilities` entry; the inconclusive
-    entry is the rest, 1 - sum. That rest equals <truth|E_0|truth> only for
-    a truth in the hypothesis span, so a truth whose span weight
-    ||Q^H truth||^2 is off 1 by more than BORN_SUM_TOL is refused.
+
+def _born_table(m: USDMeasurement, x: np.ndarray) -> np.ndarray:
+    """Born table of the truths in the rows of x (k x dim).
+
+    Conclusive entries are scale |<r_j|x_i>|^2, products of non-negative
+    factors, capped at 1, which orthonormal sets overshoot by about 1e-15.
+    With x in C order, `vecdot` takes each overlap as one dot product of two
+    unit-stride rows, so an entry does not depend on the other rows: a
+    hypothesis' own entry has the same bits in every table. The inconclusive
+    entry 1 - sum is <x|E_0|x> only for x in the span, so a truth whose span
+    weight ||Q^H x||^2 is off 1 by more than BORN_SUM_TOL is refused.
     """
-    if truth.dim != m.dim:
-        raise DimensionMismatch(f"state dimension {truth.dim} != measurement {m.dim}")
-    amps = truth.amplitudes
-    weight = float(np.linalg.norm(m.span.conj().T @ amps)) ** 2
-    if abs(1.0 - weight) > BORN_SUM_TOL:
-        raise NogoError(
-            f"the truth has weight {1.0 - weight!r} outside the hypothesis span"
-        )
-    probs = [_conclusive_probability(m, r, amps) for r in m.reciprocal]
-    rest = 1.0 - sum(probs)
-    probs.append(max(rest, 0.0))  # round-off takes 1 - sum to -1e-15; numpy wants >= 0
-    return np.array(probs)
+    off = 1.0 - np.linalg.norm(x @ m.span.conj(), axis=1) ** 2
+    worst = int(np.argmax(np.abs(off)))
+    if abs(off[worst]) > BORN_SUM_TOL:
+        raise NogoError(f"truth {worst} has weight {float(off[worst])} outside the span")
+    conclusive = np.minimum(m.scale * np.abs(np.vecdot(m.reciprocal, x[:, None])) ** 2, 1.0)
+    # round-off takes 1 - sum to -1e-15; numpy's sampler wants >= 0
+    return np.column_stack([conclusive, np.maximum(1.0 - conclusive.sum(axis=1), 0.0)])
 
 
 def simulate_usd(
@@ -111,7 +108,7 @@ def simulate_usd(
     trials: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Label counts of `trials` Born outcomes, one multinomial draw: n + 1
-    entries, the last one inconclusive."""
+    """Label counts of `trials` Born outcomes, one multinomial draw over the
+    one-row table of `truth`: n + 1 entries, the last one inconclusive."""
     check_trials(trials, 1)
-    return rng.multinomial(trials, born_distribution(m, truth))
+    return rng.multinomial(trials, born_distribution(m, StateSet([truth]))[0])

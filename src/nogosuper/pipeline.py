@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .discrimination import born_distribution, build_usd, check_trials, success_probabilities
+from .discrimination import born_distribution, build_usd, check_trials
 from .errors import DependentOutputs, InvalidParams, WrongSetSize
 from .states import PureState, StateSet, basis_state, normalize
 from .superposer import (
@@ -29,6 +29,7 @@ from .superposer import (
 ORTHOGONALITY_TOL = 1e-10
 SCAN_RANK_TOL = 1e-6
 MAX_DIM = 16
+MIN_GRID_STEP = math.pi / 720.0  # 0.25 degrees: 1440^2 points, about 300 MB
 LOCUS_FAMILY = "theta21 in {pi/2, 3*pi/2} with a = cos(theta31), b = +/- sin(theta31)"
 
 
@@ -138,9 +139,9 @@ def apply_superposer_to_set(
 
     The phases act on the given representatives psi_j and phi. With
     `phases=None` the phase policy picks each theta_j on canonical forms and
-    it is moved into that frame, so the outputs equal the oracle's
-    `superpose_deterministic(cfg, psi_j, phi)` and feeding the returned
-    phases back reproduces them.
+    it is moved into that frame (`given_frame_phase`), so each output is the
+    superposition of the canonical forms up to a global phase and feeding
+    the returned phases back reproduces the outputs.
     """
     inputs = build_counterexample(p)
     if phases is None:
@@ -203,8 +204,8 @@ def scan_degeneracy_numeric(
     values. Output j depends on theta_j alone, so `superpose_many` forms each
     column once per grid phase and the grid's C are broadcast from them.
     """
-    if not 0.0 < grid_step <= 0.1:
-        raise InvalidParams(f"grid_step must lie in (0, 0.1], got {grid_step}")
+    if not MIN_GRID_STEP <= grid_step <= 0.1:
+        raise InvalidParams(f"grid_step must lie in [{MIN_GRID_STEP}, 0.1], got {grid_step}")
     alpha, beta = unit_pair(alpha, beta, "alpha", "beta")
     n = int(math.floor((TWO_PI - 1e-12) / grid_step)) + 1
     thetas = grid_step * np.arange(n)
@@ -325,12 +326,12 @@ def forbidden_task_demo(
             "the phases produce linearly dependent outputs; USD and cloning "
             "stay impossible for this configuration"
         )
-    m = build_usd(factored)
-    usd_probs = success_probabilities(m)
+    # row i is output i's Born row; its diagonal is the USD success probabilities
+    dists = born_distribution(build_usd(factored), outputs)
+    usd_probs = np.diag(dists)
     oracle_probs = np.array(
         [cfg.success_policy.probability(s, p.phi) for s in inputs.members]
     )
-    dists = np.stack([born_distribution(m, out) for out in outputs.members])
 
     secret_counts = rng.multinomial(trials, [1.0 / 3.0] * 3)
     live = rng.binomial(secret_counts, oracle_probs)
@@ -349,6 +350,6 @@ def forbidden_task_demo(
         misidentifications=int(identified.sum() - np.trace(identified)),
         clone_successes=int(identified.sum()),
         clone_fidelity_min=float(fidelities[identified > 0].min(initial=1.0)),
-        predicted_usd_probabilities=usd_probs,
-        predicted_conclusive_rate=float(np.mean(oracle_probs * np.array(usd_probs))),
+        predicted_usd_probabilities=usd_probs.tolist(),
+        predicted_conclusive_rate=float(np.mean(oracle_probs * usd_probs)),
     )

@@ -30,7 +30,7 @@ class PureState:
         _require_finite(self.amplitudes)
         norm = np.linalg.norm(self.amplitudes)
         if abs(norm - 1.0) > NORM_TOL:
-            raise NullVector(f"amplitudes are not unit norm (norm = {norm!r})")
+            raise NullVector(f"amplitudes are not unit norm (norm = {float(norm)!r})")
 
     @property
     def dim(self) -> int:
@@ -57,7 +57,7 @@ def normalize(v: Sequence[complex] | np.ndarray) -> PureState:
     _require_finite(v)  # before dividing: inf / inf would warn and give NaN
     norm = np.linalg.norm(v)
     if norm <= NULL_THRESHOLD:
-        raise NullVector(f"vector norm {norm!r} is below {NULL_THRESHOLD}")
+        raise NullVector(f"vector norm {float(norm)!r} is below {NULL_THRESHOLD}")
     return PureState(v / norm)
 
 

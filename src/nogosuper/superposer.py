@@ -4,7 +4,8 @@ Given weights (alpha, beta), the oracle maps two pure states to the normalized
 state alpha|psi> + beta e^{i theta}|phi>, where theta comes from a pluggable
 phase policy and success is drawn from a pluggable success-probability policy.
 Phase policies consume canonical forms only, so they structurally cannot peek
-at unphysical global phases or at any particular basis representation.
+at unphysical global phases. They can still see the basis: the canonical
+pivot is the first non-negligible amplitude in the given basis.
 
 Every superposition in the package is formed by `superpose_many`, with phases
 in the frame of the given representatives psi and phi. A policy's phase is
@@ -109,7 +110,7 @@ def unit_pair(x: complex, y: complex, x_name: str, y_name: str) -> tuple[complex
         raise InvalidParams(f"{x_name} and {y_name} must both be nonzero")
     total = abs(x) ** 2 + abs(y) ** 2
     if not abs(total - 1.0) <= UNIT_PAIR_TOL:
-        raise InvalidParams(f"|{x_name}|^2 + |{y_name}|^2 must equal 1, got {total!r}")
+        raise InvalidParams(f"|{x_name}|^2 + |{y_name}|^2 must equal 1, got {float(total)!r}")
     scale = math.sqrt(total)
     return x / scale, y / scale
 
@@ -190,12 +191,3 @@ def superpose_many(
     out /= norms[..., None, :]
     return out
 
-
-def superpose_deterministic(
-    cfg: SuperposerConfig, psi: PureState, phi: PureState
-) -> PureState:
-    """normalize(alpha * psi + beta * e^{i theta} * phi) with theta the
-    policy's phase in the frame of psi and phi."""
-    theta = given_frame_phase(cfg.phase_policy, psi, phi)
-    out = superpose_many(cfg.alpha, cfg.beta, psi.amplitudes[:, None], phi.amplitudes, [theta])
-    return PureState(out[:, 0])

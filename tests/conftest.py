@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nogosuper.states import PureState, StateSet
+from nogosuper.superposer import SuperposerConfig, given_frame_phase, superpose_many
 
 
 def random_pure_state(rng: np.random.Generator, dim: int) -> PureState:
@@ -18,6 +19,15 @@ def random_orthonormal(rng: np.random.Generator, dim: int, k: int) -> list[PureS
     m = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
     q, _ = np.linalg.qr(m)
     return [PureState(q[:, i]) for i in range(k)]
+
+
+def superpose_deterministic(cfg: SuperposerConfig, psi: PureState, phi: PureState) -> PureState:
+    """The single-pair oracle, the reference for the pipeline's batched one:
+    normalize(alpha * psi + beta * e^{i theta} * phi) with theta the policy's
+    phase in the frame of psi and phi."""
+    theta = given_frame_phase(cfg.phase_policy, psi, phi)
+    out = superpose_many(cfg.alpha, cfg.beta, psi.amplitudes[:, None], phi.amplitudes, [theta])
+    return PureState(out[:, 0])
 
 
 def density_matrix(s: PureState) -> np.ndarray:

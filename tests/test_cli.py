@@ -139,12 +139,27 @@ class TestVerify:
     ["verify", "--alpha-arg", "inf"],
     ["verify", "--beta-arg", "nan"],
     ["scan", "--alpha-arg", "nan"],
+    ["scan", "--grid-step", "0.004"],
+    ["scan", "--grid-step", "1e-6"],
+    ["usd", "STATES=[]"],
+    ["usd", "STATES=[[[1, 0]]]"],
+    ["usd", "STATES=[[[0, 0], [0, 0]]]"],
+    ["usd", "STATES=[[[1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]]]"],
+    ["usd", "STATES=" + json.dumps([[[1, 0]] + [[0, 0]] * 16])],
+    ["usd", "STATES=" + json.dumps([[[1, 0], [0, 0]]] * 17)],
 ])
 def test_invalid_parameters_exit_two(capsys, monkeypatch, tmp_path, tmp_path_factory, argv):
+    # STATES stands for a file holding ZERO_PLUS, STATES=<json> for one holding <json>
     monkeypatch.chdir(tmp_path)  # where scan would write its default CSV
-    states = tmp_path_factory.mktemp("usd") / "states.json"
-    states.write_text(json.dumps(ZERO_PLUS))
-    code, _, err = run(capsys, *(str(states) if a == "STATES" else a for a in argv))
+
+    def states_file(arg):
+        if not arg.startswith("STATES"):
+            return arg
+        path = tmp_path_factory.mktemp("usd") / "states.json"
+        path.write_text(arg.partition("=")[2] or json.dumps(ZERO_PLUS))
+        return str(path)
+
+    code, _, err = run(capsys, *map(states_file, argv))
     assert code == 2
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
@@ -333,6 +348,12 @@ class TestUSD:
         code, _, err = run(capsys, "usd", path)
         assert code == 3
         assert "non-finite" in err
+
+    def test_zero_vector_config_error_prints_a_plain_float(self, capsys, tmp_path):
+        path = self.write_states(tmp_path, [[[0, 0], [0, 0]]])
+        code, _, err = run(capsys, "usd", path)
+        assert code == 2
+        assert err == "config error: states file: vector norm 0.0 is below 1e-10\n"
 
     def test_malformed_file_config_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -14,7 +14,7 @@ from nogosuper.discrimination import (
     simulate_usd,
     success_probabilities,
 )
-from nogosuper.errors import InvalidParams, LinearlyDependentInput, NogoError
+from nogosuper.errors import DimensionMismatch, InvalidParams, LinearlyDependentInput, NogoError
 from nogosuper.states import StateSet, basis_state, normalize
 
 from nogosuper.superposer import AlwaysSucceed, ConstantPhase, SuperposerConfig
@@ -193,7 +193,7 @@ class TestSimulateUSD:
         s = random_independent_set(rng, 4, 3)
         m = build_usd(linalg.factorize(s))
         for member in s.members:
-            assert born_distribution(m, member).sum() == pytest.approx(1.0)
+            assert born_distribution(m, StateSet([member]))[0].sum() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("trials", [0, -1, MAX_TRIALS + 1])
     def test_trials_out_of_bounds_rejected(self, trials, rng):
@@ -207,7 +207,7 @@ class TestSimulateUSD:
         s = StateSet.from_vectors(ZERO_PLUS)
         m = build_usd(linalg.factorize(s))
         truth = normalize(s.members[0].amplitudes + s.members[1].amplitudes)
-        row = born_distribution(m, truth)
+        row = born_distribution(m, StateSet([truth]))[0]
         assert row[0] > 0.0 and row[1] > 0.0
         assert row.sum() == pytest.approx(1.0)
         counts = simulate_usd(m, truth, 10_000, rng)
@@ -225,7 +225,7 @@ class TestBornDistribution:
         m = build_usd(linalg.factorize(outputs, 1e-13))
         probs = success_probabilities(m)
         for j, out in enumerate(outputs.members):
-            row = born_distribution(m, out)
+            row = born_distribution(m, StateSet([out]))[0]
             assert row[j] == probs[j]
             assert min(row) >= 0.0
 
@@ -237,7 +237,7 @@ class TestBornDistribution:
                 s = StateSet(random_orthonormal(rng, dim, size))
                 m = build_usd(linalg.factorize(s))
                 for j, member in enumerate(s.members):
-                    row = born_distribution(m, member)
+                    row = born_distribution(m, StateSet([member]))[0]
                     assert 0.0 <= row.min() and row.max() <= 1.0
                     assert simulate_usd(m, member, 100, rng)[j] == 100
 
@@ -249,14 +249,14 @@ class TestBornDistribution:
             m = build_usd(linalg.factorize(s))
             total = sum(np.outer(r, r.conj()) for r in m.reciprocal)
             truth = normalize(np.linalg.eigh(total)[1][:, -1])
-            row = born_distribution(m, truth)
+            row = born_distribution(m, StateSet([truth]))[0]
             assert row[-1] == pytest.approx(0.0, abs=1e-12) and row.min() >= 0.0
             assert simulate_usd(m, truth, 100, rng)[-1] == 0
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), data=st.data())
     def test_rows_on_the_svd_span_are_probabilities(self, seed, dim, data):
-        # the span weight ||U[:, :n]^H psi_j||^2 that `born_distribution`
+        # the span weight ||U[:, :n]^H psi_j||^2 that the Born table
         # checks is 1 to round-off for every hypothesis; a complex Gaussian set
         # is dependent at tol 1e-9 with probability about (n * 1e-9)^2
         size = data.draw(st.integers(1, dim))
@@ -266,10 +266,32 @@ class TestBornDistribution:
         m = build_usd(f)
         probs = success_probabilities(m)
         for j, member in enumerate(s.members):
-            row = born_distribution(m, member)
+            row = born_distribution(m, StateSet([member]))[0]
             assert row.min() >= 0.0 and row.max() <= 1.0
             assert abs(row.sum() - 1.0) <= 1e-12
             assert row[j] == probs[j]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), data=st.data())
+    def test_own_entry_does_not_depend_on_the_table(self, seed, dim, data):
+        # a hypothesis' own entry is its success probability bit for bit,
+        # whether its row comes from a one-member table or from the full set
+        size = data.draw(st.integers(1, dim))
+        s = random_state_set(np.random.default_rng(seed), dim, size)
+        m = build_usd(linalg.factorize(s))
+        probs = success_probabilities(m)
+        full = born_distribution(m, s)
+        assert full.shape == (size, size + 1)
+        for j, member in enumerate(s.members):
+            one = born_distribution(m, StateSet([member]))
+            assert one.shape == (1, size + 1)
+            assert one[0, j] == full[j, j] == probs[j]
+            np.testing.assert_array_equal(one[0, :-1], full[j, :-1])
+
+    def test_truth_of_another_dimension_refused(self):
+        m = build_usd(linalg.factorize(StateSet([basis_state(3, 0), basis_state(3, 1)])))
+        with pytest.raises(DimensionMismatch):
+            born_distribution(m, StateSet([basis_state(2, 0)]))
 
     @pytest.mark.parametrize("weight, refused", [(2e-9, True), (5e-10, False)])
     def test_span_weight_decides_refusal(self, weight, refused):
@@ -280,13 +302,21 @@ class TestBornDistribution:
         m = build_usd(linalg.factorize(s))
         if refused:
             with pytest.raises(NogoError):
-                born_distribution(m, truth)
+                born_distribution(m, StateSet([truth]))
         else:
-            assert born_distribution(m, truth) == pytest.approx([1.0, 0.0, 0.0], abs=1e-9)
+            assert born_distribution(m, StateSet([truth]))[0] == pytest.approx(
+                [1.0, 0.0, 0.0], abs=1e-9)
 
     @pytest.mark.parametrize("truth", [[0, 0, 1], [1, 0, 1]])
     def test_truth_outside_the_span_refused(self, truth):
         s = StateSet([basis_state(3, 0), basis_state(3, 1)])
         with pytest.raises(NogoError):
-            born_distribution(build_usd(linalg.factorize(s)), normalize(np.array(truth, dtype=complex)))
+            born_distribution(build_usd(linalg.factorize(s)),
+                              StateSet([normalize(np.array(truth, dtype=complex))]))
+
+    def test_one_truth_outside_the_span_refuses_the_table(self):
+        s = StateSet([basis_state(3, 0), basis_state(3, 1)])
+        with pytest.raises(NogoError, match="truth 1 has weight 1.0 outside"):
+            born_distribution(build_usd(linalg.factorize(s)),
+                              StateSet([basis_state(3, 0), basis_state(3, 2)]))
 

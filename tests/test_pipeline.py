@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nogosuper import linalg, pipeline
+from nogosuper.discrimination import build_usd, success_probabilities
 from nogosuper.errors import DependentOutputs, InvalidParams, WrongSetSize
 from nogosuper.states import StateSet, basis_state
 from nogosuper.superposer import (
@@ -17,10 +18,9 @@ from nogosuper.superposer import (
     ConstantSuccess,
     OverlapArgPhase,
     SuperposerConfig,
-    superpose_deterministic,
 )
 
-from conftest import random_orthonormal
+from conftest import random_orthonormal, superpose_deterministic
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -437,11 +437,18 @@ class TestForbiddenTaskDemo:
         assert np.all(np.abs(z.mean(axis=0)) < 0.3), z.mean(axis=0)
         assert np.all((z.var(axis=0) > 0.6) & (z.var(axis=0) < 1.5)), z.var(axis=0)
 
+    def test_predicted_probabilities_are_the_born_table_diagonal(self, rng):
+        report = pipeline.forbidden_task_demo(balanced_params(), balanced_cfg(), 10, rng)
+        outputs, _ = pipeline.apply_superposer_to_set(balanced_cfg(), balanced_params())
+        m = build_usd(linalg.factorize(outputs))
+        assert report.predicted_usd_probabilities == success_probabilities(m)
+
     def test_clone_fidelity_from_the_prepared_copies(self, monkeypatch):
         # a measurement that sends every secret to label 0: secrets 1 and 2
         # are misidentified and cloned as output 0
         row = np.array([1.0, 0.0, 0.0, 0.0])
-        monkeypatch.setattr(pipeline, "born_distribution", lambda m, truth: row)
+        monkeypatch.setattr(pipeline, "born_distribution",
+                            lambda m, truths: np.tile(row, (len(truths), 1)))
         report = pipeline.forbidden_task_demo(
             balanced_params(), balanced_cfg(), 3000, np.random.default_rng(2))
         outputs, _ = pipeline.apply_superposer_to_set(balanced_cfg(), balanced_params())

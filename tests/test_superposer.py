@@ -16,12 +16,11 @@ from nogosuper.superposer import (
     PhasePolicy,
     SuperposerConfig,
     given_frame_phase,
-    superpose_deterministic,
     superpose_many,
     unit_pair,
 )
 
-from conftest import density_matrix, random_pure_state
+from conftest import density_matrix, random_pure_state, superpose_deterministic
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
