@@ -1,0 +1,142 @@
+"""Rewrite the golden-report fixture, `reports.json`, from the current tree.
+
+Each case is one `nogo` command line with `--deterministic` and an explicit
+`--seed`, run in process through `nogosuper.cli.main` in an empty directory.
+Its states file and scan CSV have relative names, so the paths in `config`
+and `result` do not depend on where it runs. The fixture stores each case's
+argv and input files with what it produced: the exit code, the parsed JSON
+report and, for a scan, the CSV's row count and a fixed sample of its rows.
+`tests/test_golden.py` replays the stored cases against that record.
+
+A change that moves report floats on purpose reruns this script and says so,
+with the diff summary it prints. Run from the repository root:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from nogosuper.cli import main
+
+FIXTURE = Path(__file__).with_name("reports.json")
+CSV_SAMPLE_STEP = 97  # every 97th data row, and the last one
+
+_LOCUS = ["--a", "0.6", "--b", "0.8", "--theta2", repr(math.pi / 2),
+          "--theta3", repr(math.atan2(0.8, 0.6))]
+_PIPELINE = ["--a", "-0.6", "--b", "0.8", "--alpha-mod", "0.8", "--alpha-arg", "0.3",
+             "--beta-mod", "0.6", "--beta-arg", "-1.1"]
+
+
+def _random_states(seed: int, n: int, dim: int) -> list:
+    """n generic complex states in C^dim as [re, im] pairs, not normalized."""
+    z = np.random.default_rng(seed).standard_normal((n, dim, 2))
+    return z.tolist()
+
+
+def _cases() -> dict[str, dict]:
+    """name -> {"argv": [...], "files": {relative name: contents}}."""
+    cases = {}
+    for policy in ("constant", "overlap_arg", "canonical_hash"):
+        cases[f"verify-d3-{policy}"] = ["verify", *_PIPELINE, "--phase-policy", policy,
+                                        "--theta0", "0.4"]
+    cases["verify-d16-canonical_hash"] = ["verify", *_PIPELINE, "--dim", "16",
+                                          "--phase-policy", "canonical_hash"]
+    cases["verify-locus"] = ["verify", *_LOCUS]
+    for dim, phase in (("3", "constant"), ("4", "canonical_hash")):
+        for success in ("always", "constant", "overlap_scaled"):
+            cases[f"demo-d{dim}-{success}"] = [
+                "demo", *_PIPELINE, "--dim", dim, "--phase-policy", phase, "--theta0", "1.3",
+                "--success-policy", success, "--success-p", "0.7", "--trials", "5000"]
+    cases["demo-locus"] = ["demo", *_LOCUS, "--trials", "1000"]
+    cases["scan-step-0.1"] = ["scan", *_PIPELINE, "--grid-step", "0.1", "--csv", "grid.csv"]
+    cases = {name: {"argv": argv, "files": {}} for name, argv in cases.items()}
+
+    sq2 = 1.0 / math.sqrt(2.0)
+    cases["usd-zero-plus"] = {
+        "argv": ["usd", "states.json", "--truth-index", "1", "--trials", "5000"],
+        "files": {"states.json": json.dumps([[[1, 0], [0, 0]], [[sq2, 0], [sq2, 0]]])}}
+    cases["usd-n4-d6"] = {
+        "argv": ["usd", "states.json", "--truth-index", "2", "--trials", "5000"],
+        "files": {"states.json": json.dumps(_random_states(6, 4, 6))}}
+    for case in cases.values():
+        case["argv"] += ["--seed", "7", "--deterministic"]
+    return cases
+
+
+def run_case(case: dict, workdir: str | Path) -> dict:
+    """Run one case in `workdir`, which should be empty, and return its
+    record: exit code, report (None when none was written) and, when the
+    case writes a CSV, its row count and sampled rows."""
+    workdir = Path(workdir)
+    for name, text in case["files"].items():
+        (workdir / name).write_text(text)
+    here = os.getcwd()
+    os.chdir(workdir)
+    try:
+        code = main([*case["argv"], "--output", "report.json"])
+    finally:
+        os.chdir(here)
+    report = workdir / "report.json"
+    record = {"exit_code": code,
+              "report": json.loads(report.read_text()) if report.exists() else None}
+    csv = workdir / "grid.csv"
+    if csv.exists():
+        lines = csv.read_text().splitlines()
+        rows = lines[1::CSV_SAMPLE_STEP] + lines[-1:]
+        record["csv"] = {"header": lines[0], "row_count": len(lines) - 1, "sample": rows}
+    return record
+
+
+def regenerate() -> dict:
+    golden = {}
+    for name, case in _cases().items():
+        with tempfile.TemporaryDirectory() as workdir:
+            golden[name] = {**case, **run_case(case, workdir)}
+    return golden
+
+
+def _split(x, path="", floats=None):
+    """(x with every float replaced by None, {path: float})."""
+    floats = {} if floats is None else floats
+    if isinstance(x, dict):
+        return {k: _split(v, f"{path}/{k}", floats)[0] for k, v in x.items()}, floats
+    if isinstance(x, list):
+        return [_split(v, f"{path}/{i}", floats)[0] for i, v in enumerate(x)], floats
+    if isinstance(x, float):
+        floats[path] = x
+        return None, floats
+    return x, floats
+
+
+def _summary(old: dict, new: dict) -> str:
+    """Which cases changed, and the largest float move in each."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) == new.get(name):
+            continue
+        if name not in old or name not in new:
+            lines.append(f"{name}: {'added' if name in new else 'removed'}")
+            continue
+        (rest_old, before), (rest_new, after) = _split(old[name]), _split(new[name])
+        moves = [abs(after[k] - before[k]) for k in before.keys() & after.keys()
+                 if after[k] != before[k]]
+        lines.append(f"{name}: {len(moves)} floats moved, largest "
+                     f"{max(moves, default=0.0):.3g}; everything else "
+                     f"{'equal' if rest_old == rest_new else 'DIFFERS'}")
+    return "\n".join(lines) or "no change"
+
+
+if __name__ == "__main__":
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    new = regenerate()
+    FIXTURE.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    print(_summary(old, new))
+    print(f"wrote {FIXTURE} ({FIXTURE.stat().st_size} bytes)")
