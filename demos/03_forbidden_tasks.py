@@ -24,7 +24,7 @@ m = build_usd(linalg.factorize(pair))
 probs = success_probabilities(m)
 print(f"Per-state conclusive probability: {probs[0]:.6f} "
       f"(theory: 1 - 1/sqrt(2) = {1 - SQ2:.6f})")
-counts = simulate_usd(m, pair.members[0], 100_000, np.random.default_rng(1))
+counts = simulate_usd(m, pair[0], 100_000, np.random.default_rng(1))
 print(f"100k trials with truth |0>: counts {counts.tolist()} "
       f"(label order: |0>, |+>, inconclusive)")
 print(f"Misidentifications: {counts[1]}\n")

@@ -11,7 +11,6 @@ from .linalg import (
     Factorization,
     RankResult,
     factorize,
-    gram,
     numerical_rank,
     reciprocal_basis,
 )

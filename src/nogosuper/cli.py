@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg, pipeline
 from .discrimination import build_usd, povm_elements, simulate_usd, success_probabilities
 from .errors import (DependentOutputs, DimensionMismatch, EmptySet, InvalidParams, NogoError,
-                     NullVector)
+                     NonFiniteEntry, NullVector)
 from .states import StateSet
 from .superposer import (
     AlwaysSucceed,
@@ -232,7 +232,7 @@ def cmd_verify(args, seed: int) -> dict:
         "output_rank": cert.gram_rank.rank,
         "phases": _phases_json(phases),
         "certificate": _certificate_json(cert),
-        "output_states": [_complex_json(s.amplitudes) for s in outputs.members],
+        "output_states": [_complex_json(row) for row in outputs.rows],
     }
 
 
@@ -305,7 +305,7 @@ def cmd_usd(args, seed: int) -> dict:
         ) from exc
     try:
         states = StateSet.from_vectors(vectors)
-    except (EmptySet, DimensionMismatch, NullVector) as exc:  # a NaN stays numerical
+    except (EmptySet, DimensionMismatch, NonFiniteEntry, NullVector) as exc:
         raise InvalidParams(f"states file: {exc}") from exc
     if max(states.dim, len(states)) > pipeline.MAX_DIM:
         raise InvalidParams(f"states file: n = {len(states)}, dim = {states.dim}; "
@@ -316,7 +316,7 @@ def cmd_usd(args, seed: int) -> dict:
     m = build_usd(linalg.factorize(states))
     probs = success_probabilities(m)
     rng = np.random.default_rng(seed)
-    counts = simulate_usd(m, states.members[args.truth_index], args.trials, rng).tolist()
+    counts = simulate_usd(m, states[args.truth_index], args.trials, rng).tolist()
     elements, inconclusive = povm_elements(m)
     return {
         "n_states": len(states),

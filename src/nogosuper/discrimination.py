@@ -57,8 +57,8 @@ def build_usd(f: linalg.Factorization) -> USDMeasurement:
     """
     recip = linalg.reciprocal_basis(f)  # raises LinearlyDependentInput
     scale = 1.0 / float(np.linalg.eigvalsh(recip @ recip.conj().T)[-1])
-    # the hypotheses as C-order rows, as `_born_table` takes its truths
-    return USDMeasurement(hypotheses=f.amplitudes.T.copy(), reciprocal=recip,
+    # A is the view StateSet.rows.T, so A.T is the set's own C-order rows
+    return USDMeasurement(hypotheses=f.amplitudes.T, reciprocal=recip,
                           span=f.u[:, :len(recip)], scale=scale)
 
 
@@ -77,9 +77,7 @@ def success_probabilities(m: USDMeasurement) -> list[float]:
 def born_distribution(m: USDMeasurement, truths: StateSet) -> np.ndarray:
     """The Born table, (k, n + 1): row i holds the probabilities of
     [E_1, ..., E_n, E_0] for the true state truths[i]."""
-    if truths.dim != m.dim:
-        raise DimensionMismatch(f"state dimension {truths.dim} != measurement {m.dim}")
-    return _born_table(m, np.array([s.amplitudes for s in truths.members]))
+    return _born_table(m, truths.rows)
 
 
 def _born_table(m: USDMeasurement, x: np.ndarray) -> np.ndarray:
@@ -93,6 +91,8 @@ def _born_table(m: USDMeasurement, x: np.ndarray) -> np.ndarray:
     entry 1 - sum is <x|E_0|x> only for x in the span, so a truth whose span
     weight ||Q^H x||^2 is off 1 by more than BORN_SUM_TOL is refused.
     """
+    if x.shape[1] != m.dim:
+        raise DimensionMismatch(f"state dimension {x.shape[1]} != measurement {m.dim}")
     off = 1.0 - np.linalg.norm(x @ m.span.conj(), axis=1) ** 2
     worst = int(np.argmax(np.abs(off)))
     if abs(off[worst]) > BORN_SUM_TOL:
@@ -111,4 +111,4 @@ def simulate_usd(
     """Label counts of `trials` Born outcomes, one multinomial draw over the
     one-row table of `truth`: n + 1 entries, the last one inconclusive."""
     check_trials(trials, 1)
-    return rng.multinomial(trials, born_distribution(m, StateSet([truth]))[0])
+    return rng.multinomial(trials, _born_table(m, truth.amplitudes[None])[0])

@@ -33,9 +33,5 @@ class InvalidParams(NogoError):
     pass
 
 
-class WrongSetSize(NogoError):
-    pass
-
-
 class DependentOutputs(NogoError):
     """The chosen phases landed on the degeneracy locus; the demo is impossible there."""

@@ -46,13 +46,6 @@ def numerical_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RankResult:
     return RankResult.of(np.linalg.svd(m, compute_uv=False), tol)
 
 
-def gram(states) -> np.ndarray:
-    """Gram matrix G[i, j] = <state_i | state_j> of a StateSet."""
-    a = states.amplitude_matrix()
-    g = a.conj().T @ a
-    return 0.5 * (g + g.conj().T)
-
-
 @dataclass(frozen=True)
 class Factorization:
     """A state set's amplitude matrix A (dim x n) with its full SVD

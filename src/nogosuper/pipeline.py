@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .discrimination import born_distribution, build_usd, check_trials
-from .errors import DependentOutputs, InvalidParams, WrongSetSize
+from .errors import DependentOutputs, InvalidParams
 from .states import PureState, StateSet, basis_state, normalize
 from .superposer import (
     TWO_PI,
@@ -45,14 +45,11 @@ class CounterexampleParams:
 
     def __post_init__(self):
         self.a, self.b = unit_pair(self.a, self.b, "a", "b")
-        dims = {self.psi.dim, self.psi_perp.dim, self.phi.dim}
-        if len(dims) != 1:
-            raise InvalidParams(f"states have mixed dimensions {sorted(dims)}")
+        rows = StateSet([self.psi.amplitudes, self.psi_perp.amplitudes, self.phi.amplitudes]).rows
         if self.dim < 3:
             raise InvalidParams(f"dimension must be >= 3, got {self.dim}")
-        for x, y in ((self.psi, self.psi_perp), (self.psi, self.phi), (self.psi_perp, self.phi)):
-            if abs(x.inner(y)) > ORTHOGONALITY_TOL:
-                raise InvalidParams("psi, psi_perp, phi must be pairwise orthogonal")
+        if np.abs(rows.conj() @ rows.T - np.eye(3)).max() > ORTHOGONALITY_TOL:
+            raise InvalidParams("psi, psi_perp, phi must be pairwise orthogonal")
 
     @property
     def dim(self) -> int:
@@ -93,7 +90,7 @@ class PhaseTriple:
 
 @dataclass
 class DependenceCertificate:
-    """Either a rank-3 certificate of independence or explicit coefficients
+    """Either a full-rank certificate of independence or explicit coefficients
     witnessing a vanishing linear combination. `gram_rank` is decided on the
     amplitude singular values, so its rank is also the Gram rank."""
 
@@ -129,7 +126,7 @@ class ScanResult:
 
 def build_counterexample(p: CounterexampleParams) -> StateSet:
     psi3 = normalize(p.a * p.psi.amplitudes + p.b * p.psi_perp.amplitudes)
-    return StateSet([p.psi, p.psi_perp, psi3])
+    return StateSet([p.psi.amplitudes, p.psi_perp.amplitudes, psi3.amplitudes])
 
 
 def apply_superposer_to_set(
@@ -146,25 +143,25 @@ def apply_superposer_to_set(
     inputs = build_counterexample(p)
     if phases is None:
         phases = PhaseTriple(*(given_frame_phase(cfg.phase_policy, s, p.phi)
-                               for s in inputs.members))
+                               for s in inputs))
     thetas = [phases.theta1, phases.theta2, phases.theta3]
     out = superpose_many(cfg.alpha, cfg.beta, inputs.amplitude_matrix(),
                          p.phi.amplitudes, thetas)
-    return StateSet([PureState(col) for col in out.T]), phases
+    return StateSet(out.T), phases
 
 
 def certify_independence(f: linalg.Factorization) -> DependenceCertificate:
-    """Rank-certify a factored 3-state set; on dependence, the last right
-    singular vector is the vanishing combination, its residual verified."""
-    if f.amplitudes.shape[1] != 3:
-        raise WrongSetSize(f"expected exactly 3 states, got {f.amplitudes.shape[1]}")
-    independent = f.rank.rank == 3
+    """Rank-certify a factored set of n states, any n; below rank n (always
+    when n > dim), the last right singular vector is the vanishing
+    combination, its residual verified."""
+    independent = f.rank.rank == f.vh.shape[0]
     x = f.vh[-1].conj()  # right singular vector of the smallest sigma
     coeffs = None if independent else _normalize_coefficients(x)
+    a = np.ascontiguousarray(f.amplitudes)  # BLAS rounds A x on the view rows.T otherwise
     return DependenceCertificate(
         independent=independent,
         coefficients=coeffs,
-        residual_norm=float(np.linalg.norm(f.amplitudes @ (x if independent else coeffs))),
+        residual_norm=float(np.linalg.norm(a @ (x if independent else coeffs))),
         gram_rank=f.rank,
     )
 
@@ -329,9 +326,7 @@ def forbidden_task_demo(
     # row i is output i's Born row; its diagonal is the USD success probabilities
     dists = born_distribution(build_usd(factored), outputs)
     usd_probs = np.diag(dists)
-    oracle_probs = np.array(
-        [cfg.success_policy.probability(s, p.phi) for s in inputs.members]
-    )
+    oracle_probs = np.array([cfg.success_policy.probability(s, p.phi) for s in inputs])
 
     secret_counts = rng.multinomial(trials, [1.0 / 3.0] * 3)
     live = rng.binomial(secret_counts, oracle_probs)
@@ -339,7 +334,7 @@ def forbidden_task_demo(
     outcomes = rng.multinomial(live, dists)
     identified = outcomes[:, :3]
     # a clone is the identified output itself, prepared twice
-    fidelities = np.abs(linalg.gram(outputs)) ** 2  # [i, j] = |<Psi_i|Psi_j>|^2
+    fidelities = np.abs(outputs.rows.conj() @ outputs.rows.T) ** 2  # [i, j] = |<Psi_i|Psi_j>|^2
     return DemoReport(
         trials=trials,
         phases=phases,

@@ -21,16 +21,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.ndim != 1 or self.amplitudes.size < 2:
-            raise DimensionMismatch(
-                f"a pure state needs a 1-d amplitude vector of length >= 2, "
-                f"got shape {self.amplitudes.shape}"
-            )
-        _require_finite(self.amplitudes)
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NullVector(f"amplitudes are not unit norm (norm = {float(norm)!r})")
+        self.amplitudes = _check_rows(np.asarray(self.amplitudes, dtype=complex)[None])[0]
 
     @property
     def dim(self) -> int:
@@ -62,8 +53,29 @@ def normalize(v: Sequence[complex] | np.ndarray) -> PureState:
 
 
 def _require_finite(v: np.ndarray) -> None:
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteEntry("amplitudes contain non-finite (NaN or infinite) entries")
+
+
+def _check_rows(rows) -> np.ndarray:
+    """The one pure-state check, run on every row at once: `rows` must form
+    a nonempty (n, dim) array, dim >= 2, finite, each row of unit norm within
+    NORM_TOL. Returns the rows as a C-order complex array."""
+    try:
+        rows = np.asarray(rows, dtype=complex, order="C")
+    except ValueError as exc:  # a ragged list
+        raise DimensionMismatch(f"states do not form one (n, dim) array: {exc}") from exc
+    if rows.shape[:1] == (0,):
+        raise EmptySet("a state set must contain at least one state")
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        raise DimensionMismatch(f"a pure state needs a 1-d amplitude vector of length >= 2, "
+                                f"got shape {rows.shape[1:]}")
+    _require_finite(rows)
+    off = np.abs(np.sqrt(np.vecdot(rows, rows).real) - 1.0)
+    worst = int(off.argmax())
+    if off[worst] > NORM_TOL:
+        raise NullVector(f"state {worst} is not unit norm (norm off 1 by {float(off[worst])!r})")
+    return rows
 
 
 def canonicalize(s: PureState) -> CanonicalForm:
@@ -84,32 +96,31 @@ def canonicalize(s: PureState) -> CanonicalForm:
 
 @dataclass
 class StateSet:
-    """Ordered, nonempty collection of pure states sharing one dimension."""
+    """Nonempty set of pure states of one dimension: the C-order rows of an
+    (n, dim) complex array, validated once by the pure-state check."""
 
-    members: list[PureState]
+    rows: np.ndarray
 
     def __post_init__(self):
-        self.members = list(self.members)
-        if not self.members:
-            raise EmptySet("a state set must contain at least one state")
-        dims = {s.dim for s in self.members}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"states have mixed dimensions {sorted(dims)}")
+        self.rows = _check_rows(self.rows)
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence[complex]]) -> "StateSet":
-        return cls([normalize(v) for v in vectors])
+        return cls([normalize(v).amplitudes for v in vectors])
 
     @property
     def dim(self) -> int:
-        return self.members[0].dim
+        return self.rows.shape[1]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.rows.shape[0]
+
+    def __getitem__(self, i: int) -> PureState:
+        return PureState(self.rows[i])
 
     def amplitude_matrix(self) -> np.ndarray:
-        """dim x n matrix whose columns are the member amplitudes."""
-        return np.column_stack([s.amplitudes for s in self.members])
+        """dim x n view whose columns are the states."""
+        return self.rows.T
 
 
 def basis_state(dim: int, index: int) -> PureState:

@@ -11,7 +11,7 @@ def random_pure_state(rng: np.random.Generator, dim: int) -> PureState:
 
 
 def random_state_set(rng: np.random.Generator, dim: int, size: int) -> StateSet:
-    return StateSet([random_pure_state(rng, dim) for _ in range(size)])
+    return StateSet([random_pure_state(rng, dim).amplitudes for _ in range(size)])
 
 
 def random_orthonormal(rng: np.random.Generator, dim: int, k: int) -> list[PureState]:
@@ -28,6 +28,13 @@ def superpose_deterministic(cfg: SuperposerConfig, psi: PureState, phi: PureStat
     theta = given_frame_phase(cfg.phase_policy, psi, phi)
     out = superpose_many(cfg.alpha, cfg.beta, psi.amplitudes[:, None], phi.amplitudes, [theta])
     return PureState(out[:, 0])
+
+
+def gram(states: StateSet) -> np.ndarray:
+    """Hermitian Gram matrix G[i, j] = <state_i | state_j> of a StateSet."""
+    a = states.amplitude_matrix()
+    g = a.conj().T @ a
+    return 0.5 * (g + g.conj().T)
 
 
 def density_matrix(s: PureState) -> np.ndarray:

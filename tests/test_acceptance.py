@@ -20,7 +20,7 @@ from nogosuper.superposer import (
     SuperposerConfig,
 )
 
-from conftest import random_orthonormal, random_pure_state
+from conftest import gram, random_orthonormal, random_pure_state
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -47,11 +47,11 @@ def test_criterion_1_counterexample_verification():
     for _ in range(100):
         p = random_params(rng)
         inputs = pipeline.build_counterexample(p)
-        assert linalg.numerical_rank(linalg.gram(inputs), 1e-9).rank == 2
+        assert linalg.numerical_rank(gram(inputs), 1e-9).rank == 2
         for policy in policies:
             cfg = SuperposerConfig(SQ2, SQ2, policy, AlwaysSucceed())
             outputs, _ = pipeline.apply_superposer_to_set(cfg, p)
-            assert linalg.numerical_rank(linalg.gram(outputs), 1e-9).rank == 3
+            assert linalg.numerical_rank(gram(outputs), 1e-9).rank == 3
     elapsed = time.monotonic() - start
     report(1, elapsed < 5.0,
            f"(100 params x 3 policies: rank 2 -> 3; {elapsed:.2f}s)")
@@ -112,7 +112,7 @@ def test_criterion_4_usd_correctness():
     prob_ok = all(abs(p - expected) <= 1e-9 for p in probs)
 
     trials = 100_000
-    counts = simulate_usd(m, s.members[0], trials, np.random.default_rng(4))
+    counts = simulate_usd(m, s[0], trials, np.random.default_rng(4))
     misid = int(counts[1])
     rate = counts[0] / trials
     sigma3 = 3.0 * math.sqrt(expected * (1 - expected) / trials)
@@ -162,7 +162,7 @@ def test_criterion_6_oracle_equivalence():
             if norm > 1e-6:
                 from nogosuper.states import PureState
                 members[-1] = PureState(combo / norm)
-        s = StateSet(members)
+        s = StateSet([m.amplitudes for m in members])
         sigma = np.linalg.svd(s.amplitude_matrix(), compute_uv=False)
         oracle_rank = int(np.sum(sigma > 1e-9 * sigma[0]))
         got = linalg.factorize(s, 1e-9).rank.rank == len(s)

@@ -147,6 +147,8 @@ class TestVerify:
     ["usd", "STATES=[[[1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]]]"],
     ["usd", "STATES=" + json.dumps([[[1, 0]] + [[0, 0]] * 16])],
     ["usd", "STATES=" + json.dumps([[[1, 0], [0, 0]]] * 17)],
+    ["usd", "STATES=[[[NaN, 0], [0, 0]], [[1, 0], [1, 0]]]"],
+    ["usd", "STATES=[[[1, 0], [0, 0]], [[0, 0], [0, Infinity]]]"],
 ])
 def test_invalid_parameters_exit_two(capsys, monkeypatch, tmp_path, tmp_path_factory, argv):
     # STATES stands for a file holding ZERO_PLUS, STATES=<json> for one holding <json>
@@ -343,10 +345,10 @@ class TestUSD:
         code, _, _ = run(capsys, "usd", path)
         assert code == 3
 
-    def test_non_finite_amplitude_numerical_error(self, capsys, tmp_path):
+    def test_non_finite_amplitude_config_error(self, capsys, tmp_path):
         path = self.write_states(tmp_path, [[[float("nan"), 0], [0, 0]], [[SQ2, 0], [SQ2, 0]]])
         code, _, err = run(capsys, "usd", path)
-        assert code == 3
+        assert code == 2
         assert "non-finite" in err
 
     def test_zero_vector_config_error_prints_a_plain_float(self, capsys, tmp_path):

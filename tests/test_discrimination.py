@@ -15,11 +15,11 @@ from nogosuper.discrimination import (
     success_probabilities,
 )
 from nogosuper.errors import DimensionMismatch, InvalidParams, LinearlyDependentInput, NogoError
-from nogosuper.states import StateSet, basis_state, normalize
+from nogosuper.states import StateSet, normalize
 
 from nogosuper.superposer import AlwaysSucceed, ConstantPhase, SuperposerConfig
 
-from conftest import random_orthonormal, random_state_set
+from conftest import gram, random_orthonormal, random_state_set
 
 SQ2 = 1.0 / math.sqrt(2.0)
 ZERO_PLUS = [[1, 0], [1, 1]]  # {|0>, |+>}
@@ -29,7 +29,7 @@ P_ZERO_PLUS = 1.0 - SQ2  # optimal symmetric two-state USD success probability
 def random_independent_set(rng, dim, size):
     while True:
         s = random_state_set(rng, dim, size)
-        if linalg.numerical_rank(linalg.gram(s), 1e-9).rank == size:
+        if linalg.numerical_rank(gram(s), 1e-9).rank == size:
             return s
 
 
@@ -48,14 +48,14 @@ def dense_usd_reference(hypotheses):
     span, _ = np.linalg.qr(a)
     inconclusive = span @ span.conj().T - sum(elements)
     inconclusive = 0.5 * (inconclusive + inconclusive.conj().T)
-    probs = [min(scale * abs(complex(np.vdot(r, psi.amplitudes))) ** 2, 1.0)
-             for r, psi in zip(recip, hypotheses.members)]
+    probs = [min(scale * abs(complex(np.vdot(r, psi))) ** 2, 1.0)
+             for r, psi in zip(recip, hypotheses.rows)]
     return elements, inconclusive, probs
 
 
 class TestBuildUSD:
     def test_orthonormal_pair_is_projective(self):
-        s = StateSet([basis_state(2, 0), basis_state(2, 1)])
+        s = StateSet(np.eye(2))
         m = build_usd(linalg.factorize(s))
         elements, inconclusive = povm_elements(m)
         np.testing.assert_allclose(elements[0], [[1, 0], [0, 0]], atol=1e-10)
@@ -89,9 +89,9 @@ class TestBuildUSD:
         assert np.all(probs > 0.0)
         np.testing.assert_allclose(probs * inv_diag, probs[2] * inv_diag[2], rtol=1e-6)
         for k, e in enumerate(povm_elements(m)[0]):
-            for j, psi in enumerate(s.members):
+            for j, psi in enumerate(s.rows):
                 if j != k:
-                    assert abs(np.vdot(psi.amplitudes, e @ psi.amplitudes)) <= 1e-20
+                    assert abs(np.vdot(psi, e @ psi)) <= 1e-20
 
     def test_rank_tolerance_reaches_the_reciprocal_basis(self):
         # sigma ratio 5e-7: independent at tol 1e-9, dependent at tol 1e-6
@@ -118,8 +118,8 @@ class TestBuildUSD:
                 assert np.linalg.eigvalsh(e)[0] >= -1e-10
             # unambiguity: element k never fires on hypothesis j != k
             for k, e in enumerate(elements):
-                for j, psi in enumerate(s.members):
-                    p = np.real(np.vdot(psi.amplitudes, e @ psi.amplitudes))
+                for j, psi in enumerate(s.rows):
+                    p = np.real(np.vdot(psi, e @ psi))
                     if j != k:
                         assert p <= 1e-9
 
@@ -132,7 +132,7 @@ class TestBuildUSD:
             assert min(success_probabilities(m)) > 0.0
 
     def test_three_orthogonal_states_all_certain(self):
-        s = StateSet([basis_state(3, i) for i in range(3)])
+        s = StateSet(np.eye(3))
         m = build_usd(linalg.factorize(s))
         assert success_probabilities(m) == pytest.approx([1, 1, 1], abs=1e-10)
 
@@ -156,16 +156,16 @@ class TestBuildUSD:
 
 class TestSimulateUSD:
     def test_orthonormal_truth_always_identified(self):
-        s = StateSet([basis_state(2, 0), basis_state(2, 1)])
+        s = StateSet(np.eye(2))
         m = build_usd(linalg.factorize(s))
-        counts = simulate_usd(m, s.members[0], 100, np.random.default_rng(0))
+        counts = simulate_usd(m, s[0], 100, np.random.default_rng(0))
         assert counts[0] == 100
 
     def test_zero_plus_statistics(self):
         s = StateSet.from_vectors(ZERO_PLUS)
         m = build_usd(linalg.factorize(s))
         trials = 100_000
-        counts = simulate_usd(m, s.members[0], trials, np.random.default_rng(11))
+        counts = simulate_usd(m, s[0], trials, np.random.default_rng(11))
         assert counts[1] == 0  # never misidentified
         rate = counts[0] / trials
         sigma3 = 3.0 * math.sqrt(P_ZERO_PLUS * (1 - P_ZERO_PLUS) / trials)
@@ -174,7 +174,7 @@ class TestSimulateUSD:
     def test_single_trial_counts_sum(self, rng):
         s = StateSet.from_vectors(ZERO_PLUS)
         m = build_usd(linalg.factorize(s))
-        counts = simulate_usd(m, s.members[1], 1, rng)
+        counts = simulate_usd(m, s[1], 1, rng)
         assert counts.sum() == 1
 
     def test_never_misidentifies_across_random_sets(self, rng):
@@ -185,29 +185,29 @@ class TestSimulateUSD:
             s = random_independent_set(rng, dim, size)
             m = build_usd(linalg.factorize(s))
             truth_idx = int(rng.integers(size))
-            counts = simulate_usd(m, s.members[truth_idx], 2000, rng)
+            counts = simulate_usd(m, s[truth_idx], 2000, rng)
             wrong = counts[:size].sum() - counts[truth_idx]
             assert wrong == 0
 
     def test_born_distribution_sums_to_one(self, rng):
         s = random_independent_set(rng, 4, 3)
         m = build_usd(linalg.factorize(s))
-        for member in s.members:
+        for member in s.rows:
             assert born_distribution(m, StateSet([member]))[0].sum() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("trials", [0, -1, MAX_TRIALS + 1])
     def test_trials_out_of_bounds_rejected(self, trials, rng):
         s = StateSet.from_vectors(ZERO_PLUS)
         with pytest.raises(InvalidParams):
-            simulate_usd(build_usd(linalg.factorize(s)), s.members[0], trials, rng)
+            simulate_usd(build_usd(linalg.factorize(s)), s[0], trials, rng)
 
     def test_cross_talk_of_a_truth_in_the_span(self, rng):
         # normalize(|0> + |+>) is in the span but is neither hypothesis, so
         # both conclusive labels have positive probability
         s = StateSet.from_vectors(ZERO_PLUS)
         m = build_usd(linalg.factorize(s))
-        truth = normalize(s.members[0].amplitudes + s.members[1].amplitudes)
-        row = born_distribution(m, StateSet([truth]))[0]
+        truth = normalize(s.rows[0] + s.rows[1])
+        row = born_distribution(m, StateSet([truth.amplitudes]))[0]
         assert row[0] > 0.0 and row[1] > 0.0
         assert row.sum() == pytest.approx(1.0)
         counts = simulate_usd(m, truth, 10_000, rng)
@@ -224,7 +224,7 @@ class TestBornDistribution:
         outputs, _ = pipeline.apply_superposer_to_set(cfg, p, phases)
         m = build_usd(linalg.factorize(outputs, 1e-13))
         probs = success_probabilities(m)
-        for j, out in enumerate(outputs.members):
+        for j, out in enumerate(outputs.rows):
             row = born_distribution(m, StateSet([out]))[0]
             assert row[j] == probs[j]
             assert min(row) >= 0.0
@@ -234,12 +234,12 @@ class TestBornDistribution:
         # of orthonormal sets; the rows must still be multinomial probabilities
         for dim in range(2, 17):
             for size in range(1, dim + 1):
-                s = StateSet(random_orthonormal(rng, dim, size))
+                s = StateSet([q.amplitudes for q in random_orthonormal(rng, dim, size)])
                 m = build_usd(linalg.factorize(s))
-                for j, member in enumerate(s.members):
+                for j, member in enumerate(s.rows):
                     row = born_distribution(m, StateSet([member]))[0]
                     assert 0.0 <= row.min() and row.max() <= 1.0
-                    assert simulate_usd(m, member, 100, rng)[j] == 100
+                    assert simulate_usd(m, s[j], 100, rng)[j] == 100
 
     def test_rows_without_an_inconclusive_outcome_are_probabilities(self, rng):
         # along the top eigenvector of sum_j |r_j><r_j| the conclusive entries
@@ -249,7 +249,7 @@ class TestBornDistribution:
             m = build_usd(linalg.factorize(s))
             total = sum(np.outer(r, r.conj()) for r in m.reciprocal)
             truth = normalize(np.linalg.eigh(total)[1][:, -1])
-            row = born_distribution(m, StateSet([truth]))[0]
+            row = born_distribution(m, StateSet([truth.amplitudes]))[0]
             assert row[-1] == pytest.approx(0.0, abs=1e-12) and row.min() >= 0.0
             assert simulate_usd(m, truth, 100, rng)[-1] == 0
 
@@ -265,7 +265,7 @@ class TestBornDistribution:
         assert f.rank.rank == size
         m = build_usd(f)
         probs = success_probabilities(m)
-        for j, member in enumerate(s.members):
+        for j, member in enumerate(s.rows):
             row = born_distribution(m, StateSet([member]))[0]
             assert row.min() >= 0.0 and row.max() <= 1.0
             assert abs(row.sum() - 1.0) <= 1e-12
@@ -282,41 +282,41 @@ class TestBornDistribution:
         probs = success_probabilities(m)
         full = born_distribution(m, s)
         assert full.shape == (size, size + 1)
-        for j, member in enumerate(s.members):
+        for j, member in enumerate(s.rows):
             one = born_distribution(m, StateSet([member]))
             assert one.shape == (1, size + 1)
             assert one[0, j] == full[j, j] == probs[j]
             np.testing.assert_array_equal(one[0, :-1], full[j, :-1])
 
     def test_truth_of_another_dimension_refused(self):
-        m = build_usd(linalg.factorize(StateSet([basis_state(3, 0), basis_state(3, 1)])))
+        m = build_usd(linalg.factorize(StateSet(np.eye(3)[:2])))
         with pytest.raises(DimensionMismatch):
-            born_distribution(m, StateSet([basis_state(2, 0)]))
+            born_distribution(m, StateSet(np.eye(2)[:1]))
 
     @pytest.mark.parametrize("weight, refused", [(2e-9, True), (5e-10, False)])
     def test_span_weight_decides_refusal(self, weight, refused):
         # out-of-span weight w: truth = sqrt(1 - w) |0> + sqrt(w) |2> against
         # hypotheses spanning {|0>, |1>}, so ||Q^H truth||^2 = 1 - w
-        s = StateSet([basis_state(3, 0), basis_state(3, 1)])
+        s = StateSet(np.eye(3)[:2])
         truth = normalize(np.array([math.sqrt(1.0 - weight), 0.0, math.sqrt(weight)]))
         m = build_usd(linalg.factorize(s))
         if refused:
             with pytest.raises(NogoError):
-                born_distribution(m, StateSet([truth]))
+                born_distribution(m, StateSet([truth.amplitudes]))
         else:
-            assert born_distribution(m, StateSet([truth]))[0] == pytest.approx(
+            assert born_distribution(m, StateSet([truth.amplitudes]))[0] == pytest.approx(
                 [1.0, 0.0, 0.0], abs=1e-9)
 
     @pytest.mark.parametrize("truth", [[0, 0, 1], [1, 0, 1]])
     def test_truth_outside_the_span_refused(self, truth):
-        s = StateSet([basis_state(3, 0), basis_state(3, 1)])
+        s = StateSet(np.eye(3)[:2])
         with pytest.raises(NogoError):
             born_distribution(build_usd(linalg.factorize(s)),
-                              StateSet([normalize(np.array(truth, dtype=complex))]))
+                              StateSet([normalize(np.array(truth, dtype=complex)).amplitudes]))
 
     def test_one_truth_outside_the_span_refuses_the_table(self):
-        s = StateSet([basis_state(3, 0), basis_state(3, 1)])
+        s = StateSet(np.eye(3)[:2])
         with pytest.raises(NogoError, match="truth 1 has weight 1.0 outside"):
             born_distribution(build_usd(linalg.factorize(s)),
-                              StateSet([basis_state(3, 0), basis_state(3, 2)]))
+                              StateSet(np.eye(3)[[0, 2]]))
 

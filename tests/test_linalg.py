@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nogosuper import linalg
 from nogosuper.errors import EmptySet, InvalidParams, LinearlyDependentInput, NonFiniteEntry
-from nogosuper.states import StateSet, basis_state
+from nogosuper.states import StateSet
 
-from conftest import det3_cofactor, random_state_set, svd_rank_oracle
+from conftest import det3_cofactor, gram, random_state_set, svd_rank_oracle
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -25,25 +27,25 @@ def psi_output_set():
 
 class TestGram:
     def test_orthonormal_pair_gives_identity(self):
-        s = StateSet([basis_state(2, 0), basis_state(2, 1)])
-        np.testing.assert_allclose(linalg.gram(s), np.eye(2), atol=1e-15)
+        s = StateSet(np.eye(2))
+        np.testing.assert_allclose(gram(s), np.eye(2), atol=1e-15)
 
     def test_dependent_triple_entries(self):
         s = StateSet.from_vectors([[1, 0], [0, 1], [1, 1]])
-        g = linalg.gram(s)
+        g = gram(s)
         assert g[0, 1] == pytest.approx(0.0, abs=1e-15)
         assert g[0, 2] == pytest.approx(SQ2, abs=1e-12)
         assert g[1, 2] == pytest.approx(SQ2, abs=1e-12)
 
     def test_superposer_output_entries_match_dot_product_oracle(self):
         s = psi_output_set()
-        g = linalg.gram(s)
+        g = gram(s)
         # independent oracle: plain python inner products
         for i in range(3):
             for j in range(3):
                 expect = sum(
                     complex(x).conjugate() * complex(y)
-                    for x, y in zip(s.members[i].amplitudes, s.members[j].amplitudes)
+                    for x, y in zip(s.rows[i], s.rows[j])
                 )
                 assert g[i, j] == pytest.approx(expect, abs=1e-12)
         assert g[0, 1] == pytest.approx(0.5, abs=1e-12)
@@ -53,14 +55,14 @@ class TestGram:
     def test_diagonal_is_one_and_hermitian(self, rng):
         for _ in range(20):
             s = random_state_set(rng, int(rng.integers(2, 7)), int(rng.integers(1, 7)))
-            g = linalg.gram(s)
+            g = gram(s)
             np.testing.assert_array_equal(g, g.conj().T)
             np.testing.assert_allclose(np.diag(g), np.ones(len(s)), atol=1e-12)
 
     def test_gram_is_positive_semidefinite(self, rng):
         for _ in range(50):
             s = random_state_set(rng, int(rng.integers(2, 7)), int(rng.integers(1, 7)))
-            min_eig = np.linalg.eigvalsh(linalg.gram(s))[0]
+            min_eig = np.linalg.eigvalsh(gram(s))[0]
             assert min_eig >= -1e-10
 
 
@@ -72,10 +74,10 @@ class TestNumericalRank:
 
     def test_constructed_dependence_rank_two(self):
         s = StateSet.from_vectors([[1, 0], [0, 1], [1, 1]])
-        assert linalg.numerical_rank(linalg.gram(s), 1e-9).rank == 2
+        assert linalg.numerical_rank(gram(s), 1e-9).rank == 2
 
     def test_superposer_outputs_rank_three_and_determinant(self):
-        g = linalg.gram(psi_output_set())
+        g = gram(psi_output_set())
         assert linalg.numerical_rank(g, 1e-9).rank == 3
         det = det3_cofactor(g)
         assert det.real == pytest.approx(0.0214, abs=5e-4)
@@ -93,17 +95,24 @@ class TestNumericalRank:
         for _ in range(100):
             s = random_state_set(rng, int(rng.integers(2, 7)), int(rng.integers(1, 7)))
             a = s.amplitude_matrix()
-            assert linalg.numerical_rank(linalg.gram(s), 1e-9).rank == svd_rank_oracle(a)
+            assert linalg.numerical_rank(gram(s), 1e-9).rank == svd_rank_oracle(a)
 
     def test_unit_phase_scaling_leaves_rank_unchanged(self, rng):
         for _ in range(20):
             s = random_state_set(rng, 4, 3)
-            base = linalg.numerical_rank(linalg.gram(s), 1e-9).rank
-            phased = StateSet([
-                type(m)(np.exp(1j * rng.uniform(0, 2 * np.pi)) * m.amplitudes)
-                for m in s.members
-            ])
-            assert linalg.numerical_rank(linalg.gram(phased), 1e-9).rank == base
+            base = linalg.numerical_rank(gram(s), 1e-9).rank
+            phased = StateSet([np.exp(1j * rng.uniform(0, 2 * np.pi)) * row for row in s.rows])
+            assert linalg.numerical_rank(gram(phased), 1e-9).rank == base
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), data=st.data())
+    def test_rank_does_not_increase_as_tol_grows(self, seed, dim, data):
+        size = data.draw(st.integers(1, dim))
+        s = random_state_set(np.random.default_rng(seed), dim, size)
+        # log-uniform tolerances, so the large ones cut into the spectrum
+        exponents = data.draw(st.lists(st.floats(-15.0, -1e-3), min_size=2, max_size=6))
+        ranks = [linalg.factorize(s, 10.0**e).rank.rank for e in sorted(exponents)]
+        assert ranks == sorted(ranks, reverse=True)
 
     def test_hermitian_singular_values_match_eigvalsh_up_to_dim_16(self, rng):
         for _ in range(20):
@@ -131,7 +140,7 @@ class TestNumericalRank:
 
 class TestReciprocalBasis:
     def test_orthonormal_pair_is_self_reciprocal(self):
-        s = StateSet([basis_state(2, 0), basis_state(2, 1)])
+        s = StateSet(np.eye(2))
         r = linalg.reciprocal_basis(linalg.factorize(s))
         np.testing.assert_allclose(r[0], [1, 0], atol=1e-12)
         np.testing.assert_allclose(r[1], [0, 1], atol=1e-12)
@@ -165,7 +174,7 @@ class TestReciprocalBasis:
 
     def test_singular_gram_rejected(self):
         # Gram matrix [[1, 1], [1, 1]]: the same state twice
-        s = StateSet([basis_state(2, 0), basis_state(2, 0)])
+        s = StateSet([[1, 0], [1, 0]])
         with pytest.raises(LinearlyDependentInput):
             linalg.reciprocal_basis(linalg.factorize(s))
 
@@ -175,12 +184,12 @@ class TestReciprocalBasis:
             dim = int(rng.integers(2, 7))
             size = int(rng.integers(2, dim + 1))
             s = random_state_set(rng, dim, size)
-            if linalg.numerical_rank(linalg.gram(s), 1e-9).rank < size:
+            if linalg.numerical_rank(gram(s), 1e-9).rank < size:
                 continue
             r = linalg.reciprocal_basis(linalg.factorize(s))
             for i, tilde in enumerate(r):
-                for j, psi in enumerate(s.members):
-                    overlap = np.vdot(tilde, psi.amplitudes)
+                for j, psi in enumerate(s.rows):
+                    overlap = np.vdot(tilde, psi)
                     if i == j:
                         assert overlap.real > 0 and abs(overlap.imag) < 1e-9
                     else:

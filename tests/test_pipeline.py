@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nogosuper import linalg, pipeline
 from nogosuper.discrimination import build_usd, success_probabilities
-from nogosuper.errors import DependentOutputs, InvalidParams, WrongSetSize
+from nogosuper.errors import DependentOutputs, InvalidParams
 from nogosuper.states import StateSet, basis_state
 from nogosuper.superposer import (
     AlwaysSucceed,
@@ -20,7 +20,7 @@ from nogosuper.superposer import (
     SuperposerConfig,
 )
 
-from conftest import random_orthonormal, superpose_deterministic
+from conftest import gram, random_orthonormal, random_state_set, superpose_deterministic
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -86,9 +86,9 @@ def near_locus_certificate(angle, branch, delta, tol=linalg.DEFAULT_RANK_TOL):
 class TestCounterexample:
     def test_balanced_triple(self):
         s = pipeline.build_counterexample(balanced_params())
-        np.testing.assert_allclose(s.members[2].amplitudes, [SQ2, SQ2, 0], atol=1e-12)
+        np.testing.assert_allclose(s.rows[2], [SQ2, SQ2, 0], atol=1e-12)
         from nogosuper.linalg import numerical_rank
-        assert numerical_rank(linalg.gram(s), 1e-9).rank == 2
+        assert numerical_rank(gram(s), 1e-9).rank == 2
 
     def test_zero_coefficient_rejected(self):
         with pytest.raises(InvalidParams):
@@ -126,7 +126,7 @@ class TestCounterexample:
                 a=math.cos(angle), b=math.sin(angle), psi=psi, psi_perp=perp, phi=phi
             )
             s = pipeline.build_counterexample(p)
-            assert numerical_rank(linalg.gram(s), 1e-9).rank == 2
+            assert numerical_rank(gram(s), 1e-9).rank == 2
 
 
 class TestApplySuperposer:
@@ -134,7 +134,7 @@ class TestApplySuperposer:
         outputs, phases = pipeline.apply_superposer_to_set(balanced_cfg(), balanced_params())
         # hand expansion: Psi_3 = (a/sqrt2, b/sqrt2, 1/sqrt2) with a = b = 1/sqrt2
         np.testing.assert_allclose(
-            outputs.members[2].amplitudes, [0.5, 0.5, SQ2], atol=1e-12
+            outputs.rows[2], [0.5, 0.5, SQ2], atol=1e-12
         )
         assert phases.theta1 == phases.theta2 == phases.theta3 == 0.0
 
@@ -143,7 +143,7 @@ class TestApplySuperposer:
             cfg = balanced_cfg(policy)
             p = balanced_params(dim=4)
             outputs, _ = pipeline.apply_superposer_to_set(cfg, p)
-            for out in outputs.members:
+            for out in outputs:
                 assert abs(p.phi.inner(out)) == pytest.approx(abs(cfg.beta), abs=1e-12)
 
     def test_hash_policy_is_reproducible(self):
@@ -151,7 +151,7 @@ class TestApplySuperposer:
         a, pa = pipeline.apply_superposer_to_set(cfg, balanced_params())
         b, pb = pipeline.apply_superposer_to_set(cfg, balanced_params())
         assert pa == pb
-        for x, y in zip(a.members, b.members):
+        for x, y in zip(a, b):
             np.testing.assert_array_equal(x.amplitudes, y.amplitudes)
 
 
@@ -171,7 +171,7 @@ class TestApplySuperposer:
                 cfg = SuperposerConfig(alpha, math.sin(0.4), policy, AlwaysSucceed())
                 outputs, _ = pipeline.apply_superposer_to_set(cfg, p)
                 inputs = pipeline.build_counterexample(p)
-                for s, out in zip(inputs.members, outputs.members):
+                for s, out in zip(inputs, outputs):
                     oracle = superpose_deterministic(cfg, s, p.phi)
                     assert abs(oracle.inner(out)) ** 2 >= 1 - 1e-12
 
@@ -180,7 +180,7 @@ class TestApplySuperposer:
         phases = pipeline.PhaseTriple(0.3, 1.1, 2.5)
         outputs, _ = pipeline.apply_superposer_to_set(balanced_cfg(), p, phases)
         inputs = pipeline.build_counterexample(p)
-        for s, out, theta in zip(inputs.members, outputs.members, (0.3, 1.1, 2.5)):
+        for s, out, theta in zip(inputs, outputs, (0.3, 1.1, 2.5)):
             expected = SQ2 * s.amplitudes + SQ2 * np.exp(1j * theta) * p.phi.amplitudes
             np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
 
@@ -236,10 +236,20 @@ class TestCertifyIndependence:
             assert cert.gram_rank.rank == np.sum(sigma > tol * sigma[0])
             assert cert.independent == (cert.gram_rank.rank == 3)
 
-    def test_wrong_set_size_rejected(self):
-        with pytest.raises(WrongSetSize):
-            pipeline.certify_independence(
-                linalg.factorize(StateSet.from_vectors([[1, 0], [0, 1]])))
+    def test_independent_pair_certified(self):
+        cert = pipeline.certify_independence(
+            linalg.factorize(StateSet.from_vectors([[1, 0], [1, 1]])))
+        assert cert.independent and cert.gram_rank.rank == 2
+        assert cert.coefficients is None
+
+    def test_dependent_four_states_in_three_dimensions(self, rng):
+        # n > dim: the rank is at most 3 < 4, and vh[-1] spans part of the
+        # null space of the 3 x 4 amplitude matrix
+        s = random_state_set(rng, 3, 4)
+        cert = pipeline.certify_independence(linalg.factorize(s))
+        assert not cert.independent and cert.gram_rank.rank == 3
+        assert np.max(np.abs(cert.coefficients)) == pytest.approx(1.0, abs=1e-12)
+        assert cert.residual_norm <= 1e-12
 
 
 class TestDegeneracyLocus:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nogosuper import linalg
-from nogosuper.errors import DimensionMismatch, EmptySet, NonFiniteEntry, NullVector
+from nogosuper.errors import DimensionMismatch, EmptySet, NogoError, NonFiniteEntry, NullVector
 from nogosuper.states import (
     PureState,
     StateSet,
@@ -111,11 +111,44 @@ def test_state_set_validation():
     with pytest.raises(EmptySet):
         StateSet([])
     with pytest.raises(DimensionMismatch):
-        StateSet([basis_state(2, 0), basis_state(3, 0)])
+        StateSet([basis_state(2, 0).amplitudes, basis_state(3, 0).amplitudes])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), size=st.integers(1, 16),
+       bad=st.integers(0, 255), defect=st.sampled_from([None, "zero", "scale", "nan"]))
+def test_set_check_matches_the_state_check(seed, dim, size, bad, defect):
+    # StateSet(rows) raises exactly when some row fails PureState(row), with
+    # the same exception class, and only a valid set is built
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((size, dim)) + 1j * rng.standard_normal((size, dim))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    row, col = bad % size, bad // size % dim
+    if defect == "zero":
+        rows[row] = 0.0
+    elif defect == "scale":
+        rows[row] *= 1.0 + 1e-11
+    elif defect == "nan":
+        rows[row, col] = np.nan
+
+    def raised(make, x):
+        try:
+            make(x)
+        except NogoError as exc:
+            return type(exc)
+        return None
+
+    per_row = {raised(PureState, r) for r in rows} - {None}
+    assert len(per_row) <= 1
+    assert raised(StateSet, rows) == (per_row.pop() if per_row else None)
+    if defect is None:
+        s = StateSet(rows)
+        assert s.rows.flags.c_contiguous
+        assert np.shares_memory(s.amplitude_matrix(), s.rows)
 
 
 def test_independence_of_orthonormal_pair():
-    assert independent(StateSet([basis_state(2, 0), basis_state(2, 1)]))
+    assert independent(StateSet(np.eye(2)))
 
 
 def test_dependent_counterexample_inputs():
@@ -142,13 +175,10 @@ def test_independence_invariant_under_phases_and_permutation(rng):
     for _ in range(20):
         dim = int(rng.integers(2, 7))
         size = int(rng.integers(2, dim + 2))
-        s = StateSet([random_pure_state(rng, dim) for _ in range(size)])
+        s = StateSet([random_pure_state(rng, dim).amplitudes for _ in range(size)])
         base = independent(s)
-        phased = StateSet([
-            PureState(np.exp(1j * rng.uniform(0, 2 * np.pi)) * m.amplitudes)
-            for m in s.members
-        ])
+        phased = StateSet([np.exp(1j * rng.uniform(0, 2 * np.pi)) * row for row in s.rows])
         assert independent(phased) == base
         perm = list(rng.permutation(size))
-        shuffled = StateSet([s.members[i] for i in perm])
+        shuffled = StateSet(s.rows[perm])
         assert independent(shuffled) == base
