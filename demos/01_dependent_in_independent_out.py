@@ -17,7 +17,7 @@ from nogosuper.superposer import AlwaysSucceed, ConstantPhase, SuperposerConfig
 SQ2 = 1.0 / math.sqrt(2.0)
 
 params = pipeline.standard_params(a=SQ2, b=SQ2, dim=3)
-inputs = pipeline.build_counterexample(params)
+inputs = params.inputs
 
 print("Input triple (columns):")
 print(np.round(inputs.amplitude_matrix(), 4))

@@ -22,7 +22,6 @@ from .pipeline import (
     PhaseTriple,
     ScanResult,
     apply_superposer_to_set,
-    build_counterexample,
     certify_independence,
     forbidden_task_demo,
     scan_degeneracy_numeric,

@@ -16,11 +16,14 @@ error, 3 numerical or I/O error, 4 on-locus demo refusal.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -77,11 +80,57 @@ def _certificate_json(c: pipeline.DependenceCertificate) -> dict:
     }
 
 
+def _finite_floats(values) -> bool:
+    """Every value is a finite float of type exactly `float`; checked in C."""
+    return set(map(type, values)) == {float} and all(map(math.isfinite, values))
+
+
+def _json_text(x, level: int = 0) -> str:
+    """`json.dumps(x, indent=2, sort_keys=True)`, byte for byte, for trees of
+    str-keyed dicts, lists, tuples, str, int, float, bool and None; TypeError
+    for any other value. json encodes item by item in Python when it indents;
+    here a list of finite floats is one join of `float.__repr__`, and a list
+    of finite [re, im] pairs is one `%r` template applied to their floats."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):  # np.float64 too, as json spells it
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+    if not isinstance(x, (dict, list, tuple)):
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    if not x:
+        return "{}" if isinstance(x, dict) else "[]"
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    sep = "," + inner
+    if isinstance(x, dict):
+        items = sep.join([f"{encode_basestring_ascii(k)}: {_json_text(v, level + 1)}"
+                          for k, v in sorted(x.items())])
+        return f"{{{inner}{items}{outer}}}"
+    if _finite_floats(x):
+        items = sep.join(map(float.__repr__, x))
+    elif (set(map(type, x)) == {list} and set(map(len, x)) == {2}
+          and _finite_floats(flat := tuple(itertools.chain.from_iterable(x)))):
+        pair = f"[{inner}  %r,{inner}  %r{inner}]"
+        items = sep.join([pair] * len(x)) % flat
+    else:
+        items = sep.join([_json_text(v, level + 1) for v in x])
+    return f"[{inner}{items}{outer}]"
+
+
 def _emit_report(config: dict, result: dict, args) -> None:
     report = {"schema": SCHEMA_VERSION, "config": config, "result": result}
     if not args.deterministic:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _json_text(report) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -137,7 +186,9 @@ def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
                    help="rank tolerance for the independence certificate")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `nogo` parser, built on first use and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="nogo",
         description="Superposition no-go pipeline: verify, scan, demo, usd.",
@@ -222,9 +273,7 @@ def cmd_verify(args, seed: int) -> dict:
     params = pipeline.standard_params(args.a, args.b, dim=args.dim)
     outputs, phases = pipeline.apply_superposer_to_set(
         _resolve_config(args, AlwaysSucceed()), params, _explicit_phases(args))
-
-    inputs = pipeline.build_counterexample(params)
-    input_rank = linalg.numerical_rank(inputs.amplitude_matrix(), args.tol)
+    input_rank = linalg.numerical_rank(params.inputs.amplitude_matrix(), args.tol)
     cert = pipeline.certify_independence(linalg.factorize(outputs, args.tol))
     return {
         "input_rank": input_rank.rank,

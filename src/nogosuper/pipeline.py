@@ -10,7 +10,7 @@ forbidden tasks (USD and cloning) on the independent outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,23 +33,31 @@ MIN_GRID_STEP = math.pi / 720.0  # 0.25 degrees: 1440^2 points, about 300 MB
 LOCUS_FAMILY = "theta21 in {pi/2, 3*pi/2} with a = cos(theta31), b = +/- sin(theta31)"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CounterexampleParams:
-    """Ingredients of the dependent input triple in dimension >= 3."""
+    """Ingredients of the dependent input triple in dimension >= 3, and the
+    two sets built from them once: `frame`, the orthonormal (psi, psi_perp,
+    phi), and `inputs`, the triple (psi, psi_perp, a psi + b psi_perp)."""
 
     a: float
     b: float
     psi: PureState
     psi_perp: PureState
     phi: PureState
+    frame: StateSet = field(init=False, repr=False, compare=False)
+    inputs: StateSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.a, self.b = unit_pair(self.a, self.b, "a", "b")
-        rows = StateSet([self.psi.amplitudes, self.psi_perp.amplitudes, self.phi.amplitudes]).rows
+        a, b = unit_pair(self.a, self.b, "a", "b")
+        frame = StateSet([self.psi.amplitudes, self.psi_perp.amplitudes, self.phi.amplitudes])
         if self.dim < 3:
             raise InvalidParams(f"dimension must be >= 3, got {self.dim}")
-        if np.abs(rows.conj() @ rows.T - np.eye(3)).max() > ORTHOGONALITY_TOL:
+        if np.abs(frame.rows.conj() @ frame.rows.T - np.eye(3)).max() > ORTHOGONALITY_TOL:
             raise InvalidParams("psi, psi_perp, phi must be pairwise orthogonal")
+        psi3 = normalize(a * self.psi.amplitudes + b * self.psi_perp.amplitudes)
+        inputs = StateSet([self.psi.amplitudes, self.psi_perp.amplitudes, psi3.amplitudes])
+        for name, value in (("a", a), ("b", b), ("frame", frame), ("inputs", inputs)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -124,11 +132,6 @@ class ScanResult:
                                   for t31, s, r in zip(t31s, sigmas, ranks)]))
 
 
-def build_counterexample(p: CounterexampleParams) -> StateSet:
-    psi3 = normalize(p.a * p.psi.amplitudes + p.b * p.psi_perp.amplitudes)
-    return StateSet([p.psi.amplitudes, p.psi_perp.amplitudes, psi3.amplitudes])
-
-
 def apply_superposer_to_set(
     cfg: SuperposerConfig, p: CounterexampleParams, phases: PhaseTriple | None = None
 ) -> tuple[StateSet, PhaseTriple]:
@@ -140,12 +143,11 @@ def apply_superposer_to_set(
     superposition of the canonical forms up to a global phase and feeding
     the returned phases back reproduces the outputs.
     """
-    inputs = build_counterexample(p)
     if phases is None:
         phases = PhaseTriple(*(given_frame_phase(cfg.phase_policy, s, p.phi)
-                               for s in inputs))
+                               for s in p.inputs))
     thetas = [phases.theta1, phases.theta2, phases.theta3]
-    out = superpose_many(cfg.alpha, cfg.beta, inputs.amplitude_matrix(),
+    out = superpose_many(cfg.alpha, cfg.beta, p.inputs.amplitude_matrix(),
                          p.phi.amplitudes, thetas)
     return StateSet(out.T), phases
 
@@ -207,11 +209,10 @@ def scan_degeneracy_numeric(
     n = int(math.floor((TWO_PI - 1e-12) / grid_step)) + 1
     thetas = grid_step * np.arange(n)
 
-    q, _ = np.linalg.qr(np.column_stack(
-        [p.psi.amplitudes, p.psi_perp.amplitudes, p.phi.amplitudes]))
+    q, _ = np.linalg.qr(p.frame.amplitude_matrix())
     qh = q.conj().T
     # out[k, :, j]: coordinates of output j with theta_j = thetas[k]
-    out = superpose_many(alpha, beta, qh @ build_counterexample(p).amplitude_matrix(),
+    out = superpose_many(alpha, beta, qh @ p.inputs.amplitude_matrix(),
                          qh @ p.phi.amplitudes, np.broadcast_to(thetas[:, None], (n, 3)))
     # C[k, l] has columns output 1 at theta1 = thetas[0] = 0, output 2 at
     # theta21 = thetas[k] and output 3 at theta31 = thetas[l]
@@ -315,7 +316,6 @@ def forbidden_task_demo(
     """
     check_trials(trials, 0)
     outputs, phases = apply_superposer_to_set(cfg, p, phases)
-    inputs = build_counterexample(p)
     factored = linalg.factorize(outputs, tol)
     cert = certify_independence(factored)
     if not cert.independent:
@@ -326,7 +326,7 @@ def forbidden_task_demo(
     # row i is output i's Born row; its diagonal is the USD success probabilities
     dists = born_distribution(build_usd(factored), outputs)
     usd_probs = np.diag(dists)
-    oracle_probs = np.array([cfg.success_policy.probability(s, p.phi) for s in inputs])
+    oracle_probs = np.array([cfg.success_policy.probability(s, p.phi) for s in p.inputs])
 
     secret_counts = rng.multinomial(trials, [1.0 / 3.0] * 3)
     live = rng.binomial(secret_counts, oracle_probs)

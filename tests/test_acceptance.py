@@ -46,7 +46,7 @@ def test_criterion_1_counterexample_verification():
     start = time.monotonic()
     for _ in range(100):
         p = random_params(rng)
-        inputs = pipeline.build_counterexample(p)
+        inputs = p.inputs
         assert linalg.numerical_rank(gram(inputs), 1e-9).rank == 2
         for policy in policies:
             cfg = SuperposerConfig(SQ2, SQ2, policy, AlwaysSucceed())

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nogosuper.cli import main
+from nogosuper.cli import _config_dict, build_parser, main
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SCAN_DROPPED_KEYS = {"phase_policy", "theta0", "theta1", "theta2", "theta3",
@@ -400,3 +400,18 @@ class TestSeedResolution:
             assert code == 0, err
             assert to_file == ""
             assert report.read_bytes() == out.encode()
+
+
+def test_parser_is_built_once_and_leaks_nothing_between_calls(capsys, monkeypatch, tmp_path):
+    # a non-default success policy first, then the defaults it must not leave behind
+    monkeypatch.delenv("NOGO_SEED", raising=False)
+    assert build_parser() is build_parser()
+    report = tmp_path / "report.json"
+    for argv in (["demo", "--success-policy", "constant", "--success-p", "0.7", "--trials", "100"],
+                 ["demo", "--trials", "100"],
+                 ["verify"]):
+        argv = [*argv, "--deterministic", "-o", str(report)]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        fresh = build_parser.__wrapped__().parse_args(argv)
+        assert load_report(report)["config"] == _config_dict(fresh, 42)

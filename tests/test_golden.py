@@ -4,8 +4,9 @@ record in `tests/golden/reports.json`.
 Keys, ints, strings, bools, nulls and exit codes must match exactly; floats
 within rtol=1e-12 plus atol=1e-13, the atol for round-off-level values such
 as a dependent set's residual (about 1e-16). Bytes depend on the numpy and
-BLAS build, so they are not compared. `tests/golden/regenerate.py` rewrites
-the record.
+BLAS build, so they are not compared with the record; each report's text is
+held to `json.dumps(indent=2, sort_keys=True)` of its own parse instead.
+`tests/golden/regenerate.py` rewrites the record.
 """
 
 import json
@@ -46,6 +47,12 @@ def test_report_matches_the_golden_record(name, tmp_path, capsys):
     want = GOLDEN[name]
     got = run_case(want, tmp_path)
     assert got["exit_code"] == want["exit_code"]
+    # the report text is json.dumps' own rendering of what it parses to
+    report = tmp_path / "report.json"
+    assert report.exists() == (want["report"] is not None)
+    if report.exists():
+        text = report.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     assert_matches(got["report"], want["report"], name)
     assert ("csv" in got) == ("csv" in want)
     if "csv" in want:

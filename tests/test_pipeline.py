@@ -45,7 +45,7 @@ def rotated_params(rng, dim, angle):
 def scan_svd_oracle(p, alpha, beta, thetas):
     """Smallest singular value and rank at SCAN_RANK_TOL of the dim x 3 output
     triple of every grid point (theta21, theta31), theta1 = 0, by numpy SVD."""
-    inputs = pipeline.build_counterexample(p).amplitude_matrix()
+    inputs = p.inputs.amplitude_matrix()
     t21, t31 = np.meshgrid(thetas, thetas, indexing="ij")
     phases = np.exp(1j * np.stack([np.zeros_like(t21), t21, t31], axis=-1))
     out = alpha * inputs + beta * p.phi.amplitudes[:, None] * phases[..., None, :]
@@ -85,7 +85,7 @@ def near_locus_certificate(angle, branch, delta, tol=linalg.DEFAULT_RANK_TOL):
 
 class TestCounterexample:
     def test_balanced_triple(self):
-        s = pipeline.build_counterexample(balanced_params())
+        s = balanced_params().inputs
         np.testing.assert_allclose(s.rows[2], [SQ2, SQ2, 0], atol=1e-12)
         from nogosuper.linalg import numerical_rank
         assert numerical_rank(gram(s), 1e-9).rank == 2
@@ -125,7 +125,7 @@ class TestCounterexample:
             p = pipeline.CounterexampleParams(
                 a=math.cos(angle), b=math.sin(angle), psi=psi, psi_perp=perp, phi=phi
             )
-            s = pipeline.build_counterexample(p)
+            s = p.inputs
             assert numerical_rank(gram(s), 1e-9).rank == 2
 
 
@@ -170,7 +170,7 @@ class TestApplySuperposer:
             for policy in policies:
                 cfg = SuperposerConfig(alpha, math.sin(0.4), policy, AlwaysSucceed())
                 outputs, _ = pipeline.apply_superposer_to_set(cfg, p)
-                inputs = pipeline.build_counterexample(p)
+                inputs = p.inputs
                 for s, out in zip(inputs, outputs):
                     oracle = superpose_deterministic(cfg, s, p.phi)
                     assert abs(oracle.inner(out)) ** 2 >= 1 - 1e-12
@@ -179,7 +179,7 @@ class TestApplySuperposer:
         p = balanced_params()
         phases = pipeline.PhaseTriple(0.3, 1.1, 2.5)
         outputs, _ = pipeline.apply_superposer_to_set(balanced_cfg(), p, phases)
-        inputs = pipeline.build_counterexample(p)
+        inputs = p.inputs
         for s, out, theta in zip(inputs, outputs, (0.3, 1.1, 2.5)):
             expected = SQ2 * s.amplitudes + SQ2 * np.exp(1j * theta) * p.phi.amplitudes
             np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)

@@ -1,0 +1,115 @@
+"""The report emitter writes the bytes of `json.dumps(x, indent=2,
+sort_keys=True)`, which stays here as its oracle: on the reports of every
+subcommand, on a synthetic report of json's edge cases, and on random trees."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nogosuper import cli
+
+
+def oracle(x) -> str:
+    return json.dumps(x, indent=2, sort_keys=True)
+
+
+def usd_states(n, dim):
+    z = np.random.default_rng(8).standard_normal((n, dim, 2))
+    return z.tolist()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--dim", "3"],
+    ["verify", "--dim", "16", "--phase-policy", "canonical_hash"],
+    ["demo", "--trials", "1000", "--success-policy", "overlap_scaled"],
+    ["usd", "{states}", "--trials", "1000", "--truth-index", "5"],
+    ["scan", "--grid-step", "0.1", "--csv", "{csv}"],
+])
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_subcommand_reports_match_json_dumps(argv, deterministic, monkeypatch, tmp_path):
+    states = tmp_path / "states.json"
+    states.write_text(json.dumps(usd_states(8, 16)))
+    argv = [a.format(states=states, csv=tmp_path / "grid.csv") for a in argv]
+    emitted = []
+    real = cli._json_text
+
+    def spy(x, level=0):
+        text = real(x, level)
+        if level == 0:
+            emitted.append((x, text))
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    out = tmp_path / "report.json"
+    flags = ["--deterministic"] if deterministic else []
+    assert cli.main([*argv, *flags, "-o", str(out)]) == 0
+    [(report, text)] = emitted
+    assert text == oracle(report)
+    assert out.read_text() == text + "\n"
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]
+
+
+def synthetic_report() -> dict:
+    return {
+        "scalars": {f"f{i}": x for i, x in enumerate(EDGE_FLOATS)},
+        "float_list": EDGE_FLOATS,
+        "finite_floats": [-0.0, 5e-324, 1e308, 0.1, -2.5],
+        "pairs": [[x, -x] for x in EDGE_FLOATS],
+        "finite_pairs": [[-0.0, 5e-324], [1e308, -1e-310]],
+        "nested_pairs": [[[0.5, -0.5], [0.0, 1.0]], [[1.0, 2.0]]],
+        "empty": [[], {}, [[]], [{}], {"a": []}, {"b": {}}],
+        "bool_int_float": [True, 1, 1.0, False, 0, 0.0, None],
+        "np_float64": [np.float64(0.1), np.float64(-0.0), np.float64(math.nan)],
+        "np_pairs": [[np.float64(0.25), np.float64(-1.5)]],
+        "np_scalar": np.float64(1e-300),
+        "mixed": [1.0, 2, 3.0],
+        "int_pairs": [[1, 2], [3, 4]],
+        "short_and_long_pairs": [[1.0], [1.0, 2.0, 3.0]],
+        "tuple_pairs": [(1.0, 2.0), (3.0, 4.0)],
+        "big_int": 10**40,
+        "strings": ["café ψ⟩", "ctl \x00\x1f\x7f\n\t\"\\", "lone \ud800 surrogate",
+                    "astral \U0001f600", ""],
+        "csv_path": "/tmp/été/grid.csv",
+        "é key": 1,
+        "": "empty key",
+    }
+
+
+def test_synthetic_report_matches_json_dumps():
+    report = synthetic_report()
+    assert cli._json_text(report) == oracle(report)
+    for value in report.values():
+        assert cli._json_text(value) == oracle(value)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), np.array([1.0]),
+                                   1 + 2j, {1: 2}, {"a": {1, 2}}, [object()]])
+def test_non_json_values_raise_type_error(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+LEAVES = (st.none() | st.booleans() | st.integers() | FLOATS | FLOATS.map(np.float64)
+          | st.text()
+          | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4)
+          | st.lists(st.lists(FLOATS, min_size=1, max_size=3), max_size=4))
+TREES = st.recursive(
+    LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.tuples(children, children)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES)
+def test_random_trees_match_json_dumps(tree):
+    assert cli._json_text(tree) == oracle(tree)
