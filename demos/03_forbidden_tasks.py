@@ -13,18 +13,18 @@ import numpy as np
 
 from nogosuper import linalg, pipeline
 from nogosuper.discrimination import build_usd, simulate_usd, success_probabilities
-from nogosuper.states import StateSet
+from nogosuper.states import StateSet, normalize
 from nogosuper.superposer import AlwaysSucceed, ConstantPhase, SuperposerConfig
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
 print("=== USD warm-up: {|0>, |+>} ===")
-pair = StateSet.from_vectors([[1, 0], [1, 1]])
+pair = normalize([[1, 0], [1, 1]])
 m = build_usd(linalg.factorize(pair))
 probs = success_probabilities(m)
 print(f"Per-state conclusive probability: {probs[0]:.6f} "
       f"(theory: 1 - 1/sqrt(2) = {1 - SQ2:.6f})")
-counts = simulate_usd(m, pair[0], 100_000, np.random.default_rng(1))
+counts = simulate_usd(m, StateSet(pair.rows[:1]), 100_000, np.random.default_rng(1))[0]
 print(f"100k trials with truth |0>: counts {counts.tolist()} "
       f"(label order: |0>, |+>, inconclusive)")
 print(f"Misidentifications: {counts[1]}\n")

@@ -30,9 +30,7 @@ from .pipeline import (
 )
 from .states import (
     CanonicalForm,
-    PureState,
     StateSet,
-    basis_state,
     canonicalize,
     normalize,
 )

@@ -31,7 +31,7 @@ from . import linalg, pipeline
 from .discrimination import build_usd, povm_elements, simulate_usd, success_probabilities
 from .errors import (DependentOutputs, DimensionMismatch, EmptySet, InvalidParams, NogoError,
                      NonFiniteEntry, NullVector)
-from .states import StateSet
+from .states import StateSet, normalize
 from .superposer import (
     AlwaysSucceed,
     CanonicalHashPhase,
@@ -353,7 +353,7 @@ def cmd_usd(args, seed: int) -> dict:
             "states file must be a JSON list of states, each a list of [re, im] pairs"
         ) from exc
     try:
-        states = StateSet.from_vectors(vectors)
+        states = normalize(vectors)
     except (EmptySet, DimensionMismatch, NonFiniteEntry, NullVector) as exc:
         raise InvalidParams(f"states file: {exc}") from exc
     if max(states.dim, len(states)) > pipeline.MAX_DIM:
@@ -365,7 +365,8 @@ def cmd_usd(args, seed: int) -> dict:
     m = build_usd(linalg.factorize(states))
     probs = success_probabilities(m)
     rng = np.random.default_rng(seed)
-    counts = simulate_usd(m, states[args.truth_index], args.trials, rng).tolist()
+    truth = StateSet(states.rows[args.truth_index:args.truth_index + 1])
+    counts = simulate_usd(m, truth, args.trials, rng)[0].tolist()
     elements, inconclusive = povm_elements(m)
     return {
         "n_states": len(states),

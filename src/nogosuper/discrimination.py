@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidParams, NogoError
-from .states import PureState, StateSet
+from .states import StateSet
 
 BORN_SUM_TOL = 1e-9
 MAX_TRIALS = 2**63 - 1  # numpy's samplers count in int64
@@ -104,11 +104,12 @@ def _born_table(m: USDMeasurement, x: np.ndarray) -> np.ndarray:
 
 def simulate_usd(
     m: USDMeasurement,
-    truth: PureState,
+    truths: StateSet,
     trials: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Label counts of `trials` Born outcomes, one multinomial draw over the
-    one-row table of `truth`: n + 1 entries, the last one inconclusive."""
+    """Label counts of `trials` Born outcomes for each truth, (k, n + 1): one
+    multinomial draw per row of `born_distribution`, the last column
+    inconclusive."""
     check_trials(trials, 1)
-    return rng.multinomial(trials, _born_table(m, truth.amplitudes[None])[0])
+    return rng.multinomial(trials, born_distribution(m, truths))

@@ -36,6 +36,12 @@ class RankResult:
         return cls(rank=rank, singular_values=sigma, tolerance_used=tol)
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a complex (n, d) array, from its real and
+    imaginary views: bit for bit `np.linalg.norm` of each row on its own."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
 def numerical_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RankResult:
     """Rank of any matrix from its singular values (`RankResult.of`)."""
     m = np.asarray(m, dtype=complex)
@@ -79,5 +85,5 @@ def reciprocal_basis(f: Factorization) -> np.ndarray:
         )
     # with A = U S V^H, the columns of A (A^H A)^-1 = U S^-1 V^H are the
     # reciprocal vectors, found without squaring the condition number
-    tilde = (f.u[:, :n] / f.rank.singular_values) @ f.vh
-    return np.array([col / np.linalg.norm(col) for col in tilde.T])
+    tilde = np.ascontiguousarray(((f.u[:, :n] / f.rank.singular_values) @ f.vh).T)
+    return tilde / row_norms(tilde)[:, None]  # C order, as the Born table needs

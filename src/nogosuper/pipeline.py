@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .discrimination import born_distribution, build_usd, check_trials
 from .errors import DependentOutputs, InvalidParams
-from .states import PureState, StateSet, basis_state, normalize
+from .states import StateSet, normalize
 from .superposer import (
     TWO_PI,
     SuperposerConfig,
@@ -35,46 +35,38 @@ LOCUS_FAMILY = "theta21 in {pi/2, 3*pi/2} with a = cos(theta31), b = +/- sin(the
 
 @dataclass(frozen=True)
 class CounterexampleParams:
-    """Ingredients of the dependent input triple in dimension >= 3, and the
+    """Amplitude rows of the dependent input triple in dimension >= 3, and the
     two sets built from them once: `frame`, the orthonormal (psi, psi_perp,
-    phi), and `inputs`, the triple (psi, psi_perp, a psi + b psi_perp)."""
+    phi), which is their one check and then holds them as its rows, and
+    `inputs`, the triple (psi, psi_perp, a psi + b psi_perp)."""
 
     a: float
     b: float
-    psi: PureState
-    psi_perp: PureState
-    phi: PureState
+    psi: np.ndarray
+    psi_perp: np.ndarray
+    phi: np.ndarray
     frame: StateSet = field(init=False, repr=False, compare=False)
     inputs: StateSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = unit_pair(self.a, self.b, "a", "b")
-        frame = StateSet([self.psi.amplitudes, self.psi_perp.amplitudes, self.phi.amplitudes])
-        if self.dim < 3:
-            raise InvalidParams(f"dimension must be >= 3, got {self.dim}")
+        frame = StateSet([self.psi, self.psi_perp, self.phi])
+        if frame.dim < 3:
+            raise InvalidParams(f"dimension must be >= 3, got {frame.dim}")
         if np.abs(frame.rows.conj() @ frame.rows.T - np.eye(3)).max() > ORTHOGONALITY_TOL:
             raise InvalidParams("psi, psi_perp, phi must be pairwise orthogonal")
-        psi3 = normalize(a * self.psi.amplitudes + b * self.psi_perp.amplitudes)
-        inputs = StateSet([self.psi.amplitudes, self.psi_perp.amplitudes, psi3.amplitudes])
-        for name, value in (("a", a), ("b", b), ("frame", frame), ("inputs", inputs)):
+        psi, psi_perp, phi = frame.rows
+        inputs = normalize([psi, psi_perp, a * psi + b * psi_perp])
+        for name, value in (("a", a), ("b", b), ("psi", psi), ("psi_perp", psi_perp),
+                            ("phi", phi), ("frame", frame), ("inputs", inputs)):
             object.__setattr__(self, name, value)
-
-    @property
-    def dim(self) -> int:
-        return self.psi.dim
 
 
 def standard_params(a: float, b: float, dim: int = 3) -> CounterexampleParams:
     """Computational-basis instantiation: psi = e1, psi_perp = e2, phi = e3."""
     if not 3 <= dim <= MAX_DIM:
         raise InvalidParams(f"dimension must lie in [3, {MAX_DIM}], got {dim}")
-    return CounterexampleParams(
-        a=a,
-        b=b,
-        psi=basis_state(dim, 0),
-        psi_perp=basis_state(dim, 1),
-        phi=basis_state(dim, 2),
-    )
+    return CounterexampleParams(a, b, *np.eye(3, dim))
 
 
 @dataclass(frozen=True)
@@ -145,10 +137,9 @@ def apply_superposer_to_set(
     """
     if phases is None:
         phases = PhaseTriple(*(given_frame_phase(cfg.phase_policy, s, p.phi)
-                               for s in p.inputs))
+                               for s in p.inputs.rows))
     thetas = [phases.theta1, phases.theta2, phases.theta3]
-    out = superpose_many(cfg.alpha, cfg.beta, p.inputs.amplitude_matrix(),
-                         p.phi.amplitudes, thetas)
+    out = superpose_many(cfg.alpha, cfg.beta, p.inputs.amplitude_matrix(), p.phi, thetas)
     return StateSet(out.T), phases
 
 
@@ -213,7 +204,7 @@ def scan_degeneracy_numeric(
     qh = q.conj().T
     # out[k, :, j]: coordinates of output j with theta_j = thetas[k]
     out = superpose_many(alpha, beta, qh @ p.inputs.amplitude_matrix(),
-                         qh @ p.phi.amplitudes, np.broadcast_to(thetas[:, None], (n, 3)))
+                         qh @ p.phi, np.broadcast_to(thetas[:, None], (n, 3)))
     # C[k, l] has columns output 1 at theta1 = thetas[0] = 0, output 2 at
     # theta21 = thetas[k] and output 3 at theta31 = thetas[l]
     lam_min, lam_mid, lam_max = _squared_singular_values_3x3(
@@ -326,7 +317,7 @@ def forbidden_task_demo(
     # row i is output i's Born row; its diagonal is the USD success probabilities
     dists = born_distribution(build_usd(factored), outputs)
     usd_probs = np.diag(dists)
-    oracle_probs = np.array([cfg.success_policy.probability(s, p.phi) for s in p.inputs])
+    oracle_probs = np.array([cfg.success_policy.probability(s, p.phi) for s in p.inputs.rows])
 
     secret_counts = rng.multinomial(trials, [1.0 / 3.0] * 3)
     live = rng.binomial(secret_counts, oracle_probs)

@@ -1,37 +1,19 @@
-"""Pure-state vectors, canonical (global-phase-free) forms, and state sets."""
+"""State sets and canonical (global-phase-free) forms. A pure state is a row
+of a `StateSet`, checked once with the rest of its set."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, NonFiniteEntry, NullVector
+from .linalg import row_norms
 
 NORM_TOL = 1e-12
 NULL_THRESHOLD = 1e-10
 CANONICAL_PIVOT_FLOOR = 1e-10
-
-
-@dataclass
-class PureState:
-    """Unit-norm, finite complex amplitude vector of dimension >= 2."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = _check_rows(np.asarray(self.amplitudes, dtype=complex)[None])[0]
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def inner(self, other: "PureState") -> complex:
-        """<self | other> with the conjugate on self."""
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dimensions {self.dim} and {other.dim} differ")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -42,25 +24,21 @@ class CanonicalForm:
     amplitudes: np.ndarray
 
 
-def normalize(v: Sequence[complex] | np.ndarray) -> PureState:
-    """Scale a vector to unit norm; NullVector if it is numerically zero."""
-    v = np.asarray(v, dtype=complex)
-    _require_finite(v)  # before dividing: inf / inf would warn and give NaN
-    norm = np.linalg.norm(v)
-    if norm <= NULL_THRESHOLD:
-        raise NullVector(f"vector norm {float(norm)!r} is below {NULL_THRESHOLD}")
-    return PureState(v / norm)
+def normalize(vectors: Sequence[Sequence[complex]] | np.ndarray) -> StateSet:
+    """The StateSet of the vectors, each scaled to unit norm; NullVector
+    names the first vector that is numerically zero."""
+    v = _finite_rows(vectors)  # before dividing: inf / inf would warn and give NaN
+    norms = row_norms(v)
+    null = np.flatnonzero(norms <= NULL_THRESHOLD)
+    if null.size:
+        i = int(null[0])
+        raise NullVector(f"vector {i} has norm {float(norms[i])!r}, below {NULL_THRESHOLD}")
+    return StateSet(v / norms[:, None])
 
 
-def _require_finite(v: np.ndarray) -> None:
-    if not np.isfinite(v).all():
-        raise NonFiniteEntry("amplitudes contain non-finite (NaN or infinite) entries")
-
-
-def _check_rows(rows) -> np.ndarray:
-    """The one pure-state check, run on every row at once: `rows` must form
-    a nonempty (n, dim) array, dim >= 2, finite, each row of unit norm within
-    NORM_TOL. Returns the rows as a C-order complex array."""
+def _finite_rows(rows) -> np.ndarray:
+    """`rows` as a C-order complex array of shape (n, dim), n >= 1, dim >= 2,
+    with finite entries."""
     try:
         rows = np.asarray(rows, dtype=complex, order="C")
     except ValueError as exc:  # a ragged list
@@ -70,16 +48,25 @@ def _check_rows(rows) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] < 2:
         raise DimensionMismatch(f"a pure state needs a 1-d amplitude vector of length >= 2, "
                                 f"got shape {rows.shape[1:]}")
-    _require_finite(rows)
-    off = np.abs(np.sqrt(np.vecdot(rows, rows).real) - 1.0)
+    if not np.isfinite(rows).all():
+        raise NonFiniteEntry("amplitudes contain non-finite (NaN or infinite) entries")
+    return rows
+
+
+def _check_rows(rows) -> np.ndarray:
+    """The one pure-state check, run on every row of a set at once: `rows`
+    must form a nonempty (n, dim) array, dim >= 2, finite, each row of unit
+    norm within NORM_TOL. Returns the rows as a C-order complex array."""
+    rows = _finite_rows(rows)
+    off = np.abs(row_norms(rows) - 1.0)
     worst = int(off.argmax())
     if off[worst] > NORM_TOL:
         raise NullVector(f"state {worst} is not unit norm (norm off 1 by {float(off[worst])!r})")
     return rows
 
 
-def canonicalize(s: PureState) -> CanonicalForm:
-    amps = s.amplitudes
+def canonicalize(amps: np.ndarray) -> CanonicalForm:
+    """Canonical form of one complex amplitude row of a StateSet."""
     pivots = np.nonzero(np.abs(amps) > CANONICAL_PIVOT_FLOOR)[0]
     if pivots.size == 0:
         # unreachable for a unit-norm state, kept for safety
@@ -104,10 +91,6 @@ class StateSet:
     def __post_init__(self):
         self.rows = _check_rows(self.rows)
 
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[Sequence[complex]]) -> "StateSet":
-        return cls([normalize(v).amplitudes for v in vectors])
-
     @property
     def dim(self) -> int:
         return self.rows.shape[1]
@@ -115,15 +98,6 @@ class StateSet:
     def __len__(self) -> int:
         return self.rows.shape[0]
 
-    def __getitem__(self, i: int) -> PureState:
-        return PureState(self.rows[i])
-
     def amplitude_matrix(self) -> np.ndarray:
         """dim x n view whose columns are the states."""
         return self.rows.T
-
-
-def basis_state(dim: int, index: int) -> PureState:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return PureState(v)

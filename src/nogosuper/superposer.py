@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams, NullSuperposition
-from .states import NULL_THRESHOLD, CanonicalForm, PureState, canonicalize
+from .states import NULL_THRESHOLD, CanonicalForm, canonicalize
 
 TWO_PI = 2.0 * math.pi
 UNIT_PAIR_TOL = 1e-9
@@ -35,17 +35,9 @@ class PhasePolicy:
     def phase(self, psi: CanonicalForm, phi: CanonicalForm) -> float:
         raise NotImplementedError
 
-    def __call__(
-        self, psi: PureState | CanonicalForm, phi: PureState | CanonicalForm
-    ) -> float:
-        """One policy evaluation: states are canonicalized first, canonical
-        forms are taken as given."""
-        theta = self.phase(_canonical(psi), _canonical(phi))
-        return theta % TWO_PI
-
-
-def _canonical(s: PureState | CanonicalForm) -> CanonicalForm:
-    return s if isinstance(s, CanonicalForm) else canonicalize(s)
+    def __call__(self, psi: CanonicalForm, phi: CanonicalForm) -> float:
+        """One policy evaluation on canonical forms, wrapped into [0, 2*pi)."""
+        return self.phase(psi, phi) % TWO_PI
 
 
 @dataclass(frozen=True)
@@ -85,21 +77,21 @@ class CanonicalHashPhase(PhasePolicy):
         return TWO_PI * (h / 2.0**64)
 
 
-def given_frame_phase(policy: PhasePolicy, psi: PureState, phi: PureState) -> float:
+def given_frame_phase(policy: PhasePolicy, psi: np.ndarray, phi: np.ndarray) -> float:
     """The policy's phase, chosen on canonical forms, moved into the frame of
-    the given psi and phi: theta + kappa_phi - kappa_psi, where
+    the given amplitude rows psi and phi: theta + kappa_phi - kappa_psi, where
     canonicalize(s) = e^{i kappa_s} s. Superposing psi and phi with it gives
     the canonical-form superposition up to the global phase e^{-i kappa_psi}."""
-    if psi.dim != phi.dim:
-        raise DimensionMismatch(f"dimensions {psi.dim} and {phi.dim} differ")
+    if psi.shape != phi.shape:
+        raise DimensionMismatch(f"dimensions {psi.size} and {phi.size} differ")
     c_psi, c_phi = canonicalize(psi), canonicalize(phi)
     theta = policy(c_psi, c_phi) + _canonical_phase(phi, c_phi) - _canonical_phase(psi, c_psi)
     return theta % TWO_PI
 
 
-def _canonical_phase(s: PureState, c: CanonicalForm) -> float:
+def _canonical_phase(s: np.ndarray, c: CanonicalForm) -> float:
     """kappa_s = arg <s|c> for c = canonicalize(s); exactly 0 for a canonical s."""
-    z = complex(np.vdot(s.amplitudes, c.amplitudes))
+    z = complex(np.vdot(s, c.amplitudes))
     return math.atan2(z.imag, z.real)
 
 
@@ -116,9 +108,10 @@ def unit_pair(x: complex, y: complex, x_name: str, y_name: str) -> tuple[complex
 
 
 class SuccessPolicy:
-    """Success probability of one oracle invocation; must be nonzero."""
+    """Success probability of one oracle invocation on the amplitude rows psi
+    and phi; must be nonzero."""
 
-    def probability(self, psi: PureState, phi: PureState) -> float:
+    def probability(self, psi: np.ndarray, phi: np.ndarray) -> float:
         raise NotImplementedError
 
 
@@ -145,7 +138,7 @@ class OverlapScaledSuccess(SuccessPolicy):
     """p = (1 + |<psi|phi>|^2) / 2, so orthogonal inputs succeed half the time."""
 
     def probability(self, psi, phi):
-        return 0.5 * (1.0 + abs(psi.inner(phi)) ** 2)
+        return 0.5 * (1.0 + abs(complex(np.vdot(psi, phi))) ** 2)
 
 
 @dataclass(frozen=True)

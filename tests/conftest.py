@@ -1,33 +1,35 @@
 import numpy as np
 import pytest
 
-from nogosuper.states import PureState, StateSet
+from nogosuper.states import StateSet
 from nogosuper.superposer import SuperposerConfig, given_frame_phase, superpose_many
 
 
-def random_pure_state(rng: np.random.Generator, dim: int) -> PureState:
+def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A random unit amplitude row."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def random_state_set(rng: np.random.Generator, dim: int, size: int) -> StateSet:
-    return StateSet([random_pure_state(rng, dim).amplitudes for _ in range(size)])
+    return StateSet([random_pure_state(rng, dim) for _ in range(size)])
 
 
-def random_orthonormal(rng: np.random.Generator, dim: int, k: int) -> list[PureState]:
-    """k orthonormal states from the QR factorization of a random complex matrix."""
+def random_orthonormal(rng: np.random.Generator, dim: int, k: int) -> list[np.ndarray]:
+    """k orthonormal amplitude rows from the QR factorization of a random
+    complex matrix."""
     m = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
     q, _ = np.linalg.qr(m)
-    return [PureState(q[:, i]) for i in range(k)]
+    return [q[:, i] for i in range(k)]
 
 
-def superpose_deterministic(cfg: SuperposerConfig, psi: PureState, phi: PureState) -> PureState:
+def superpose_deterministic(cfg: SuperposerConfig, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """The single-pair oracle, the reference for the pipeline's batched one:
-    normalize(alpha * psi + beta * e^{i theta} * phi) with theta the policy's
-    phase in the frame of psi and phi."""
+    the row normalize(alpha * psi + beta * e^{i theta} * phi) with theta the
+    policy's phase in the frame of the rows psi and phi."""
     theta = given_frame_phase(cfg.phase_policy, psi, phi)
-    out = superpose_many(cfg.alpha, cfg.beta, psi.amplitudes[:, None], phi.amplitudes, [theta])
-    return PureState(out[:, 0])
+    out = superpose_many(cfg.alpha, cfg.beta, psi[:, None], phi, [theta])
+    return StateSet(out.T).rows[0]
 
 
 def gram(states: StateSet) -> np.ndarray:
@@ -37,9 +39,9 @@ def gram(states: StateSet) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def density_matrix(s: PureState) -> np.ndarray:
-    """|s><s| as a dim x dim array."""
-    return np.outer(s.amplitudes, s.amplitudes.conj())
+def density_matrix(s: np.ndarray) -> np.ndarray:
+    """|s><s| of an amplitude row, as a dim x dim array."""
+    return np.outer(s, s.conj())
 
 
 def det3_cofactor(g: np.ndarray) -> complex:

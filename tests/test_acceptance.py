@@ -11,7 +11,7 @@ import pytest
 from nogosuper import linalg, pipeline
 from nogosuper.cli import main as cli_main
 from nogosuper.discrimination import build_usd, simulate_usd, success_probabilities
-from nogosuper.states import StateSet
+from nogosuper.states import StateSet, normalize
 from nogosuper.superposer import (
     AlwaysSucceed,
     CanonicalHashPhase,
@@ -96,7 +96,7 @@ def test_criterion_3_on_locus_dependence():
 
 def test_criterion_4_usd_correctness():
     start = time.monotonic()
-    s = StateSet.from_vectors([[1, 0], [1, 1]])
+    s = normalize([[1, 0], [1, 1]])
     m = build_usd(linalg.factorize(s))
     probs = success_probabilities(m)
 
@@ -112,7 +112,7 @@ def test_criterion_4_usd_correctness():
     prob_ok = all(abs(p - expected) <= 1e-9 for p in probs)
 
     trials = 100_000
-    counts = simulate_usd(m, s[0], trials, np.random.default_rng(4))
+    counts = simulate_usd(m, StateSet(s.rows[:1]), trials, np.random.default_rng(4))[0]
     misid = int(counts[1])
     rate = counts[0] / trials
     sigma3 = 3.0 * math.sqrt(expected * (1 - expected) / trials)
@@ -157,12 +157,11 @@ def test_criterion_6_oracle_equivalence():
         if checked % 2 == 0 and size >= 2:
             # half the sets get a constructed dependence
             coeffs = rng.standard_normal(size - 1) + 1j * rng.standard_normal(size - 1)
-            combo = sum(c * m.amplitudes for c, m in zip(coeffs, members[:-1]))
+            combo = sum(c * m for c, m in zip(coeffs, members[:-1]))
             norm = np.linalg.norm(combo)
             if norm > 1e-6:
-                from nogosuper.states import PureState
-                members[-1] = PureState(combo / norm)
-        s = StateSet([m.amplitudes for m in members])
+                members[-1] = combo / norm
+        s = StateSet(members)
         sigma = np.linalg.svd(s.amplitude_matrix(), compute_uv=False)
         oracle_rank = int(np.sum(sigma > 1e-9 * sigma[0]))
         got = linalg.factorize(s, 1e-9).rank.rank == len(s)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nogosuper import states
 from nogosuper.cli import _config_dict, build_parser, main
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -355,7 +356,7 @@ class TestUSD:
         path = self.write_states(tmp_path, [[[0, 0], [0, 0]]])
         code, _, err = run(capsys, "usd", path)
         assert code == 2
-        assert err == "config error: states file: vector norm 0.0 is below 1e-10\n"
+        assert err == "config error: states file: vector 0 has norm 0.0, below 1e-10\n"
 
     def test_malformed_file_config_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -415,3 +416,23 @@ def test_parser_is_built_once_and_leaks_nothing_between_calls(capsys, monkeypatc
         assert code == 0, err
         fresh = build_parser.__wrapped__().parse_args(argv)
         assert load_report(report)["config"] == _config_dict(fresh, 42)
+
+
+def test_each_state_set_is_checked_once(capsys, monkeypatch, tmp_path):
+    # one pure-state check per set an op builds: verify and demo check the
+    # frame, the input triple and the outputs; scan the frame and the inputs;
+    # usd the states file and the one-row set of its truth
+    checked = []
+    check_rows = states._check_rows
+    monkeypatch.setattr(states, "_check_rows", lambda rows: checked.append(1) or check_rows(rows))
+    usd_states = tmp_path / "states.json"
+    usd_states.write_text(json.dumps(np.random.default_rng(8).standard_normal((8, 8, 2)).tolist()))
+    counts = {}
+    for argv in (["verify"], ["demo", "--trials", "1000"],
+                 ["scan", "--grid-step", "0.1", "--csv", str(tmp_path / "grid.csv")],
+                 ["usd", str(usd_states), "--trials", "1000"]):
+        checked.clear()
+        code, _, err = run(capsys, *argv, "-o", str(tmp_path / "report.json"))
+        assert code == 0, err
+        counts[argv[0]] = len(checked)
+    assert counts == {"verify": 3, "demo": 3, "scan": 2, "usd": 2}

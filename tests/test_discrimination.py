@@ -26,6 +26,11 @@ ZERO_PLUS = [[1, 0], [1, 1]]  # {|0>, |+>}
 P_ZERO_PLUS = 1.0 - SQ2  # optimal symmetric two-state USD success probability
 
 
+def truth_set(s, i):
+    """The one-row set of member i of the set s."""
+    return StateSet(s.rows[i:i + 1])
+
+
 def random_independent_set(rng, dim, size):
     while True:
         s = random_state_set(rng, dim, size)
@@ -66,20 +71,20 @@ class TestBuildUSD:
     def test_zero_plus_pair_success_probability(self):
         # oracle: s = 1 / (1 + 1/sqrt(2)) from the 2x2 eigenproblem, then
         # Tr(E_1 rho_1) = s * |<minus|0>|^2 = s / 2 = 1 - 1/sqrt(2)
-        s = StateSet.from_vectors(ZERO_PLUS)
+        s = normalize(ZERO_PLUS)
         m = build_usd(linalg.factorize(s))
         probs = success_probabilities(m)
         assert probs == pytest.approx([P_ZERO_PLUS, P_ZERO_PLUS], abs=1e-9)
 
     def test_dependent_set_rejected(self):
-        s = StateSet.from_vectors([[1, 0, 0], [0, 1, 0], [SQ2, SQ2, 0]])
+        s = normalize([[1, 0, 0], [0, 1, 0], [SQ2, SQ2, 0]])
         with pytest.raises(LinearlyDependentInput):
             build_usd(linalg.factorize(s))
 
     def test_ill_conditioned_independent_set_accepted(self):
         # amplitude singular values (1.41, 1, 7.1e-7): independent at the
         # default rank tolerance 1e-9, so USD exists, if barely
-        s = StateSet.from_vectors([[1, 0, 0], [1, 1e-6, 0], [0, 0, 1]])
+        s = normalize([[1, 0, 0], [1, 1e-6, 0], [0, 0, 1]])
         m = build_usd(linalg.factorize(s))
         # oracle: p_j = scale / (G^-1)_jj with one common scale; by hand,
         # G = [[1, c, 0], [c, 1, 0], [0, 0, 1]] with c^2 = 1 / (1 + eps)
@@ -95,13 +100,13 @@ class TestBuildUSD:
 
     def test_rank_tolerance_reaches_the_reciprocal_basis(self):
         # sigma ratio 5e-7: independent at tol 1e-9, dependent at tol 1e-6
-        s = StateSet.from_vectors([[1, 0, 0], [1, 1e-6, 0], [0, 0, 1]])
+        s = normalize([[1, 0, 0], [1, 1e-6, 0], [0, 0, 1]])
         assert build_usd(linalg.factorize(s, 1e-9)).reciprocal.shape[0] == 3
         with pytest.raises(LinearlyDependentInput):
             build_usd(linalg.factorize(s, 1e-6))
 
     def test_more_states_than_dimensions_rejected(self):
-        s = StateSet.from_vectors([[1, 0], [1, 1], [0, 1]])
+        s = normalize([[1, 0], [1, 1], [0, 1]])
         with pytest.raises(LinearlyDependentInput):
             build_usd(linalg.factorize(s))
 
@@ -158,24 +163,32 @@ class TestSimulateUSD:
     def test_orthonormal_truth_always_identified(self):
         s = StateSet(np.eye(2))
         m = build_usd(linalg.factorize(s))
-        counts = simulate_usd(m, s[0], 100, np.random.default_rng(0))
+        counts = simulate_usd(m, truth_set(s, 0), 100, np.random.default_rng(0))[0]
         assert counts[0] == 100
 
     def test_zero_plus_statistics(self):
-        s = StateSet.from_vectors(ZERO_PLUS)
+        s = normalize(ZERO_PLUS)
         m = build_usd(linalg.factorize(s))
         trials = 100_000
-        counts = simulate_usd(m, s[0], trials, np.random.default_rng(11))
+        counts = simulate_usd(m, truth_set(s, 0), trials, np.random.default_rng(11))[0]
         assert counts[1] == 0  # never misidentified
         rate = counts[0] / trials
         sigma3 = 3.0 * math.sqrt(P_ZERO_PLUS * (1 - P_ZERO_PLUS) / trials)
         assert abs(rate - P_ZERO_PLUS) < sigma3
 
     def test_single_trial_counts_sum(self, rng):
-        s = StateSet.from_vectors(ZERO_PLUS)
+        s = normalize(ZERO_PLUS)
         m = build_usd(linalg.factorize(s))
-        counts = simulate_usd(m, s[1], 1, rng)
-        assert counts.sum() == 1
+        counts = simulate_usd(m, truth_set(s, 1), 1, rng)
+        assert counts.shape == (1, 3) and counts.sum() == 1
+
+    def test_counts_have_one_row_per_truth(self, rng):
+        s = random_independent_set(rng, 4, 3)
+        m = build_usd(linalg.factorize(s))
+        counts = simulate_usd(m, s, 500, rng)
+        assert counts.shape == (3, 4)
+        assert (counts.sum(axis=1) == 500).all()
+        np.testing.assert_array_equal(counts[:, :3], np.diag(np.diag(counts[:, :3])))
 
     def test_never_misidentifies_across_random_sets(self, rng):
         # cumulative zero-error check over many sets and trials
@@ -185,7 +198,7 @@ class TestSimulateUSD:
             s = random_independent_set(rng, dim, size)
             m = build_usd(linalg.factorize(s))
             truth_idx = int(rng.integers(size))
-            counts = simulate_usd(m, s[truth_idx], 2000, rng)
+            counts = simulate_usd(m, truth_set(s, truth_idx), 2000, rng)[0]
             wrong = counts[:size].sum() - counts[truth_idx]
             assert wrong == 0
 
@@ -197,20 +210,20 @@ class TestSimulateUSD:
 
     @pytest.mark.parametrize("trials", [0, -1, MAX_TRIALS + 1])
     def test_trials_out_of_bounds_rejected(self, trials, rng):
-        s = StateSet.from_vectors(ZERO_PLUS)
+        s = normalize(ZERO_PLUS)
         with pytest.raises(InvalidParams):
-            simulate_usd(build_usd(linalg.factorize(s)), s[0], trials, rng)
+            simulate_usd(build_usd(linalg.factorize(s)), truth_set(s, 0), trials, rng)
 
     def test_cross_talk_of_a_truth_in_the_span(self, rng):
         # normalize(|0> + |+>) is in the span but is neither hypothesis, so
         # both conclusive labels have positive probability
-        s = StateSet.from_vectors(ZERO_PLUS)
+        s = normalize(ZERO_PLUS)
         m = build_usd(linalg.factorize(s))
-        truth = normalize(s.rows[0] + s.rows[1])
-        row = born_distribution(m, StateSet([truth.amplitudes]))[0]
+        truth = normalize([s.rows[0] + s.rows[1]])
+        row = born_distribution(m, truth)[0]
         assert row[0] > 0.0 and row[1] > 0.0
         assert row.sum() == pytest.approx(1.0)
-        counts = simulate_usd(m, truth, 10_000, rng)
+        counts = simulate_usd(m, truth, 10_000, rng)[0]
         assert np.count_nonzero(counts[:2]) == 2
 
 
@@ -234,12 +247,12 @@ class TestBornDistribution:
         # of orthonormal sets; the rows must still be multinomial probabilities
         for dim in range(2, 17):
             for size in range(1, dim + 1):
-                s = StateSet([q.amplitudes for q in random_orthonormal(rng, dim, size)])
+                s = StateSet(random_orthonormal(rng, dim, size))
                 m = build_usd(linalg.factorize(s))
                 for j, member in enumerate(s.rows):
                     row = born_distribution(m, StateSet([member]))[0]
                     assert 0.0 <= row.min() and row.max() <= 1.0
-                    assert simulate_usd(m, s[j], 100, rng)[j] == 100
+                    assert simulate_usd(m, truth_set(s, j), 100, rng)[0, j] == 100
 
     def test_rows_without_an_inconclusive_outcome_are_probabilities(self, rng):
         # along the top eigenvector of sum_j |r_j><r_j| the conclusive entries
@@ -248,10 +261,10 @@ class TestBornDistribution:
             s = random_independent_set(rng, int(rng.integers(2, 9)), 2)
             m = build_usd(linalg.factorize(s))
             total = sum(np.outer(r, r.conj()) for r in m.reciprocal)
-            truth = normalize(np.linalg.eigh(total)[1][:, -1])
-            row = born_distribution(m, StateSet([truth.amplitudes]))[0]
+            truth = normalize([np.linalg.eigh(total)[1][:, -1]])
+            row = born_distribution(m, truth)[0]
             assert row[-1] == pytest.approx(0.0, abs=1e-12) and row.min() >= 0.0
-            assert simulate_usd(m, truth, 100, rng)[-1] == 0
+            assert simulate_usd(m, truth, 100, rng)[0, -1] == 0
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), data=st.data())
@@ -298,13 +311,13 @@ class TestBornDistribution:
         # out-of-span weight w: truth = sqrt(1 - w) |0> + sqrt(w) |2> against
         # hypotheses spanning {|0>, |1>}, so ||Q^H truth||^2 = 1 - w
         s = StateSet(np.eye(3)[:2])
-        truth = normalize(np.array([math.sqrt(1.0 - weight), 0.0, math.sqrt(weight)]))
+        truth = normalize([[math.sqrt(1.0 - weight), 0.0, math.sqrt(weight)]])
         m = build_usd(linalg.factorize(s))
         if refused:
             with pytest.raises(NogoError):
-                born_distribution(m, StateSet([truth.amplitudes]))
+                born_distribution(m, truth)
         else:
-            assert born_distribution(m, StateSet([truth.amplitudes]))[0] == pytest.approx(
+            assert born_distribution(m, truth)[0] == pytest.approx(
                 [1.0, 0.0, 0.0], abs=1e-9)
 
     @pytest.mark.parametrize("truth", [[0, 0, 1], [1, 0, 1]])
@@ -312,7 +325,7 @@ class TestBornDistribution:
         s = StateSet(np.eye(3)[:2])
         with pytest.raises(NogoError):
             born_distribution(build_usd(linalg.factorize(s)),
-                              StateSet([normalize(np.array(truth, dtype=complex)).amplitudes]))
+                              normalize([truth]))
 
     def test_one_truth_outside_the_span_refuses_the_table(self):
         s = StateSet(np.eye(3)[:2])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nogosuper import linalg
 from nogosuper.errors import EmptySet, InvalidParams, LinearlyDependentInput, NonFiniteEntry
-from nogosuper.states import StateSet
+from nogosuper.states import StateSet, normalize
 
 from conftest import det3_cofactor, gram, random_state_set, svd_rank_oracle
 
@@ -18,7 +18,7 @@ def psi_output_set():
     """Superposer outputs for a = b = alpha = beta = 1/sqrt(2), all thetas 0."""
     e1, e2, e3 = np.eye(3)
     psi3 = SQ2 * e1 + SQ2 * e2
-    return StateSet.from_vectors([
+    return normalize([
         SQ2 * e1 + SQ2 * e3,
         SQ2 * e2 + SQ2 * e3,
         SQ2 * psi3 + SQ2 * e3,
@@ -31,7 +31,7 @@ class TestGram:
         np.testing.assert_allclose(gram(s), np.eye(2), atol=1e-15)
 
     def test_dependent_triple_entries(self):
-        s = StateSet.from_vectors([[1, 0], [0, 1], [1, 1]])
+        s = normalize([[1, 0], [0, 1], [1, 1]])
         g = gram(s)
         assert g[0, 1] == pytest.approx(0.0, abs=1e-15)
         assert g[0, 2] == pytest.approx(SQ2, abs=1e-12)
@@ -73,7 +73,7 @@ class TestNumericalRank:
         np.testing.assert_allclose(r.singular_values, np.ones(3))
 
     def test_constructed_dependence_rank_two(self):
-        s = StateSet.from_vectors([[1, 0], [0, 1], [1, 1]])
+        s = normalize([[1, 0], [0, 1], [1, 1]])
         assert linalg.numerical_rank(gram(s), 1e-9).rank == 2
 
     def test_superposer_outputs_rank_three_and_determinant(self):
@@ -148,7 +148,7 @@ class TestReciprocalBasis:
     def test_zero_plus_pair(self):
         # {|0>, |+>} -> {|->, |1>} up to global phase, solved by hand from the
         # orthogonality conditions and checked with the inner-product oracle
-        s = StateSet.from_vectors([[1, 0], [1, 1]])
+        s = normalize([[1, 0], [1, 1]])
         r = linalg.reciprocal_basis(linalg.factorize(s))
         minus = np.array([SQ2, -SQ2])
         one = np.array([0.0, 1.0])
@@ -157,7 +157,7 @@ class TestReciprocalBasis:
             assert overlap == pytest.approx(1.0, abs=1e-10)
 
     def test_dependent_input_raises(self):
-        s = StateSet.from_vectors([[1, 0], [0, 1], [1, 1]])
+        s = normalize([[1, 0], [0, 1], [1, 1]])
         with pytest.raises(LinearlyDependentInput):
             linalg.reciprocal_basis(linalg.factorize(s))
 
@@ -171,6 +171,18 @@ class TestReciprocalBasis:
             for got, col in zip(r, want.T):
                 overlap = np.vdot(col / np.linalg.norm(col), got)
                 assert overlap == pytest.approx(1.0, abs=1e-9)
+
+    def test_rows_are_normalized_one_by_one_in_c_order(self, rng):
+        # the Born table reads the rows in C order; each row's bits are those
+        # of dividing it by its own np.linalg.norm
+        for _ in range(50):
+            dim = int(rng.integers(2, 17))
+            f = linalg.factorize(random_state_set(rng, dim, int(rng.integers(1, dim + 1))))
+            n = f.vh.shape[0]
+            tilde = (f.u[:, :n] / f.rank.singular_values) @ f.vh
+            r = linalg.reciprocal_basis(f)
+            assert r.flags.c_contiguous
+            np.testing.assert_array_equal(r, [col / np.linalg.norm(col) for col in tilde.T])
 
     def test_singular_gram_rejected(self):
         # Gram matrix [[1, 1], [1, 1]]: the same state twice

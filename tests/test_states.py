@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from nogosuper import linalg
 from nogosuper.errors import DimensionMismatch, EmptySet, NogoError, NonFiniteEntry, NullVector
-from nogosuper.states import (
-    PureState,
-    StateSet,
-    basis_state,
-    canonicalize,
-    normalize,
-)
+from nogosuper.states import NORM_TOL, StateSet, canonicalize, normalize
 
 from conftest import density_matrix, random_pure_state
 
@@ -25,50 +19,72 @@ def independent(s, tol=linalg.DEFAULT_RANK_TOL):
 
 
 def test_normalize_scales_to_unit_norm():
-    s = normalize([2.0, 0.0])
-    np.testing.assert_allclose(s.amplitudes, [1.0, 0.0])
-    s = normalize([1.0, 1.0, 0.0])
-    np.testing.assert_allclose(s.amplitudes, [SQ2, SQ2, 0.0])
+    s = normalize([[2.0, 0.0]])
+    np.testing.assert_allclose(s.rows, [[1.0, 0.0]])
+    s = normalize([[1.0, 1.0, 0.0]])
+    np.testing.assert_allclose(s.rows, [[SQ2, SQ2, 0.0]])
 
 
 def test_normalize_rejects_vanishing_vector():
     with pytest.raises(NullVector):
-        normalize([1e-14, 0.0])
+        normalize([[1e-14, 0.0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16), dim=st.integers(2, 16),
+       pick=st.integers(0, 255), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_normalize_matches_per_vector_division(seed, n, dim, pick, bad):
+    # bit for bit v / ||v|| of each vector on its own, whatever the scales;
+    # a zero vector is named by its index, and a non-finite entry raises
+    # before any division could warn
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-8.0, 8.0, size=(n, 1))
+    v = scales * (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)))
+    np.testing.assert_array_equal(normalize(v).rows, [r / np.linalg.norm(r) for r in v])
+
+    row = pick % n
+    zeroed = v.copy()
+    zeroed[row] = 0.0
+    with pytest.raises(NullVector, match=f"vector {row} "):
+        normalize(zeroed)
+    v[row, pick // n % dim] = bad
+    with pytest.raises(NonFiniteEntry):
+        normalize(v)
 
 
 def test_pure_state_validation():
     with pytest.raises(DimensionMismatch):
-        PureState(np.array([1.0]))
+        StateSet([[1.0]])
     with pytest.raises(NullVector):
-        PureState(np.array([0.5, 0.5]))
+        StateSet([[0.5, 0.5]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
 def test_non_finite_amplitudes_rejected(bad):
     with pytest.raises(NonFiniteEntry):
-        PureState(np.array([bad, 0.0]))
+        StateSet([[bad, 0.0]])
     with pytest.raises(NonFiniteEntry):
-        normalize([bad, 1.0])
+        normalize([[bad, 1.0]])
 
 
 def test_canonicalize_strips_global_phase():
-    s = PureState(np.array([1j, 0.0]))
+    s = np.array([1j, 0.0])
     np.testing.assert_allclose(canonicalize(s).amplitudes, [1.0, 0.0], atol=1e-15)
 
-    phased = PureState(np.exp(1j * np.pi / 3) * np.array([SQ2, 1j * SQ2]))
+    phased = np.exp(1j * np.pi / 3) * np.array([SQ2, 1j * SQ2])
     np.testing.assert_allclose(
         canonicalize(phased).amplitudes, [SQ2, 1j * SQ2], atol=1e-15
     )
 
     for theta in (0.3, 1.1, 5.9):
-        s = PureState(np.array([0.0, np.exp(1j * theta)]))
+        s = np.array([0.0, np.exp(1j * theta)])
         np.testing.assert_allclose(canonicalize(s).amplitudes, [0.0, 1.0], atol=1e-15)
 
 
 def test_canonicalize_preserves_density_matrix(rng):
     for _ in range(50):
         s = random_pure_state(rng, int(rng.integers(2, 9)))
-        c = PureState(canonicalize(s).amplitudes)
+        c = StateSet([canonicalize(s).amplitudes]).rows[0]  # still a unit row
         np.testing.assert_allclose(
             density_matrix(c), density_matrix(s), atol=1e-12
         )
@@ -78,7 +94,7 @@ def test_canonicalize_idempotent(rng):
     for _ in range(50):
         s = random_pure_state(rng, int(rng.integers(2, 9)))
         once = canonicalize(s).amplitudes
-        twice = canonicalize(PureState(once)).amplitudes
+        twice = canonicalize(once).amplitudes
         np.testing.assert_array_equal(once, twice)
 
 
@@ -87,7 +103,7 @@ def test_canonicalize_invariant_under_global_phase():
     for _ in range(1000):
         s = random_pure_state(rng, int(rng.integers(2, 9)))
         chi = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        rotated = PureState(chi * s.amplitudes)
+        rotated = chi * s
         np.testing.assert_allclose(
             canonicalize(rotated).amplitudes, canonicalize(s).amplitudes, atol=1e-10
         )
@@ -101,7 +117,7 @@ def test_canonicalize_invariant_under_global_phase():
 )
 def test_canonicalize_phase_invariance_property(seed, dim, phase):
     s = random_pure_state(np.random.default_rng(seed), dim)
-    rotated = PureState(np.exp(1j * phase) * s.amplitudes)
+    rotated = np.exp(1j * phase) * s
     np.testing.assert_allclose(
         canonicalize(rotated).amplitudes, canonicalize(s).amplitudes, atol=1e-10
     )
@@ -111,15 +127,16 @@ def test_state_set_validation():
     with pytest.raises(EmptySet):
         StateSet([])
     with pytest.raises(DimensionMismatch):
-        StateSet([basis_state(2, 0).amplitudes, basis_state(3, 0).amplitudes])
+        StateSet([np.eye(2)[0], np.eye(3)[0]])
 
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), size=st.integers(1, 16),
        bad=st.integers(0, 255), defect=st.sampled_from([None, "zero", "scale", "nan"]))
 def test_set_check_matches_the_state_check(seed, dim, size, bad, defect):
-    # StateSet(rows) raises exactly when some row fails PureState(row), with
-    # the same exception class, and only a valid set is built
+    # StateSet(rows) raises exactly when some row fails an independent
+    # per-row check, with the same exception class, and only a valid set is
+    # built
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((size, dim)) + 1j * rng.standard_normal((size, dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -131,16 +148,23 @@ def test_set_check_matches_the_state_check(seed, dim, size, bad, defect):
     elif defect == "nan":
         rows[row, col] = np.nan
 
-    def raised(make, x):
+    def row_defect(r):
+        if not np.isfinite(r).all():
+            return NonFiniteEntry
+        if abs(np.linalg.norm(r) - 1.0) > NORM_TOL:
+            return NullVector
+        return None
+
+    def raised(x):
         try:
-            make(x)
+            StateSet(x)
         except NogoError as exc:
             return type(exc)
         return None
 
-    per_row = {raised(PureState, r) for r in rows} - {None}
+    per_row = {row_defect(r) for r in rows} - {None}
     assert len(per_row) <= 1
-    assert raised(StateSet, rows) == (per_row.pop() if per_row else None)
+    assert raised(rows) == (per_row.pop() if per_row else None)
     if defect is None:
         s = StateSet(rows)
         assert s.rows.flags.c_contiguous
@@ -154,28 +178,28 @@ def test_independence_of_orthonormal_pair():
 def test_dependent_counterexample_inputs():
     # {psi, psi_perp, a psi + b psi_perp} lives in a 2-d subspace
     a = b = SQ2
-    s = StateSet.from_vectors([[1, 0, 0], [0, 1, 0], [a, b, 0]])
+    s = normalize([[1, 0, 0], [0, 1, 0], [a, b, 0]])
     assert not independent(s)
 
 
 def test_ill_conditioned_set_is_independent():
     # amplitude singular values (1.41, 1, 7.1e-7): independent at 1e-9, although
     # the smallest Gram eigenvalue, sigma^2 = 5e-13, lies below 1e-9
-    s = StateSet.from_vectors([[1, 0, 0], [1, 1e-6, 0], [0, 0, 1]])
+    s = normalize([[1, 0, 0], [1, 1e-6, 0], [0, 0, 1]])
     assert independent(s)
     assert not independent(s, 1e-6)
 
 
 def test_zero_plus_pair_independent():
     # 2x2 Gram determinant is 1 - 1/2 = 1/2 > 0
-    assert independent(StateSet.from_vectors([[1, 0], [1, 1]]))
+    assert independent(normalize([[1, 0], [1, 1]]))
 
 
 def test_independence_invariant_under_phases_and_permutation(rng):
     for _ in range(20):
         dim = int(rng.integers(2, 7))
         size = int(rng.integers(2, dim + 2))
-        s = StateSet([random_pure_state(rng, dim).amplitudes for _ in range(size)])
+        s = StateSet([random_pure_state(rng, dim) for _ in range(size)])
         base = independent(s)
         phased = StateSet([np.exp(1j * rng.uniform(0, 2 * np.pi)) * row for row in s.rows])
         assert independent(phased) == base
