@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from nogosuper import linalg, pipeline
-from nogosuper.discrimination import build_usd, simulate_usd, success_probabilities
-from nogosuper.states import StateSet, normalize
+from nogosuper.discrimination import born_distribution, build_usd
+from nogosuper.states import normalize
 from nogosuper.superposer import AlwaysSucceed, ConstantPhase, SuperposerConfig
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -21,10 +21,11 @@ SQ2 = 1.0 / math.sqrt(2.0)
 print("=== USD warm-up: {|0>, |+>} ===")
 pair = normalize([[1, 0], [1, 1]])
 m = build_usd(linalg.factorize(pair))
-probs = success_probabilities(m)
+table = born_distribution(m, pair)  # row i: Born probabilities of the labels for truth i
+probs = np.diag(table)
 print(f"Per-state conclusive probability: {probs[0]:.6f} "
       f"(theory: 1 - 1/sqrt(2) = {1 - SQ2:.6f})")
-counts = simulate_usd(m, StateSet(pair.rows[:1]), 100_000, np.random.default_rng(1))[0]
+counts = np.random.default_rng(1).multinomial(100_000, table[0])
 print(f"100k trials with truth |0>: counts {counts.tolist()} "
       f"(label order: |0>, |+>, inconclusive)")
 print(f"Misidentifications: {counts[1]}\n")

@@ -1,12 +1,7 @@
 """Superposition no-go toolkit: dependent states in, independent states out,
 forbidden tasks unlocked."""
 
-from .discrimination import (
-    USDMeasurement,
-    build_usd,
-    simulate_usd,
-    success_probabilities,
-)
+from .discrimination import USDMeasurement, build_usd
 from .linalg import (
     Factorization,
     RankResult,

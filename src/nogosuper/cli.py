@@ -28,10 +28,10 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import linalg, pipeline
-from .discrimination import build_usd, povm_elements, simulate_usd, success_probabilities
+from .discrimination import born_distribution, build_usd, check_trials, povm_elements
 from .errors import (DependentOutputs, DimensionMismatch, EmptySet, InvalidParams, NogoError,
                      NonFiniteEntry, NullVector)
-from .states import StateSet, normalize
+from .states import normalize
 from .superposer import (
     AlwaysSucceed,
     CanonicalHashPhase,
@@ -344,11 +344,12 @@ def cmd_usd(args, seed: int) -> dict:
     try:
         with open(args.states_file) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bad JSON, bad UTF-8, an int over 4300 digits; RecursionError: deep nesting
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidParams(f"cannot read states file: {exc}") from exc
     try:
         vectors = [[complex(re, im) for re, im in state] for state in raw]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int beyond float range
         raise InvalidParams(
             "states file must be a JSON list of states, each a list of [re, im] pairs"
         ) from exc
@@ -363,15 +364,15 @@ def cmd_usd(args, seed: int) -> dict:
         raise InvalidParams(f"--truth-index out of range 0..{len(states) - 1}")
 
     m = build_usd(linalg.factorize(states))
-    probs = success_probabilities(m)
-    rng = np.random.default_rng(seed)
-    truth = StateSet(states.rows[args.truth_index:args.truth_index + 1])
-    counts = simulate_usd(m, truth, args.trials, rng)[0].tolist()
+    table = born_distribution(m, states)
+    check_trials(args.trials, 1)
+    counts = np.random.default_rng(seed).multinomial(
+        args.trials, table[args.truth_index]).tolist()
     elements, inconclusive = povm_elements(m)
     return {
         "n_states": len(states),
         "dim": states.dim,
-        "success_probabilities": probs,
+        "success_probabilities": np.diag(table).tolist(),
         "truth_index": args.truth_index,
         "trials": args.trials,
         "per_label_counts": counts[:-1],

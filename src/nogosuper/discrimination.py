@@ -1,5 +1,5 @@
-"""Unambiguous state discrimination (USD): the POVM, its Born table and
-sampled outcome counts.
+"""Unambiguous state discrimination (USD): the POVM and its Born table, the
+one read-out of every USD probability and sampled count.
 
 A USD measurement never misidentifies a hypothesis state: each conclusive
 element is built on the reciprocal basis, so it annihilates every hypothesis
@@ -36,7 +36,6 @@ class USDMeasurement:
     element is the rest of the span projector, E_0 = Q Q^H - sum_j E_j.
     `povm_elements` builds the d x d matrices."""
 
-    hypotheses: np.ndarray  # n x dim, the hypothesis states as rows
     reciprocal: np.ndarray  # n x dim, unit reciprocal vectors r_j as rows
     span: np.ndarray  # dim x n, orthonormal basis Q of the hypothesis span
     scale: float
@@ -57,9 +56,7 @@ def build_usd(f: linalg.Factorization) -> USDMeasurement:
     """
     recip = linalg.reciprocal_basis(f)  # raises LinearlyDependentInput
     scale = 1.0 / float(np.linalg.eigvalsh(recip @ recip.conj().T)[-1])
-    # A is the view StateSet.rows.T, so A.T is the set's own C-order rows
-    return USDMeasurement(hypotheses=f.amplitudes.T, reciprocal=recip,
-                          span=f.u[:, :len(recip)], scale=scale)
+    return USDMeasurement(reciprocal=recip, span=f.u[:, :len(recip)], scale=scale)
 
 
 def povm_elements(m: USDMeasurement) -> tuple[list[np.ndarray], np.ndarray]:
@@ -69,30 +66,24 @@ def povm_elements(m: USDMeasurement) -> tuple[list[np.ndarray], np.ndarray]:
     return elements, 0.5 * (inconclusive + inconclusive.conj().T)
 
 
-def success_probabilities(m: USDMeasurement) -> list[float]:
-    """Tr(E_j rho_j) for each hypothesis j: the diagonal of their Born table."""
-    return np.diag(_born_table(m, m.hypotheses)).tolist()
-
-
 def born_distribution(m: USDMeasurement, truths: StateSet) -> np.ndarray:
     """The Born table, (k, n + 1): row i holds the probabilities of
-    [E_1, ..., E_n, E_0] for the true state truths[i]."""
-    return _born_table(m, truths.rows)
-
-
-def _born_table(m: USDMeasurement, x: np.ndarray) -> np.ndarray:
-    """Born table of the truths in the rows of x (k x dim).
+    [E_1, ..., E_n, E_0] for the true state truths.rows[i]. On the hypotheses
+    themselves its diagonal is the USD success probabilities Tr(E_j rho_j);
+    a sampler draws label counts from its rows with `rng.multinomial`.
 
     Conclusive entries are scale |<r_j|x_i>|^2, products of non-negative
     factors, capped at 1, which orthonormal sets overshoot by about 1e-15.
-    With x in C order, `vecdot` takes each overlap as one dot product of two
-    unit-stride rows, so an entry does not depend on the other rows: a
-    hypothesis' own entry has the same bits in every table. The inconclusive
-    entry 1 - sum is <x|E_0|x> only for x in the span, so a truth whose span
-    weight ||Q^H x||^2 is off 1 by more than BORN_SUM_TOL is refused.
+    With the rows x in C order, `vecdot` takes each overlap as one dot
+    product of two unit-stride rows, so an entry does not depend on the other
+    rows: a truth's row has the same bits in every table. The
+    inconclusive entry 1 - sum is <x|E_0|x> only for x in the span, so a
+    truth whose span weight ||Q^H x||^2 is off 1 by more than BORN_SUM_TOL is
+    refused.
     """
-    if x.shape[1] != m.dim:
-        raise DimensionMismatch(f"state dimension {x.shape[1]} != measurement {m.dim}")
+    if truths.dim != m.dim:
+        raise DimensionMismatch(f"state dimension {truths.dim} != measurement {m.dim}")
+    x = truths.rows
     off = 1.0 - np.linalg.norm(x @ m.span.conj(), axis=1) ** 2
     worst = int(np.argmax(np.abs(off)))
     if abs(off[worst]) > BORN_SUM_TOL:
@@ -100,16 +91,3 @@ def _born_table(m: USDMeasurement, x: np.ndarray) -> np.ndarray:
     conclusive = np.minimum(m.scale * np.abs(np.vecdot(m.reciprocal, x[:, None])) ** 2, 1.0)
     # round-off takes 1 - sum to -1e-15; numpy's sampler wants >= 0
     return np.column_stack([conclusive, np.maximum(1.0 - conclusive.sum(axis=1), 0.0)])
-
-
-def simulate_usd(
-    m: USDMeasurement,
-    truths: StateSet,
-    trials: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Label counts of `trials` Born outcomes for each truth, (k, n + 1): one
-    multinomial draw per row of `born_distribution`, the last column
-    inconclusive."""
-    check_trials(trials, 1)
-    return rng.multinomial(trials, born_distribution(m, truths))

@@ -62,7 +62,12 @@ class OverlapArgPhase(PhasePolicy):
 @dataclass(frozen=True)
 class CanonicalHashPhase(PhasePolicy):
     """Adversarially arbitrary but reproducible phase: 64-bit FNV-1a over the
-    canonical amplitudes rounded to 12 decimal digits, mapped to [0, 2*pi)."""
+    canonical amplitudes rounded to 12 decimal digits, mapped to [0, 2*pi).
+
+    Not exactly invariant under global phases: `canonicalize` removes a
+    global phase only to round-off, and a canonical amplitude within
+    round-off of a rounding boundary can round either way, which moves the
+    hash arbitrarily (2 of 4,000 random pairs under random global phases)."""
 
     def phase(self, psi, phi):
         h = _FNV_OFFSET
@@ -100,7 +105,10 @@ def unit_pair(x: complex, y: complex, x_name: str, y_name: str) -> tuple[complex
     of 1 (InvalidParams otherwise) and return them rescaled to exactly 1."""
     if x == 0 or y == 0:
         raise InvalidParams(f"{x_name} and {y_name} must both be nonzero")
-    total = abs(x) ** 2 + abs(y) ** 2
+    try:
+        total = abs(x) ** 2 + abs(y) ** 2
+    except OverflowError:  # a modulus beyond 1e154, far from any unit pair
+        total = math.inf
     if not abs(total - 1.0) <= UNIT_PAIR_TOL:
         raise InvalidParams(f"|{x_name}|^2 + |{y_name}|^2 must equal 1, got {float(total)!r}")
     scale = math.sqrt(total)

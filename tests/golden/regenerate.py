@@ -66,6 +66,9 @@ def _cases() -> dict[str, dict]:
     cases["usd-n4-d6"] = {
         "argv": ["usd", "states.json", "--truth-index", "2", "--trials", "5000"],
         "files": {"states.json": json.dumps(_random_states(6, 4, 6))}}
+    cases["usd-n8-d16"] = {  # the largest usd op the benchmark runs
+        "argv": ["usd", "states.json", "--truth-index", "5", "--trials", "5000"],
+        "files": {"states.json": json.dumps(_random_states(8, 8, 16))}}
     for case in cases.values():
         case["argv"] += ["--seed", "7", "--deterministic"]
     return cases

@@ -10,7 +10,7 @@ import pytest
 
 from nogosuper import linalg, pipeline
 from nogosuper.cli import main as cli_main
-from nogosuper.discrimination import build_usd, simulate_usd, success_probabilities
+from nogosuper.discrimination import born_distribution, build_usd
 from nogosuper.states import StateSet, normalize
 from nogosuper.superposer import (
     AlwaysSucceed,
@@ -98,7 +98,8 @@ def test_criterion_4_usd_correctness():
     start = time.monotonic()
     s = normalize([[1, 0], [1, 1]])
     m = build_usd(linalg.factorize(s))
-    probs = success_probabilities(m)
+    table = born_distribution(m, s)
+    probs = np.diag(table)
 
     # independent eigen-oracle: scale from the characteristic polynomial of
     # the reciprocal-projector sum, then p = scale * |<minus|0>|^2
@@ -112,7 +113,7 @@ def test_criterion_4_usd_correctness():
     prob_ok = all(abs(p - expected) <= 1e-9 for p in probs)
 
     trials = 100_000
-    counts = simulate_usd(m, StateSet(s.rows[:1]), trials, np.random.default_rng(4))[0]
+    counts = np.random.default_rng(4).multinomial(trials, table[0])
     misid = int(counts[1])
     rate = counts[0] / trials
     sigma3 = 3.0 * math.sqrt(expected * (1 - expected) / trials)

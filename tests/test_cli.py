@@ -150,6 +150,12 @@ class TestVerify:
     ["usd", "STATES=" + json.dumps([[[1, 0], [0, 0]]] * 17)],
     ["usd", "STATES=[[[NaN, 0], [0, 0]], [[1, 0], [1, 0]]]"],
     ["usd", "STATES=[[[1, 0], [0, 0]], [[0, 0], [0, Infinity]]]"],
+    ["verify", "--a", "1e200"],
+    ["verify", "--alpha-mod", "1e200"],
+    ["scan", "--b", "1e200"],
+    ["demo", "--beta-mod", "1e300"],
+    ["usd", "STATES=[[[1" + "0" * 400 + ", 0], [0, 0]], [[0, 0], [1, 0]]]"],  # beyond float
+    ["usd", "STATES=[[[1" + "0" * 4400 + ", 0], [0, 0]], [[0, 0], [1, 0]]]"],  # > 4300 digits
 ])
 def test_invalid_parameters_exit_two(capsys, monkeypatch, tmp_path, tmp_path_factory, argv):
     # STATES stands for a file holding ZERO_PLUS, STATES=<json> for one holding <json>
@@ -358,11 +364,17 @@ class TestUSD:
         assert code == 2
         assert err == "config error: states file: vector 0 has norm 0.0, below 1e-10\n"
 
-    def test_malformed_file_config_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("raw", [
+        b"{not json",
+        b"[[[1, 0], [0, 0]], [[0, 0], [1, 0]]] \xff",  # not UTF-8
+        b"[" * 100_000,  # nested past the recursion limit
+    ], ids=["not-json", "not-utf8", "deep"])
+    def test_malformed_file_config_error(self, capsys, tmp_path, raw):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        code, _, _ = run(capsys, "usd", str(path))
+        path.write_bytes(raw)
+        code, _, err = run(capsys, "usd", str(path))
         assert code == 2
+        assert err.startswith("config error: cannot read states file:")
 
 
 class TestSeedResolution:
@@ -421,7 +433,8 @@ def test_parser_is_built_once_and_leaks_nothing_between_calls(capsys, monkeypatc
 def test_each_state_set_is_checked_once(capsys, monkeypatch, tmp_path):
     # one pure-state check per set an op builds: verify and demo check the
     # frame, the input triple and the outputs; scan the frame and the inputs;
-    # usd the states file and the one-row set of its truth
+    # usd the states file, whose Born table gives both its probabilities and
+    # the row its counts are drawn from
     checked = []
     check_rows = states._check_rows
     monkeypatch.setattr(states, "_check_rows", lambda rows: checked.append(1) or check_rows(rows))
@@ -435,4 +448,4 @@ def test_each_state_set_is_checked_once(capsys, monkeypatch, tmp_path):
         code, _, err = run(capsys, *argv, "-o", str(tmp_path / "report.json"))
         assert code == 0, err
         counts[argv[0]] = len(checked)
-    assert counts == {"verify": 3, "demo": 3, "scan": 2, "usd": 2}
+    assert counts == {"verify": 3, "demo": 3, "scan": 2, "usd": 1}

@@ -10,9 +10,8 @@ from nogosuper.discrimination import (
     MAX_TRIALS,
     born_distribution,
     build_usd,
+    check_trials,
     povm_elements,
-    simulate_usd,
-    success_probabilities,
 )
 from nogosuper.errors import DimensionMismatch, InvalidParams, LinearlyDependentInput, NogoError
 from nogosuper.states import StateSet, normalize
@@ -24,11 +23,6 @@ from conftest import gram, random_orthonormal, random_state_set
 SQ2 = 1.0 / math.sqrt(2.0)
 ZERO_PLUS = [[1, 0], [1, 1]]  # {|0>, |+>}
 P_ZERO_PLUS = 1.0 - SQ2  # optimal symmetric two-state USD success probability
-
-
-def truth_set(s, i):
-    """The one-row set of member i of the set s."""
-    return StateSet(s.rows[i:i + 1])
 
 
 def random_independent_set(rng, dim, size):
@@ -66,14 +60,14 @@ class TestBuildUSD:
         np.testing.assert_allclose(elements[0], [[1, 0], [0, 0]], atol=1e-10)
         np.testing.assert_allclose(elements[1], [[0, 0], [0, 1]], atol=1e-10)
         np.testing.assert_allclose(inconclusive, np.zeros((2, 2)), atol=1e-10)
-        assert success_probabilities(m) == pytest.approx([1.0, 1.0], abs=1e-10)
+        assert np.diag(born_distribution(m, s)) == pytest.approx([1.0, 1.0], abs=1e-10)
 
     def test_zero_plus_pair_success_probability(self):
         # oracle: s = 1 / (1 + 1/sqrt(2)) from the 2x2 eigenproblem, then
         # Tr(E_1 rho_1) = s * |<minus|0>|^2 = s / 2 = 1 - 1/sqrt(2)
         s = normalize(ZERO_PLUS)
         m = build_usd(linalg.factorize(s))
-        probs = success_probabilities(m)
+        probs = np.diag(born_distribution(m, s))
         assert probs == pytest.approx([P_ZERO_PLUS, P_ZERO_PLUS], abs=1e-9)
 
     def test_dependent_set_rejected(self):
@@ -90,7 +84,7 @@ class TestBuildUSD:
         # G = [[1, c, 0], [c, 1, 0], [0, 0, 1]] with c^2 = 1 / (1 + eps)
         eps = 1e-12
         inv_diag = np.array([(1 + eps) / eps, (1 + eps) / eps, 1.0])
-        probs = np.array(success_probabilities(m))
+        probs = np.diag(born_distribution(m, s))
         assert np.all(probs > 0.0)
         np.testing.assert_allclose(probs * inv_diag, probs[2] * inv_diag[2], rtol=1e-6)
         for k, e in enumerate(povm_elements(m)[0]):
@@ -134,12 +128,12 @@ class TestBuildUSD:
             size = int(rng.integers(2, dim + 1))
             s = random_independent_set(rng, dim, size)
             m = build_usd(linalg.factorize(s))
-            assert min(success_probabilities(m)) > 0.0
+            assert np.diag(born_distribution(m, s)).min() > 0.0
 
     def test_three_orthogonal_states_all_certain(self):
         s = StateSet(np.eye(3))
         m = build_usd(linalg.factorize(s))
-        assert success_probabilities(m) == pytest.approx([1, 1, 1], abs=1e-10)
+        assert np.diag(born_distribution(m, s)) == pytest.approx([1, 1, 1], abs=1e-10)
 
     def test_matches_the_dense_reference(self, rng):
         # the span and the scale come from the record's SVD, not from a QR and
@@ -156,21 +150,24 @@ class TestBuildUSD:
                 for got, want in zip(elements, want_elements):
                     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
                 np.testing.assert_allclose(inconclusive, want_inconclusive, rtol=0.0, atol=1e-13)
-                np.testing.assert_allclose(success_probabilities(m), want_probs, rtol=1e-13, atol=0.0)
+                np.testing.assert_allclose(np.diag(born_distribution(m, s)), want_probs,
+                                           rtol=1e-13, atol=0.0)
 
 
 class TestSimulateUSD:
+    # label counts are multinomial draws of Born-table rows, as `nogo usd` and
+    # the demo sample them
     def test_orthonormal_truth_always_identified(self):
         s = StateSet(np.eye(2))
         m = build_usd(linalg.factorize(s))
-        counts = simulate_usd(m, truth_set(s, 0), 100, np.random.default_rng(0))[0]
+        counts = np.random.default_rng(0).multinomial(100, born_distribution(m, s)[0])
         assert counts[0] == 100
 
     def test_zero_plus_statistics(self):
         s = normalize(ZERO_PLUS)
         m = build_usd(linalg.factorize(s))
         trials = 100_000
-        counts = simulate_usd(m, truth_set(s, 0), trials, np.random.default_rng(11))[0]
+        counts = np.random.default_rng(11).multinomial(trials, born_distribution(m, s)[0])
         assert counts[1] == 0  # never misidentified
         rate = counts[0] / trials
         sigma3 = 3.0 * math.sqrt(P_ZERO_PLUS * (1 - P_ZERO_PLUS) / trials)
@@ -179,13 +176,13 @@ class TestSimulateUSD:
     def test_single_trial_counts_sum(self, rng):
         s = normalize(ZERO_PLUS)
         m = build_usd(linalg.factorize(s))
-        counts = simulate_usd(m, truth_set(s, 1), 1, rng)
-        assert counts.shape == (1, 3) and counts.sum() == 1
+        counts = rng.multinomial(1, born_distribution(m, s)[1])
+        assert counts.shape == (3,) and counts.sum() == 1
 
     def test_counts_have_one_row_per_truth(self, rng):
         s = random_independent_set(rng, 4, 3)
         m = build_usd(linalg.factorize(s))
-        counts = simulate_usd(m, s, 500, rng)
+        counts = rng.multinomial(500, born_distribution(m, s))
         assert counts.shape == (3, 4)
         assert (counts.sum(axis=1) == 500).all()
         np.testing.assert_array_equal(counts[:, :3], np.diag(np.diag(counts[:, :3])))
@@ -198,7 +195,7 @@ class TestSimulateUSD:
             s = random_independent_set(rng, dim, size)
             m = build_usd(linalg.factorize(s))
             truth_idx = int(rng.integers(size))
-            counts = simulate_usd(m, truth_set(s, truth_idx), 2000, rng)[0]
+            counts = rng.multinomial(2000, born_distribution(m, s)[truth_idx])
             wrong = counts[:size].sum() - counts[truth_idx]
             assert wrong == 0
 
@@ -209,10 +206,10 @@ class TestSimulateUSD:
             assert born_distribution(m, StateSet([member]))[0].sum() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("trials", [0, -1, MAX_TRIALS + 1])
-    def test_trials_out_of_bounds_rejected(self, trials, rng):
-        s = normalize(ZERO_PLUS)
+    def test_trials_out_of_bounds_rejected(self, trials):
+        # the bound `nogo usd` puts on its trial count
         with pytest.raises(InvalidParams):
-            simulate_usd(build_usd(linalg.factorize(s)), truth_set(s, 0), trials, rng)
+            check_trials(trials, 1)
 
     def test_cross_talk_of_a_truth_in_the_span(self, rng):
         # normalize(|0> + |+>) is in the span but is neither hypothesis, so
@@ -223,7 +220,7 @@ class TestSimulateUSD:
         row = born_distribution(m, truth)[0]
         assert row[0] > 0.0 and row[1] > 0.0
         assert row.sum() == pytest.approx(1.0)
-        counts = simulate_usd(m, truth, 10_000, rng)[0]
+        counts = rng.multinomial(10_000, row)
         assert np.count_nonzero(counts[:2]) == 2
 
 
@@ -236,7 +233,7 @@ class TestBornDistribution:
         phases = pipeline.PhaseTriple(0.0, math.pi / 2.0, math.pi / 4.0 + 1e-9)
         outputs, _ = pipeline.apply_superposer_to_set(cfg, p, phases)
         m = build_usd(linalg.factorize(outputs, 1e-13))
-        probs = success_probabilities(m)
+        probs = np.diag(born_distribution(m, outputs))
         for j, out in enumerate(outputs.rows):
             row = born_distribution(m, StateSet([out]))[0]
             assert row[j] == probs[j]
@@ -252,7 +249,7 @@ class TestBornDistribution:
                 for j, member in enumerate(s.rows):
                     row = born_distribution(m, StateSet([member]))[0]
                     assert 0.0 <= row.min() and row.max() <= 1.0
-                    assert simulate_usd(m, truth_set(s, j), 100, rng)[0, j] == 100
+                    assert rng.multinomial(100, row)[j] == 100
 
     def test_rows_without_an_inconclusive_outcome_are_probabilities(self, rng):
         # along the top eigenvector of sum_j |r_j><r_j| the conclusive entries
@@ -264,7 +261,7 @@ class TestBornDistribution:
             truth = normalize([np.linalg.eigh(total)[1][:, -1]])
             row = born_distribution(m, truth)[0]
             assert row[-1] == pytest.approx(0.0, abs=1e-12) and row.min() >= 0.0
-            assert simulate_usd(m, truth, 100, rng)[0, -1] == 0
+            assert rng.multinomial(100, row)[-1] == 0
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), data=st.data())
@@ -277,7 +274,7 @@ class TestBornDistribution:
         f = linalg.factorize(s)
         assert f.rank.rank == size
         m = build_usd(f)
-        probs = success_probabilities(m)
+        probs = np.diag(born_distribution(m, s))
         for j, member in enumerate(s.rows):
             row = born_distribution(m, StateSet([member]))[0]
             assert row.min() >= 0.0 and row.max() <= 1.0
@@ -287,19 +284,19 @@ class TestBornDistribution:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), data=st.data())
     def test_own_entry_does_not_depend_on_the_table(self, seed, dim, data):
-        # a hypothesis' own entry is its success probability bit for bit,
-        # whether its row comes from a one-member table or from the full set
+        # a hypothesis' row, its own entry (its success probability) and the
+        # inconclusive entry too, has the same bits whether it comes from a
+        # one-member table or from the full set, which `nogo usd` samples
         size = data.draw(st.integers(1, dim))
         s = random_state_set(np.random.default_rng(seed), dim, size)
         m = build_usd(linalg.factorize(s))
-        probs = success_probabilities(m)
         full = born_distribution(m, s)
         assert full.shape == (size, size + 1)
         for j, member in enumerate(s.rows):
             one = born_distribution(m, StateSet([member]))
             assert one.shape == (1, size + 1)
-            assert one[0, j] == full[j, j] == probs[j]
-            np.testing.assert_array_equal(one[0, :-1], full[j, :-1])
+            assert one[0, j] == full[j, j]
+            np.testing.assert_array_equal(one[0], full[j])
 
     def test_truth_of_another_dimension_refused(self):
         m = build_usd(linalg.factorize(StateSet(np.eye(3)[:2])))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nogosuper import linalg, pipeline
-from nogosuper.discrimination import build_usd, success_probabilities
+from nogosuper.discrimination import born_distribution, build_usd
 from nogosuper.errors import DependentOutputs, InvalidParams
 from nogosuper.states import normalize
 from nogosuper.superposer import (
@@ -450,7 +450,8 @@ class TestForbiddenTaskDemo:
         report = pipeline.forbidden_task_demo(balanced_params(), balanced_cfg(), 10, rng)
         outputs, _ = pipeline.apply_superposer_to_set(balanced_cfg(), balanced_params())
         m = build_usd(linalg.factorize(outputs))
-        assert report.predicted_usd_probabilities == success_probabilities(m)
+        table = born_distribution(m, outputs)
+        assert report.predicted_usd_probabilities == np.diag(table).tolist()
 
     def test_clone_fidelity_from_the_prepared_copies(self, monkeypatch):
         # a measurement that sends every secret to label 0: secrets 1 and 2
