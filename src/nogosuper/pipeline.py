@@ -111,17 +111,76 @@ class ScanResult:
 
     def write_csv(self, path: str) -> None:
         """The grid as CSV: header theta21,theta31,min_singular_value,rank,
-        one row per point, LF line endings, floats as round-trip `repr`.
-        Each theta is formatted once and each theta21 row block is one write."""
-        t31s = [repr(t) for t in self.thetas.tolist()]
+        one row per point, LF line endings, each float its Python `repr`.
+        Each block of `_CSV_BLOCK_ROWS` theta21 rows is one `%` template, filled
+        from `_csv_fields`, so the writer holds one block, whatever the grid."""
+        t31s = [f"{t!r},%s%s,%d\n" for t in self.thetas.tolist()]
+        leads = [f"{t!r}," for t in self.thetas.tolist()]
         with open(path, "w", newline="") as fh:
             fh.write("theta21,theta31,min_singular_value,rank\n")
-            for t21, sigmas, ranks in zip(self.thetas.tolist(),
-                                          self.min_singular_values.tolist(),
-                                          self.ranks.tolist()):
-                lead = repr(t21) + ","
-                fh.write("".join([f"{lead}{t31},{s!r},{r}\n"
-                                  for t31, s, r in zip(t31s, sigmas, ranks)]))
+            for start in range(0, len(leads), _CSV_BLOCK_ROWS):
+                rows = slice(start, start + _CSV_BLOCK_ROWS)
+                template = "".join([lead + lead.join(t31s) for lead in leads[rows]])
+                fh.write(template % tuple(_csv_fields(
+                    self.min_singular_values[rows].ravel(), self.ranks[rows].ravel())))
+
+
+_CSV_BLOCK_ROWS = 32
+_DECADE_FLOORS = np.array([1e-3, 1e-2, 1e-1])  # each double lies above its power of ten
+_DECADE_PREFIXES = np.array(["0.000", "0.00", "0.0", "0."], dtype=object)
+_DECADE_SCALES = 10.0 ** np.arange(20, 16, -1)  # 10**(16 - E), exact
+
+
+def _csv_fields(sigma: np.ndarray, ranks: np.ndarray) -> list:
+    """Flat (prefix, digits, rank) per value, with prefix + digits == repr.
+
+    For x in [1e-4, 1), E = floor(log10 x) is exact from `_DECADE_FLOORS`,
+    and Dekker's product on Veltkamp halves gives y = x * 10**(16 - E)
+    exactly as p + err. Rounded half-to-even, y is the 17-digit int y_int,
+    t = y - y_int exactly, and rounding (y_int, t) to 16 or 15 digits is
+    integer work. A k-digit D reads back as x iff |D * 10**(17 - k) - y|,
+    a double, is below half an ulp of x (from `np.frexp`) times
+    10**(16 - E): no D lies on the bound, a dyadic of 50+ digits. No two
+    15-digit decimals read back as one double, so `repr` (the shortest
+    digits that read back, the nearest, ties to even; Gay 1990) is the
+    first of the 15-, 16- and 17-digit roundings that reads back (the last
+    always does), as "0." + "0" * (-E - 1) + D without trailing zeros.
+    A power of two there has 10 digits or fewer, so its asymmetric
+    interval never matters. Other values (0, 1, tiny, NaN, inf) keep `repr`.
+    """
+    fast = (sigma >= 1e-4) & (sigma < 1.0)
+    x = sigma[fast]
+    decade = np.searchsorted(_DECADE_FLOORS, x, side="right")  # -E - 1 = 3 - decade
+    scale = _DECADE_SCALES[decade]
+    p = x * scale
+    (x_hi, x_lo), (s_hi, s_lo) = _veltkamp(x), _veltkamp(scale)
+    err = ((x_hi * s_hi - p) + x_hi * s_lo + x_lo * s_hi) + x_lo * s_lo
+    carry = np.rint(err)  # p >= 1e16 > 2**53 is an even int
+    y_int = p.astype(np.int64) + carry.astype(np.int64)
+    t = err - carry
+    half_ulp = np.ldexp(scale, np.frexp(x)[1] - 54)
+    d = y_int
+    for unit in (10, 100):  # 16, then 15 digits, the shorter overriding
+        head, rest = np.divmod(y_int, unit)
+        rest = rest + t  # y - unit * head
+        head += (rest > unit / 2) | ((rest == unit / 2) & (head & 1 == 1))
+        miss = np.abs((unit * head - y_int) - t)  # |unit * head - y|
+        d = np.where(miss < half_ulp, unit * head, d)
+    zeros = np.flatnonzero(d % 10 == 0)
+    while zeros.size:
+        d[zeros] //= 10
+        zeros = zeros[d[zeros] % 10 == 0]
+    fields = np.empty((sigma.size, 3), dtype=object)
+    fields[fast, 0], fields[fast, 1] = _DECADE_PREFIXES[decade], d
+    fields[~fast, 0], fields[~fast, 1] = [repr(s) for s in sigma[~fast].tolist()], ""
+    fields[:, 2] = ranks
+    return fields.ravel().tolist()
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t = a * (2.0**27 + 1.0)  # a = hi + lo exactly, in two 26-bit halves
+    hi = t - (t - a)
+    return hi, a - hi
 
 
 def apply_superposer_to_set(

@@ -5,7 +5,8 @@ Keys, ints, strings, bools, nulls and exit codes must match exactly; floats
 within rtol=1e-12 plus atol=1e-13, the atol for round-off-level values such
 as a dependent set's residual (about 1e-16). Bytes depend on the numpy and
 BLAS build, so they are not compared with the record; each report's text is
-held to `json.dumps(indent=2, sort_keys=True)` of its own parse instead.
+held to `json.dumps(indent=2, sort_keys=True)` of its own parse instead, and
+each sampled CSV row to the `repr` of its own parsed fields.
 `tests/golden/regenerate.py` rewrites the record.
 """
 
@@ -58,5 +59,9 @@ def test_report_matches_the_golden_record(name, tmp_path, capsys):
     if "csv" in want:
         assert got["csv"]["header"] == want["csv"]["header"]
         assert got["csv"]["row_count"] == want["csv"]["row_count"]
+        # a float within rtol can still be the wrong text of its own double
+        for row in got["csv"]["sample"]:
+            t21, t31, sigma, rank = csv_fields(row)
+            assert row == f"{t21!r},{t31!r},{sigma!r},{rank}", f"{name}/csv: {row}"
         assert_matches([csv_fields(r) for r in got["csv"]["sample"]],
                        [csv_fields(r) for r in want["csv"]["sample"]], f"{name}/csv")

@@ -386,20 +386,81 @@ class TestScan:
             per_point.append(peak / scan.ranks.size)
         assert per_point[1] == pytest.approx(per_point[0], rel=0.1)
 
+    def test_writer_memory_grows_with_the_side_not_the_area(self, tmp_path):
+        # the writer holds one block of rows: doubling the side doubles its
+        # peak, where holding the whole grid would quadruple it
+        peaks = []
+        for step in (math.pi / 180.0, math.pi / 360.0):
+            scan = pipeline.scan_degeneracy_numeric(balanced_params(), SQ2, SQ2, step)
+            tracemalloc.start()
+            try:
+                scan.write_csv(tmp_path / "grid.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2.5 * peaks[0]
+
     def test_csv_bytes_match_the_reference_writer(self, tmp_path):
         small = pipeline.ScanResult(
-            thetas=0.05 * np.arange(3),
+            thetas=0.05 * np.arange(4),
             min_singular_values=np.array(
-                [[0.0, 5e-324, 1e-300], [0.1, 0.30000000000000004, 1.0],
-                 [2.5e-17, 123456.789, 1e22]]),
-            ranks=np.array([[2, 2, 2], [3, 3, 3], [2, 3, 3]]),
+                [[0.0, 5e-324, 1e-300, 0.5], [0.1, 0.30000000000000004, 1.0, 0.25],
+                 [2.5e-17, 123456.789, 1e22, 1e-4], [np.nextafter(1e-4, 0.0),
+                 np.nextafter(1.0, 0.0), 0.5 + 2.0**-17, 1e-3]]),
+            ranks=np.array([[2, 2, 2, 3], [3, 3, 3, 3], [2, 3, 3, 3], [3, 3, 3, 3]]),
             detected=[],
         )
+        # the 1 degree grid has on-grid locus points, sigma about 1e-16, and
+        # step 0.1 has 63 rows, not a whole number of blocks
+        balanced = pipeline.scan_degeneracy_numeric(balanced_params(), SQ2, SQ2,
+                                                    math.pi / 180.0)
+        assert balanced.min_singular_values.min() < 1e-4
         real = pipeline.scan_degeneracy_numeric(balanced_params(), SQ2, SQ2, 0.1)
-        for scan in (small, real):
+        assert real.thetas.size % pipeline._CSV_BLOCK_ROWS != 0
+        for scan in (small, balanced, real):
             scan.write_csv(tmp_path / "new.csv")
             write_csv_reference(scan, tmp_path / "reference.csv")
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def sigma_texts(values):
+    """prefix + digits of each value from `_csv_fields`, and how many took
+    the `repr` fallback (empty digits)."""
+    fields = pipeline._csv_fields(np.asarray(values, dtype=float),
+                                  np.zeros(len(values), dtype=np.int64))
+    prefixes, digits = fields[0::3], fields[1::3]
+    return [f"{p}{d}" for p, d in zip(prefixes, digits)], digits.count("")
+
+
+def ulp_neighbours(x):
+    """x and its neighbours 1 and 2 ulps away on either side."""
+    down, up = np.nextafter(x, 0.0), np.nextafter(x, np.inf)
+    return np.concatenate([x, down, up, np.nextafter(down, 0.0), np.nextafter(up, np.inf)])
+
+
+class TestSigmaText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | st.floats(1e-4, 1.0, exclude_max=True),
+                    min_size=1, max_size=8))
+    def test_equals_repr_for_any_double(self, values):
+        assert sigma_texts(values)[0] == [repr(float(v)) for v in values]
+
+    def test_equals_repr_next_to_short_decimals_and_powers(self):
+        rng = np.random.default_rng(11)
+        # decimals of 1 to 16 significant digits, m * 10**(E + 1 - digits)
+        short = np.array([float(f"{m}e{e + 1 - digits}") for digits in range(1, 17)
+                          for m, e in zip(rng.integers(10**(digits - 1), 10**digits, 200).tolist(),
+                                          rng.integers(-4, 0, 200).tolist())])
+        assert short.min() >= 1e-4 and short.max() < 1.0
+        powers = np.concatenate([10.0 ** np.arange(-4, 1), 2.0 ** np.arange(-14, 0)])
+        values = ulp_neighbours(np.concatenate([short, powers]))
+        assert sigma_texts(values)[0] == [repr(x) for x in values.tolist()]
+
+    def test_uniform_values_take_no_fallback(self):
+        values = np.random.default_rng(12).uniform(1e-3, 1.0, 10**5)
+        texts, fallbacks = sigma_texts(values)
+        assert fallbacks == 0
+        assert texts == [repr(x) for x in values.tolist()]
 
 
 class TestForbiddenTaskDemo:
