@@ -29,7 +29,8 @@ from .superposer import (
 ORTHOGONALITY_TOL = 1e-10
 SCAN_RANK_TOL = 1e-6
 MAX_DIM = 16
-MIN_GRID_STEP = math.pi / 720.0  # 0.25 degrees: 1440^2 points, about 300 MB
+MIN_GRID_STEP = math.pi / 720.0  # 0.25 degrees: 1440^2 points, scan peak about 42 MB
+_SCAN_BLOCK_ROWS = 32  # theta21 rows per scan kernel call
 LOCUS_FAMILY = "theta21 in {pi/2, 3*pi/2} with a = cos(theta31), b = +/- sin(theta31)"
 
 
@@ -112,17 +113,24 @@ class ScanResult:
     def write_csv(self, path: str) -> None:
         """The grid as CSV: header theta21,theta31,min_singular_value,rank,
         one row per point, LF line endings, each float its Python `repr`.
-        Each block of `_CSV_BLOCK_ROWS` theta21 rows is one `%` template, filled
-        from `_csv_fields`, so the writer holds one block, whatever the grid."""
-        t31s = [f"{t!r},%s%s,%d\n" for t in self.thetas.tolist()]
-        leads = [f"{t!r}," for t in self.thetas.tolist()]
+        Each block of `_CSV_BLOCK_ROWS` theta21 rows is one `%` template with
+        one slot per cell: its piece, picked by the cell's kind from
+        `_csv_fields`, already holds theta31, the decade prefix and rank 3,
+        or, for kind 4, only theta31. The writer holds one block, whatever
+        the grid."""
+        thetas = self.thetas.tolist()
+        pieces = np.array([[f"{t!r},{prefix}%s,3\n" for t in thetas]
+                           for prefix in _DECADE_PREFIXES]
+                          + [[f"{t!r},%s\n" for t in thetas]], dtype=object)
+        cols, leads = np.arange(len(thetas)), [f"{t!r}," for t in thetas]
         with open(path, "w", newline="") as fh:
             fh.write("theta21,theta31,min_singular_value,rank\n")
-            for start in range(0, len(leads), _CSV_BLOCK_ROWS):
+            for start in range(0, len(thetas), _CSV_BLOCK_ROWS):
                 rows = slice(start, start + _CSV_BLOCK_ROWS)
-                template = "".join([lead + lead.join(t31s) for lead in leads[rows]])
-                fh.write(template % tuple(_csv_fields(
-                    self.min_singular_values[rows].ravel(), self.ranks[rows].ravel())))
+                kinds, fields = _csv_fields(self.min_singular_values[rows], self.ranks[rows])
+                template = "".join([lead + lead.join(row) for lead, row in zip(
+                    leads[rows], pieces[kinds, cols].tolist())])
+                fh.write(template % tuple(fields))
 
 
 _CSV_BLOCK_ROWS = 32
@@ -131,8 +139,11 @@ _DECADE_PREFIXES = np.array(["0.000", "0.00", "0.0", "0."], dtype=object)
 _DECADE_SCALES = 10.0 ** np.arange(20, 16, -1)  # 10**(16 - E), exact
 
 
-def _csv_fields(sigma: np.ndarray, ranks: np.ndarray) -> list:
-    """Flat (prefix, digits, rank) per value, with prefix + digits == repr.
+def _csv_fields(sigma: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, list]:
+    """A kind per cell, in the cells' shape, and the flat list of their
+    fields. A rank-3 value in [1e-4, 1) has its decade as kind and the int D
+    as field, `_DECADE_PREFIXES[kind]` + D == repr; every other cell has
+    kind 4 and the field "repr,rank".
 
     For x in [1e-4, 1), E = floor(log10 x) is exact from `_DECADE_FLOORS`,
     and Dekker's product on Veltkamp halves gives y = x * 10**(16 - E)
@@ -148,7 +159,7 @@ def _csv_fields(sigma: np.ndarray, ranks: np.ndarray) -> list:
     A power of two there has 10 digits or fewer, so its asymmetric
     interval never matters. Other values (0, 1, tiny, NaN, inf) keep `repr`.
     """
-    fast = (sigma >= 1e-4) & (sigma < 1.0)
+    fast = (sigma >= 1e-4) & (sigma < 1.0) & (ranks == 3)
     x = sigma[fast]
     decade = np.searchsorted(_DECADE_FLOORS, x, side="right")  # -E - 1 = 3 - decade
     scale = _DECADE_SCALES[decade]
@@ -170,11 +181,12 @@ def _csv_fields(sigma: np.ndarray, ranks: np.ndarray) -> list:
     while zeros.size:
         d[zeros] //= 10
         zeros = zeros[d[zeros] % 10 == 0]
-    fields = np.empty((sigma.size, 3), dtype=object)
-    fields[fast, 0], fields[fast, 1] = _DECADE_PREFIXES[decade], d
-    fields[~fast, 0], fields[~fast, 1] = [repr(s) for s in sigma[~fast].tolist()], ""
-    fields[:, 2] = ranks
-    return fields.ravel().tolist()
+    kinds = np.full(sigma.shape, 4)
+    kinds[fast] = decade
+    fields = np.empty(sigma.shape, dtype=object)
+    fields[fast] = d
+    fields[~fast] = [f"{s!r},{r}" for s, r in zip(sigma[~fast].tolist(), ranks[~fast].tolist())]
+    return kinds, fields.ravel().tolist()
 
 
 def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,16 +277,21 @@ def scan_degeneracy_numeric(
     out = superpose_many(alpha, beta, qh @ p.inputs.amplitude_matrix(),
                          qh @ p.phi, np.broadcast_to(thetas[:, None], (n, 3)))
     # C[k, l] has columns output 1 at theta1 = thetas[0] = 0, output 2 at
-    # theta21 = thetas[k] and output 3 at theta31 = thetas[l]
-    lam_min, lam_mid, lam_max = _squared_singular_values_3x3(
-        (out[0, :, 0], out[:, None, :, 1], out[None, :, :, 2]))
-    # sigma > SCAN_RANK_TOL * sigma_max, squared; sigma_max itself always counts
-    cut = SCAN_RANK_TOL**2 * lam_max
-    ranks = 1 + (lam_mid > cut) + (lam_min > cut)
+    # theta21 = thetas[k] and output 3 at theta31 = thetas[l]; the kernel's
+    # temporaries hold one block of `_SCAN_BLOCK_ROWS` theta21 rows at a time
+    sigma_min, ranks = np.empty((n, n)), np.empty((n, n), dtype=np.int64)
+    for start in range(0, n, _SCAN_BLOCK_ROWS):
+        rows = slice(start, start + _SCAN_BLOCK_ROWS)
+        lam_min, lam_mid, lam_max = _squared_singular_values_3x3(
+            (out[0, :, 0], out[rows, None, :, 1], out[None, :, :, 2]))
+        # sigma > SCAN_RANK_TOL * sigma_max, squared; sigma_max itself always counts
+        cut = SCAN_RANK_TOL**2 * lam_max
+        ranks[rows] = 1 + (lam_mid > cut) + (lam_min > cut)
+        sigma_min[rows] = np.sqrt(lam_min)
 
     return ScanResult(
         thetas=thetas,
-        min_singular_values=np.sqrt(lam_min),
+        min_singular_values=sigma_min,
         ranks=ranks,
         detected=[(float(thetas[i]), float(thetas[j])) for i, j in np.argwhere(ranks < 3)],
     )

@@ -386,6 +386,18 @@ class TestScan:
             per_point.append(peak / scan.ranks.size)
         assert per_point[1] == pytest.approx(per_point[0], rel=0.1)
 
+    def test_kernel_memory_is_bounded_by_its_own_output(self):
+        # the kernel's temporaries hold one block of rows, not the grid: at
+        # 0.5 degrees its peak stays under 3 times sigma_min and ranks
+        tracemalloc.start()
+        try:
+            scan = pipeline.scan_degeneracy_numeric(balanced_params(), SQ2, SQ2,
+                                                    math.pi / 360.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (scan.min_singular_values.nbytes + scan.ranks.nbytes)
+
     def test_writer_memory_grows_with_the_side_not_the_area(self, tmp_path):
         # the writer holds one block of rows: doubling the side doubles its
         # peak, where holding the whole grid would quadruple it
@@ -401,15 +413,25 @@ class TestScan:
         assert peaks[1] < 2.5 * peaks[0]
 
     def test_csv_bytes_match_the_reference_writer(self, tmp_path):
+        # row 4 mixes rank-1 and rank-2 cells in [1e-4, 1) with plain cells;
+        # every cell of row 5 takes the "repr,rank" field (kind 4)
         small = pipeline.ScanResult(
-            thetas=0.05 * np.arange(4),
+            thetas=0.05 * np.arange(6),
             min_singular_values=np.array(
-                [[0.0, 5e-324, 1e-300, 0.5], [0.1, 0.30000000000000004, 1.0, 0.25],
-                 [2.5e-17, 123456.789, 1e22, 1e-4], [np.nextafter(1e-4, 0.0),
-                 np.nextafter(1.0, 0.0), 0.5 + 2.0**-17, 1e-3]]),
-            ranks=np.array([[2, 2, 2, 3], [3, 3, 3, 3], [2, 3, 3, 3], [3, 3, 3, 3]]),
+                [[0.0, 5e-324, 1e-300, 0.5, np.nan, 0.75],
+                 [0.1, 0.30000000000000004, 1.0, 0.25, 0.7, np.inf],
+                 [2.5e-17, 123456.789, 1e22, 1e-4, 0.015625, 0.3],
+                 [np.nextafter(1e-4, 0.0), np.nextafter(1.0, 0.0), 0.5 + 2.0**-17,
+                  1e-3, 0.2, 0.6],
+                 [0.5, 0.123, 0.25, 1e-3, 0.9, 0.004],
+                 [0.5, 1.5, 0.0, 0.25, 2e-5, 1e-3]]),
+            ranks=np.array([[2, 2, 2, 3, 2, 3], [3, 3, 3, 3, 3, 3], [2, 3, 3, 3, 3, 3],
+                            [3, 3, 3, 3, 3, 3], [2, 3, 1, 3, 2, 3], [2, 3, 3, 1, 3, 2]]),
             detected=[],
         )
+        kinds = pipeline._csv_fields(small.min_singular_values, small.ranks)[0]
+        assert kinds[4].tolist() == [4, 3, 4, 1, 4, 1]
+        assert (kinds[5] == 4).all()
         # the 1 degree grid has on-grid locus points, sigma about 1e-16, and
         # step 0.1 has 63 rows, not a whole number of blocks
         balanced = pipeline.scan_degeneracy_numeric(balanced_params(), SQ2, SQ2,
@@ -424,12 +446,15 @@ class TestScan:
 
 
 def sigma_texts(values):
-    """prefix + digits of each value from `_csv_fields`, and how many took
-    the `repr` fallback (empty digits)."""
-    fields = pipeline._csv_fields(np.asarray(values, dtype=float),
-                                  np.zeros(len(values), dtype=np.int64))
-    prefixes, digits = fields[0::3], fields[1::3]
-    return [f"{p}{d}" for p, d in zip(prefixes, digits)], digits.count("")
+    """Each value's text from `_csv_fields` at rank 3, the decade prefix and
+    digits or the kind-4 text before its rank, and how many cells took the
+    `repr` fallback (kind 4)."""
+    kinds, fields = pipeline._csv_fields(np.asarray(values, dtype=float),
+                                         np.full(len(values), 3))
+    texts = [field.rpartition(",")[0] if kind == 4
+             else pipeline._DECADE_PREFIXES[kind] + str(field)
+             for kind, field in zip(kinds.tolist(), fields)]
+    return texts, int(np.count_nonzero(kinds == 4))
 
 
 def ulp_neighbours(x):
