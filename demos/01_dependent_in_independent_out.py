@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from nogosuper import linalg, pipeline
-from nogosuper.superposer import AlwaysSucceed, ConstantPhase, SuperposerConfig
+from nogosuper.superposer import ConstantPhase, ConstantSuccess, SuperposerConfig
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -21,7 +21,7 @@ inputs = params.inputs
 
 print("Input triple (columns):")
 print(np.round(inputs.amplitude_matrix(), 4))
-input_rank = linalg.numerical_rank(inputs.amplitude_matrix(), 1e-9)
+input_rank = linalg.factorize(inputs).rank
 print(f"\nInput rank: {input_rank.rank}  (singular values "
       f"{np.round(input_rank.singular_values, 6)})")
 print("-> dependent, as expected: the third state lives in the span of the "
@@ -30,7 +30,7 @@ print("-> dependent, as expected: the third state lives in the span of the "
 cfg = SuperposerConfig(
     alpha=SQ2, beta=SQ2,
     phase_policy=ConstantPhase(0.0),
-    success_policy=AlwaysSucceed(),
+    success_policy=ConstantSuccess(1.0),
 )
 outputs, phases = pipeline.apply_superposer_to_set(cfg, params)
 print("Superposer outputs (each input superposed with phi = e3):")

@@ -14,7 +14,7 @@ import numpy as np
 from nogosuper import linalg, pipeline
 from nogosuper.discrimination import born_distribution, build_usd
 from nogosuper.states import normalize
-from nogosuper.superposer import AlwaysSucceed, ConstantPhase, SuperposerConfig
+from nogosuper.superposer import ConstantPhase, ConstantSuccess, SuperposerConfig
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -32,7 +32,7 @@ print(f"Misidentifications: {counts[1]}\n")
 
 print("=== Forbidden-task pipeline on a dependent triple ===")
 params = pipeline.standard_params(a=SQ2, b=SQ2, dim=3)
-cfg = SuperposerConfig(SQ2, SQ2, ConstantPhase(0.0), AlwaysSucceed())
+cfg = SuperposerConfig(SQ2, SQ2, ConstantPhase(0.0), ConstantSuccess(1.0))
 report = pipeline.forbidden_task_demo(
     params, cfg, trials=100_000, rng=np.random.default_rng(7)
 )

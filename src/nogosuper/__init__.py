@@ -6,7 +6,6 @@ from .linalg import (
     Factorization,
     RankResult,
     factorize,
-    numerical_rank,
     reciprocal_basis,
 )
 from .pipeline import (
@@ -24,13 +23,11 @@ from .pipeline import (
     standard_params,
 )
 from .states import (
-    CanonicalForm,
     StateSet,
     canonicalize,
     normalize,
 )
 from .superposer import (
-    AlwaysSucceed,
     CanonicalHashPhase,
     ConstantPhase,
     ConstantSuccess,

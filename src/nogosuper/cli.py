@@ -33,7 +33,6 @@ from .errors import (DependentOutputs, DimensionMismatch, EmptySet, InvalidParam
                      NonFiniteEntry, NullVector)
 from .states import normalize
 from .superposer import (
-    AlwaysSucceed,
     CanonicalHashPhase,
     ConstantPhase,
     ConstantSuccess,
@@ -166,7 +165,7 @@ PHASE_POLICIES = {
     "canonical_hash": lambda args: CanonicalHashPhase(),
 }
 SUCCESS_POLICIES = {
-    "always": lambda args: AlwaysSucceed(),
+    "always": lambda args: ConstantSuccess(1.0),
     "constant": lambda args: ConstantSuccess(args.success_p),
     "overlap_scaled": lambda args: OverlapScaledSuccess(),
 }
@@ -272,8 +271,8 @@ def _config_dict(args, seed: int) -> dict:
 def cmd_verify(args, seed: int) -> dict:
     params = pipeline.standard_params(args.a, args.b, dim=args.dim)
     outputs, phases = pipeline.apply_superposer_to_set(
-        _resolve_config(args, AlwaysSucceed()), params, _explicit_phases(args))
-    input_rank = linalg.numerical_rank(params.inputs.amplitude_matrix(), args.tol)
+        _resolve_config(args, ConstantSuccess(1.0)), params, _explicit_phases(args))
+    input_rank = linalg.factorize(params.inputs, args.tol).rank
     cert = pipeline.certify_independence(linalg.factorize(outputs, args.tol))
     return {
         "input_rank": input_rank.rank,

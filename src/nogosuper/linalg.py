@@ -1,8 +1,8 @@
 """Small dense complex linear algebra on numpy's LAPACK.
 
-A state set is factored once, by one full SVD of its amplitude matrix
-(states as columns) in `factorize`. The package has one rank rule,
-`RankResult.of`: count the singular values above `tol * sigma_max` of the
+Every rank in the package comes from `factorize`: one full SVD of a state
+set's amplitude matrix (states as columns), ranked by the one rank rule,
+`RankResult.of`. It counts the singular values above `tol * sigma_max` of the
 amplitude matrix, never of the Gram matrix, whose eigenvalues are the
 squares sigma^2 and would square the tolerance too.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet, InvalidParams, LinearlyDependentInput, NonFiniteEntry
+from .errors import InvalidParams, LinearlyDependentInput
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -24,7 +24,6 @@ class RankResult:
 
     rank: int
     singular_values: np.ndarray  # descending, all >= 0
-    tolerance_used: float
 
     @classmethod
     def of(cls, sigma: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> "RankResult":
@@ -33,23 +32,13 @@ class RankResult:
         if not 0.0 < tol < 1.0:
             raise InvalidParams(f"tolerance must lie in (0, 1), got {tol}")
         rank = int(np.count_nonzero(sigma > tol * sigma[0]))
-        return cls(rank=rank, singular_values=sigma, tolerance_used=tol)
+        return cls(rank=rank, singular_values=sigma)
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a complex (n, d) array, from its real and
     imaginary views: bit for bit `np.linalg.norm` of each row on its own."""
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
-
-
-def numerical_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RankResult:
-    """Rank of any matrix from its singular values (`RankResult.of`)."""
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        raise EmptySet("cannot rank an empty matrix")
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteEntry("matrix contains NaN or infinite entries")
-    return RankResult.of(np.linalg.svd(m, compute_uv=False), tol)
 
 
 @dataclass(frozen=True)

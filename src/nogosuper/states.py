@@ -1,4 +1,4 @@
-"""State sets and canonical (global-phase-free) forms. A pure state is a row
+"""State sets and canonical (global-phase-free) rows. A pure state is a row
 of a `StateSet`, checked once with the rest of its set."""
 
 from __future__ import annotations
@@ -14,14 +14,6 @@ from .linalg import row_norms
 NORM_TOL = 1e-12
 NULL_THRESHOLD = 1e-10
 CANONICAL_PIVOT_FLOOR = 1e-10
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Global-phase-free representative: first non-negligible amplitude made
-    real positive, so equal physical states map to (numerically) equal arrays."""
-
-    amplitudes: np.ndarray
 
 
 def normalize(vectors: Sequence[Sequence[complex]] | np.ndarray) -> StateSet:
@@ -65,20 +57,21 @@ def _check_rows(rows) -> np.ndarray:
     return rows
 
 
-def canonicalize(amps: np.ndarray) -> CanonicalForm:
-    """Canonical form of one complex amplitude row of a StateSet."""
+def canonicalize(amps: np.ndarray) -> np.ndarray:
+    """Canonical form of one complex amplitude row of a StateSet, as a new
+    row: its first non-negligible amplitude made real positive, so equal
+    physical states map to (numerically) equal rows."""
     pivots = np.nonzero(np.abs(amps) > CANONICAL_PIVOT_FLOOR)[0]
     if pivots.size == 0:
         # unreachable for a unit-norm state, kept for safety
-        return CanonicalForm(amps.copy())
+        return amps.copy()
     pivot = amps[pivots[0]]
     if pivot.imag == 0.0 and pivot.real > 0.0:
-        return CanonicalForm(amps.copy())  # already canonical; exact idempotence
+        return amps.copy()  # already canonical; exact idempotence
     phase = np.conj(pivot) / abs(pivot)
     out = amps * phase
     out[pivots[0]] = abs(pivot)  # exactly real, so a second pass is a no-op
-    out = out + 0.0  # collapse -0.0 components
-    return CanonicalForm(out)
+    return out + 0.0  # collapse -0.0 components
 
 
 @dataclass

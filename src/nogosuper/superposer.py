@@ -2,9 +2,10 @@
 
 Given weights (alpha, beta), the oracle maps two pure states to the normalized
 state alpha|psi> + beta e^{i theta}|phi>, where theta comes from a pluggable
-phase policy and success is drawn from a pluggable success-probability policy.
-Phase policies consume canonical forms only, so they structurally cannot peek
-at unphysical global phases. They can still see the basis: the canonical
+phase policy and success is drawn from a pluggable success-probability policy
+(`ConstantSuccess(1.0)` for an oracle that always succeeds). Phase policies
+see canonical rows only, so a global phase reaches them only through the
+round-off of `canonicalize`. They can still see the basis: the canonical
 pivot is the first non-negligible amplitude in the given basis.
 
 Every superposition in the package is formed by `superpose_many`, with phases
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams, NullSuperposition
-from .states import NULL_THRESHOLD, CanonicalForm, canonicalize
+from .states import NULL_THRESHOLD, canonicalize
 
 TWO_PI = 2.0 * math.pi
 UNIT_PAIR_TOL = 1e-9
@@ -30,13 +31,13 @@ _FNV_PRIME = 0x100000001B3
 
 
 class PhasePolicy:
-    """Maps a canonicalized input pair to a relative phase in [0, 2*pi)."""
+    """Maps a pair of canonical amplitude rows to a relative phase in [0, 2*pi)."""
 
-    def phase(self, psi: CanonicalForm, phi: CanonicalForm) -> float:
+    def phase(self, psi: np.ndarray, phi: np.ndarray) -> float:
         raise NotImplementedError
 
-    def __call__(self, psi: CanonicalForm, phi: CanonicalForm) -> float:
-        """One policy evaluation on canonical forms, wrapped into [0, 2*pi)."""
+    def __call__(self, psi: np.ndarray, phi: np.ndarray) -> float:
+        """One policy evaluation on canonical rows, wrapped into [0, 2*pi)."""
         return self.phase(psi, phi) % TWO_PI
 
 
@@ -50,10 +51,10 @@ class ConstantPhase(PhasePolicy):
 
 @dataclass(frozen=True)
 class OverlapArgPhase(PhasePolicy):
-    """theta = arg(<psi|phi>) of the canonical forms; 0 when they are orthogonal."""
+    """theta = arg(<psi|phi>) of the canonical rows; 0 when they are orthogonal."""
 
     def phase(self, psi, phi):
-        overlap = complex(np.vdot(psi.amplitudes, phi.amplitudes))
+        overlap = complex(np.vdot(psi, phi))
         if abs(overlap) < 1e-10:
             return 0.0
         return math.atan2(overlap.imag, overlap.real)
@@ -71,7 +72,7 @@ class CanonicalHashPhase(PhasePolicy):
 
     def phase(self, psi, phi):
         h = _FNV_OFFSET
-        for amps in (psi.amplitudes, phi.amplitudes):
+        for amps in (psi, phi):
             for z in amps:
                 for part in (round(float(z.real), 12), round(float(z.imag), 12)):
                     if part == 0.0:
@@ -83,7 +84,7 @@ class CanonicalHashPhase(PhasePolicy):
 
 
 def given_frame_phase(policy: PhasePolicy, psi: np.ndarray, phi: np.ndarray) -> float:
-    """The policy's phase, chosen on canonical forms, moved into the frame of
+    """The policy's phase, chosen on canonical rows, moved into the frame of
     the given amplitude rows psi and phi: theta + kappa_phi - kappa_psi, where
     canonicalize(s) = e^{i kappa_s} s. Superposing psi and phi with it gives
     the canonical-form superposition up to the global phase e^{-i kappa_psi}."""
@@ -94,9 +95,9 @@ def given_frame_phase(policy: PhasePolicy, psi: np.ndarray, phi: np.ndarray) -> 
     return theta % TWO_PI
 
 
-def _canonical_phase(s: np.ndarray, c: CanonicalForm) -> float:
+def _canonical_phase(s: np.ndarray, c: np.ndarray) -> float:
     """kappa_s = arg <s|c> for c = canonicalize(s); exactly 0 for a canonical s."""
-    z = complex(np.vdot(s, c.amplitudes))
+    z = complex(np.vdot(s, c))
     return math.atan2(z.imag, z.real)
 
 
@@ -121,12 +122,6 @@ class SuccessPolicy:
 
     def probability(self, psi: np.ndarray, phi: np.ndarray) -> float:
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class AlwaysSucceed(SuccessPolicy):
-    def probability(self, psi, phi):
-        return 1.0
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,11 @@ def det3_cofactor(g: np.ndarray) -> complex:
         - g[0, 1] * (g[1, 0] * g[2, 2] - g[1, 2] * g[2, 0])
         + g[0, 2] * (g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0])
     )
+
+
+# Ranking a Gram matrix at 1e-9 counts its eigenvalues sigma^2 above
+# 1e-9 * sigma_max^2: on the amplitude matrix that is the tolerance sqrt(1e-9)
+GRAM_TOL = math.sqrt(1e-9)
 
 
 def svd_rank_oracle(amplitude_matrix: np.ndarray, tol: float = 1e-9) -> int:

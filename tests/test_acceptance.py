@@ -13,14 +13,14 @@ from nogosuper.cli import main as cli_main
 from nogosuper.discrimination import born_distribution, build_usd
 from nogosuper.states import StateSet, normalize
 from nogosuper.superposer import (
-    AlwaysSucceed,
     CanonicalHashPhase,
     ConstantPhase,
+    ConstantSuccess,
     OverlapArgPhase,
     SuperposerConfig,
 )
 
-from conftest import gram, random_orthonormal, random_pure_state
+from conftest import GRAM_TOL, random_orthonormal, random_pure_state, svd_rank_oracle
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -47,11 +47,11 @@ def test_criterion_1_counterexample_verification():
     for _ in range(100):
         p = random_params(rng)
         inputs = p.inputs
-        assert linalg.numerical_rank(gram(inputs), 1e-9).rank == 2
+        assert svd_rank_oracle(inputs.amplitude_matrix(), GRAM_TOL) == 2
         for policy in policies:
-            cfg = SuperposerConfig(SQ2, SQ2, policy, AlwaysSucceed())
+            cfg = SuperposerConfig(SQ2, SQ2, policy, ConstantSuccess(1.0))
             outputs, _ = pipeline.apply_superposer_to_set(cfg, p)
-            assert linalg.numerical_rank(gram(outputs), 1e-9).rank == 3
+            assert svd_rank_oracle(outputs.amplitude_matrix(), GRAM_TOL) == 3
     elapsed = time.monotonic() - start
     report(1, elapsed < 5.0,
            f"(100 params x 3 policies: rank 2 -> 3; {elapsed:.2f}s)")
@@ -87,7 +87,7 @@ def test_criterion_3_on_locus_dependence():
     p = pipeline.standard_params(SQ2, SQ2)
     theta31 = math.atan2(p.b, p.a)  # a = cos(theta31), b = sin(theta31)
     phases = pipeline.PhaseTriple(0.0, math.pi / 2.0, theta31)
-    cfg = SuperposerConfig(SQ2, SQ2, ConstantPhase(0.0), AlwaysSucceed())
+    cfg = SuperposerConfig(SQ2, SQ2, ConstantPhase(0.0), ConstantSuccess(1.0))
     outputs, _ = pipeline.apply_superposer_to_set(cfg, p, phases)
     cert = pipeline.certify_independence(linalg.factorize(outputs))
     ok = (not cert.independent) and cert.residual_norm <= 1e-8
@@ -126,7 +126,7 @@ def test_criterion_4_usd_correctness():
 
 def test_criterion_5_forbidden_task_demo():
     trials = 100_000
-    cfg = SuperposerConfig(SQ2, SQ2, ConstantPhase(0.0), AlwaysSucceed())
+    cfg = SuperposerConfig(SQ2, SQ2, ConstantPhase(0.0), ConstantSuccess(1.0))
     start = time.monotonic()
     rep = pipeline.forbidden_task_demo(
         pipeline.standard_params(SQ2, SQ2), cfg, trials, np.random.default_rng(5)

@@ -1,10 +1,12 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from nogosuper import states
+import nogosuper
+from nogosuper import linalg, states
 from nogosuper.cli import _config_dict, build_parser, main
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -449,3 +451,69 @@ def test_each_state_set_is_checked_once(capsys, monkeypatch, tmp_path):
         assert code == 0, err
         counts[argv[0]] = len(checked)
     assert counts == {"verify": 3, "demo": 3, "scan": 2, "usd": 1}
+
+
+def test_each_svd_is_a_factorize(capsys, monkeypatch, tmp_path):
+    # every rank an op reports comes from one `linalg.factorize`, and no op
+    # runs an SVD of its own: verify factors the inputs and the outputs, demo
+    # and usd the set they discriminate; the scan has its own 3x3 kernel
+    svds, factorizations = [], []
+    svd, factorize = np.linalg.svd, linalg.factorize
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    monkeypatch.setattr(linalg, "factorize",
+                        lambda *a, **k: factorizations.append(1) or factorize(*a, **k))
+    usd_states = tmp_path / "states.json"
+    usd_states.write_text(json.dumps(np.random.default_rng(8).standard_normal((8, 8, 2)).tolist()))
+    counts = {}
+    for argv in (["verify"], ["demo", "--trials", "1000"],
+                 ["scan", "--grid-step", "0.1", "--csv", str(tmp_path / "grid.csv")],
+                 ["usd", str(usd_states), "--trials", "1000"]):
+        svds.clear()
+        factorizations.clear()
+        code, _, err = run(capsys, *argv, "-o", str(tmp_path / "report.json"))
+        assert code == 0, err
+        counts[argv[0]] = (len(svds), len(factorizations))
+    assert counts == {"verify": (2, 2), "demo": (1, 1), "scan": (0, 0), "usd": (1, 1)}
+
+
+COUNTEREXAMPLE_SETTINGS = {
+    "defaults": [],
+    "real-dim8": ["--a", "-0.6", "--b", "0.8", "--dim", "8"],
+    "complex-dim5": ["--alpha-arg", "0.7", "--beta-arg", "2.1", "--dim", "5"],
+}
+
+
+@pytest.mark.parametrize("setting", COUNTEREXAMPLE_SETTINGS)
+@pytest.mark.parametrize("overlap_policy, constant_policy", [
+    (["demo", "--trials", "10000", "--success-policy", "overlap_scaled"],
+     ["demo", "--trials", "10000", "--success-policy", "constant", "--success-p", "0.5"]),
+    (["verify", "--phase-policy", "overlap_arg"],
+     ["verify", "--phase-policy", "constant", "--theta0", "0"]),
+], ids=["overlap_scaled", "overlap_arg"])
+def test_overlap_policies_are_constants_on_every_counterexample(
+        capsys, setting, overlap_policy, constant_policy):
+    # phi is orthogonal to every input state, so <psi_j|phi> = 0: overlap_arg
+    # always gives theta = 0 and overlap_scaled always gives p = 1/2
+    results = []
+    for argv in (overlap_policy, constant_policy):
+        code, out, err = run(capsys, *argv, *COUNTEREXAMPLE_SETTINGS[setting],
+                             "--seed", "7", "--deterministic")
+        assert code == 0, err
+        results.append(json.loads(out)["result"])
+    assert results[0] == results[1]
+
+
+def test_public_names_are_pinned():
+    # adding or dropping an export means editing this list on purpose
+    public = sorted(name for name, value in vars(nogosuper).items()
+                    if not name.startswith("_") and not inspect.ismodule(value))
+    assert public == [
+        "CanonicalHashPhase", "ConstantPhase", "ConstantSuccess", "CounterexampleParams",
+        "DemoReport", "DependenceCertificate", "Factorization", "LOCUS_FAMILY",
+        "OverlapArgPhase", "OverlapScaledSuccess", "PhaseTriple", "RankResult", "ScanResult",
+        "StateSet", "SuperposerConfig", "USDMeasurement", "apply_superposer_to_set",
+        "build_usd", "canonicalize", "certify_independence", "factorize",
+        "forbidden_task_demo", "given_frame_phase", "normalize", "reciprocal_basis",
+        "scan_degeneracy_numeric", "solve_degeneracy_analytic", "standard_params",
+        "superpose_many", "unit_pair",
+    ]

@@ -16,9 +16,9 @@ from nogosuper.discrimination import (
 from nogosuper.errors import DimensionMismatch, InvalidParams, LinearlyDependentInput, NogoError
 from nogosuper.states import StateSet, normalize
 
-from nogosuper.superposer import AlwaysSucceed, ConstantPhase, SuperposerConfig
+from nogosuper.superposer import ConstantPhase, ConstantSuccess, SuperposerConfig
 
-from conftest import gram, random_orthonormal, random_state_set
+from conftest import GRAM_TOL, random_orthonormal, random_state_set
 
 SQ2 = 1.0 / math.sqrt(2.0)
 ZERO_PLUS = [[1, 0], [1, 1]]  # {|0>, |+>}
@@ -28,7 +28,7 @@ P_ZERO_PLUS = 1.0 - SQ2  # optimal symmetric two-state USD success probability
 def random_independent_set(rng, dim, size):
     while True:
         s = random_state_set(rng, dim, size)
-        if linalg.numerical_rank(gram(s), 1e-9).rank == size:
+        if linalg.factorize(s, GRAM_TOL).rank.rank == size:
             return s
 
 
@@ -229,7 +229,7 @@ class TestBornDistribution:
         # 1e-9 off the locus Tr(E_j rho_j) is ~1e-19; as a quadratic form it
         # came out as round-off of either sign and was clipped to 0
         p = pipeline.standard_params(SQ2, SQ2)
-        cfg = SuperposerConfig(SQ2, SQ2, ConstantPhase(0.0), AlwaysSucceed())
+        cfg = SuperposerConfig(SQ2, SQ2, ConstantPhase(0.0), ConstantSuccess(1.0))
         phases = pipeline.PhaseTriple(0.0, math.pi / 2.0, math.pi / 4.0 + 1e-9)
         outputs, _ = pipeline.apply_superposer_to_set(cfg, p, phases)
         m = build_usd(linalg.factorize(outputs, 1e-13))

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nogosuper import linalg
-from nogosuper.errors import EmptySet, InvalidParams, LinearlyDependentInput, NonFiniteEntry
+from nogosuper.errors import InvalidParams, LinearlyDependentInput
 from nogosuper.states import StateSet, normalize
 
-from conftest import det3_cofactor, gram, random_state_set, svd_rank_oracle
+from conftest import (GRAM_TOL, det3_cofactor, gram, random_orthonormal, random_state_set,
+                      svd_rank_oracle)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -68,41 +69,42 @@ class TestGram:
 
 class TestNumericalRank:
     def test_identity_full_rank(self):
-        r = linalg.numerical_rank(np.eye(3), 1e-9)
+        r = linalg.factorize(StateSet(np.eye(3)), 1e-9).rank
         assert r.rank == 3
         np.testing.assert_allclose(r.singular_values, np.ones(3))
 
     def test_constructed_dependence_rank_two(self):
         s = normalize([[1, 0], [0, 1], [1, 1]])
-        assert linalg.numerical_rank(gram(s), 1e-9).rank == 2
+        assert linalg.factorize(s, GRAM_TOL).rank.rank == 2
 
     def test_superposer_outputs_rank_three_and_determinant(self):
-        g = gram(psi_output_set())
-        assert linalg.numerical_rank(g, 1e-9).rank == 3
-        det = det3_cofactor(g)
+        s = psi_output_set()
+        assert linalg.factorize(s, GRAM_TOL).rank.rank == 3
+        det = det3_cofactor(gram(s))
         assert det.real == pytest.approx(0.0214, abs=5e-4)
         assert abs(det.imag) < 1e-12
 
     def test_singular_values_sorted_and_consistent_with_rank(self, rng):
         for _ in range(30):
             s = random_state_set(rng, int(rng.integers(2, 7)), int(rng.integers(1, 7)))
-            r = linalg.numerical_rank(s.amplitude_matrix(), 1e-9)
+            r = linalg.factorize(s, 1e-9).rank
             sv = r.singular_values
             assert np.all(np.diff(sv) <= 0) and np.all(sv >= 0)
-            assert r.rank == np.sum(sv > r.tolerance_used * sv[0])
+            assert r.rank == np.sum(sv > 1e-9 * sv[0])
 
     def test_agrees_with_svd_oracle(self, rng):
         for _ in range(100):
             s = random_state_set(rng, int(rng.integers(2, 7)), int(rng.integers(1, 7)))
             a = s.amplitude_matrix()
-            assert linalg.numerical_rank(gram(s), 1e-9).rank == svd_rank_oracle(a)
+            for tol in (1e-9, GRAM_TOL):
+                assert linalg.factorize(s, tol).rank.rank == svd_rank_oracle(a, tol)
 
     def test_unit_phase_scaling_leaves_rank_unchanged(self, rng):
         for _ in range(20):
             s = random_state_set(rng, 4, 3)
-            base = linalg.numerical_rank(gram(s), 1e-9).rank
+            base = linalg.factorize(s, GRAM_TOL).rank.rank
             phased = StateSet([np.exp(1j * rng.uniform(0, 2 * np.pi)) * row for row in s.rows])
-            assert linalg.numerical_rank(gram(phased), 1e-9).rank == base
+            assert linalg.factorize(phased, GRAM_TOL).rank.rank == base
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 16), data=st.data())
@@ -114,28 +116,20 @@ class TestNumericalRank:
         ranks = [linalg.factorize(s, 10.0**e).rank.rank for e in sorted(exponents)]
         assert ranks == sorted(ranks, reverse=True)
 
-    def test_hermitian_singular_values_match_eigvalsh_up_to_dim_16(self, rng):
+    def test_rows_spanning_fewer_dimensions_lose_exactly_that_rank(self, rng):
+        # n unit rows in the span of n - k orthonormal states have rank n - k
         for _ in range(20):
             n = int(rng.integers(2, 17))
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            h = m + m.conj().T
-            r = linalg.numerical_rank(h, 1e-9)
-            want = np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1]
-            np.testing.assert_allclose(r.singular_values, want, atol=1e-10)
-            # zero out k eigenvalues of h: the rank drops by exactly k
             k = int(rng.integers(1, n))
-            vals, vecs = np.linalg.eigh(h)
-            vals[rng.permutation(n)[:k]] = 0.0
-            deficient = vecs @ np.diag(vals) @ vecs.conj().T
-            assert linalg.numerical_rank(deficient, 1e-9).rank == n - k
+            basis = np.array(random_orthonormal(rng, 16, n - k))
+            coeffs = rng.standard_normal((n, n - k)) + 1j * rng.standard_normal((n, n - k))
+            s = normalize(coeffs @ basis)
+            assert linalg.factorize(s, 1e-9).rank.rank == n - k
 
-    def test_nonfinite_and_bad_tolerance_rejected(self):
-        with pytest.raises(NonFiniteEntry):
-            linalg.numerical_rank(np.array([[np.nan, 0], [0, 1]]), 1e-9)
-        with pytest.raises(InvalidParams):
-            linalg.numerical_rank(np.eye(2), 2.0)
-        with pytest.raises(EmptySet):
-            linalg.numerical_rank(np.zeros((0, 0)), 1e-9)
+    def test_bad_tolerance_rejected(self):
+        for tol in (0.0, 1.0, 2.0, -1e-9):
+            with pytest.raises(InvalidParams):
+                linalg.factorize(StateSet(np.eye(2)), tol)
 
 
 class TestReciprocalBasis:
@@ -196,7 +190,7 @@ class TestReciprocalBasis:
             dim = int(rng.integers(2, 7))
             size = int(rng.integers(2, dim + 1))
             s = random_state_set(rng, dim, size)
-            if linalg.numerical_rank(gram(s), 1e-9).rank < size:
+            if linalg.factorize(s, GRAM_TOL).rank.rank < size:
                 continue
             r = linalg.reciprocal_basis(linalg.factorize(s))
             for i, tilde in enumerate(r):

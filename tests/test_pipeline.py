@@ -12,7 +12,6 @@ from nogosuper.discrimination import born_distribution, build_usd
 from nogosuper.errors import DependentOutputs, InvalidParams
 from nogosuper.states import normalize
 from nogosuper.superposer import (
-    AlwaysSucceed,
     CanonicalHashPhase,
     ConstantPhase,
     ConstantSuccess,
@@ -20,7 +19,8 @@ from nogosuper.superposer import (
     SuperposerConfig,
 )
 
-from conftest import gram, random_orthonormal, random_state_set, superpose_deterministic
+from conftest import (GRAM_TOL, random_orthonormal, random_state_set, superpose_deterministic,
+                      svd_rank_oracle)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -31,7 +31,7 @@ def balanced_params(dim=3):
 
 def balanced_cfg(policy=None, success=None):
     return SuperposerConfig(SQ2, SQ2, policy or ConstantPhase(0.0),
-                            success or AlwaysSucceed())
+                            success or ConstantSuccess(1.0))
 
 
 def rotated_params(rng, dim, angle):
@@ -87,8 +87,7 @@ class TestCounterexample:
     def test_balanced_triple(self):
         s = balanced_params().inputs
         np.testing.assert_allclose(s.rows[2], [SQ2, SQ2, 0], atol=1e-12)
-        from nogosuper.linalg import numerical_rank
-        assert numerical_rank(gram(s), 1e-9).rank == 2
+        assert svd_rank_oracle(s.amplitude_matrix(), GRAM_TOL) == 2
 
     def test_zero_coefficient_rejected(self):
         with pytest.raises(InvalidParams):
@@ -117,7 +116,6 @@ class TestCounterexample:
             )
 
     def test_input_rank_is_two_for_random_params(self, rng):
-        from nogosuper.linalg import numerical_rank
         for _ in range(20):
             dim = int(rng.integers(3, 7))
             psi, perp, phi = random_orthonormal(rng, dim, 3)
@@ -126,7 +124,7 @@ class TestCounterexample:
                 a=math.cos(angle), b=math.sin(angle), psi=psi, psi_perp=perp, phi=phi
             )
             s = p.inputs
-            assert numerical_rank(gram(s), 1e-9).rank == 2
+            assert svd_rank_oracle(s.amplitude_matrix(), GRAM_TOL) == 2
 
 
 class TestApplySuperposer:
@@ -167,7 +165,7 @@ class TestApplySuperposer:
             )
             alpha = np.exp(1j * rng.uniform(0, 2 * math.pi)) * math.cos(0.4)
             for policy in policies:
-                cfg = SuperposerConfig(alpha, math.sin(0.4), policy, AlwaysSucceed())
+                cfg = SuperposerConfig(alpha, math.sin(0.4), policy, ConstantSuccess(1.0))
                 outputs, _ = pipeline.apply_superposer_to_set(cfg, p)
                 inputs = p.inputs
                 for s, out in zip(inputs.rows, outputs.rows):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from nogosuper import pipeline, superposer
+from nogosuper.cli import SUCCESS_POLICIES
 from nogosuper.errors import DimensionMismatch, InvalidParams, NullSuperposition
 from nogosuper.states import canonicalize
 from nogosuper.superposer import (
-    AlwaysSucceed,
     CanonicalHashPhase,
     ConstantPhase,
     ConstantSuccess,
@@ -31,18 +31,18 @@ def balanced_cfg(phase_policy=None, success_policy=None):
         alpha=SQ2,
         beta=SQ2,
         phase_policy=phase_policy or ConstantPhase(0.0),
-        success_policy=success_policy or AlwaysSucceed(),
+        success_policy=success_policy or ConstantSuccess(1.0),
     )
 
 
 class TestConfigValidation:
     def test_zero_weight_rejected(self):
         with pytest.raises(InvalidParams):
-            SuperposerConfig(0.0, 1.0, ConstantPhase(), AlwaysSucceed())
+            SuperposerConfig(0.0, 1.0, ConstantPhase(), ConstantSuccess(1.0))
 
     def test_unnormalized_weights_rejected(self):
         with pytest.raises(InvalidParams):
-            SuperposerConfig(1.0, 1.0, ConstantPhase(), AlwaysSucceed())
+            SuperposerConfig(1.0, 1.0, ConstantPhase(), ConstantSuccess(1.0))
 
     def test_constant_success_range(self):
         with pytest.raises(InvalidParams):
@@ -72,7 +72,7 @@ class TestUnitPair:
             unit_pair(*pair, "a", "b")
 
     def test_config_stores_the_renormalized_weights(self):
-        cfg = SuperposerConfig(0.6j, 0.8000000001, ConstantPhase(), AlwaysSucceed())
+        cfg = SuperposerConfig(0.6j, 0.8000000001, ConstantPhase(), ConstantSuccess(1.0))
         assert abs(cfg.alpha) ** 2 + abs(cfg.beta) ** 2 == pytest.approx(1.0, abs=1e-15)
 
 
@@ -148,8 +148,7 @@ class TestDeterministicSuperpose:
                 raw = SQ2 * psi + SQ2 * np.exp(1j * theta) * phi
                 np.testing.assert_allclose(out, raw / np.linalg.norm(raw), atol=1e-14)
                 c_psi, c_phi = canonicalize(psi), canonicalize(phi)
-                canon = (SQ2 * c_psi.amplitudes
-                         + SQ2 * np.exp(1j * policy(c_psi, c_phi)) * c_phi.amplitudes)
+                canon = SQ2 * c_psi + SQ2 * np.exp(1j * policy(c_psi, c_phi)) * c_phi
                 canon /= np.linalg.norm(canon)
                 assert abs(np.vdot(canon, out)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -218,7 +217,7 @@ class TestProbabilisticSuperpose:
         for _ in range(20):
             dim = int(rng.integers(2, 6))
             psi, phi = random_pure_state(rng, dim), random_pure_state(rng, dim)
-            assert AlwaysSucceed().probability(psi, phi) == 1.0
+            assert SUCCESS_POLICIES["always"](None).probability(psi, phi) == 1.0
 
     def test_constant_half_success_rate(self):
         cfg = balanced_cfg(success_policy=ConstantSuccess(0.5))
