@@ -79,19 +79,56 @@ def _certificate_json(c: pipeline.DependenceCertificate) -> dict:
     }
 
 
-def _finite_floats(values) -> bool:
-    """Every value is a finite float of type exactly `float`; checked in C."""
-    return set(map(type, values)) == {float} and all(map(math.isfinite, values))
+_KERNEL_MIN_FLOATS = 200  # from this many list floats on, one kernel call beats `repr`
 
 
-def _json_text(x, level: int = 0) -> str:
+def _float_text(x: float) -> str:
+    """json's spelling of a float (np.float64 too)."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _json_text(x) -> str:
     """`json.dumps(x, indent=2, sort_keys=True)`, byte for byte, for trees of
     str-keyed dicts, lists, tuples, str, int, float, bool and None; TypeError
     for any other value. json encodes item by item in Python when it indents;
-    here a list of finite floats is one join of `float.__repr__`, and a list
-    of finite [re, im] pairs is one `%r` template applied to their floats."""
+    here the tree is walked once into a `%` template, in which each float of
+    a list of floats or of [re, im] pairs is two `%s` slots, and the template
+    is filled once from `_float_fields`."""
+    floats = []
+    return _template(x, 0, floats) % _float_fields(floats)
+
+
+def _float_fields(floats: list) -> tuple:
+    """Two fields per float whose concatenation is its json text. From
+    `_KERNEL_MIN_FLOATS` floats on, one `pipeline._shortest_digits` call
+    gives each one with |x| in [1e-4, 1) its sign-and-decade prefix and its
+    digits; every other float, and every float of a smaller report, gets
+    its text and ""."""
+    fields = [""] * (2 * len(floats))
+    if len(floats) < _KERNEL_MIN_FLOATS:
+        fields[::2] = (map(float.__repr__, floats) if all(map(math.isfinite, floats))
+                       else map(_float_text, floats))
+        return tuple(fields)
+    x = np.fromiter(floats, float, len(floats))
+    a = np.abs(x)
+    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1.0)))
+    x[slow] = 0.5  # any value the kernel takes; its fields are replaced below
+    kinds, digits = pipeline._shortest_digits(x)
+    fields[::2], fields[1::2] = pipeline._DECADE_PREFIXES[kinds].tolist(), digits.tolist()
+    for i in slow.tolist():
+        fields[2 * i], fields[2 * i + 1] = _float_text(floats[i]), ""
+    return tuple(fields)
+
+
+def _template(x, level: int, floats: list) -> str:
+    """The text of `x` with `%` escaped, but for the floats of each list
+    fast path: two `%s` slots each, their values appended to `floats`."""
     if isinstance(x, str):
-        return encode_basestring_ascii(x)
+        return encode_basestring_ascii(x).replace("%", "%%")
+    if isinstance(x, float):  # np.float64 too, as json spells it
+        return _float_text(x)
     if x is None:
         return "null"
     if x is True:
@@ -100,10 +137,6 @@ def _json_text(x, level: int = 0) -> str:
         return "false"
     if isinstance(x, int):
         return int.__repr__(x)
-    if isinstance(x, float):  # np.float64 too, as json spells it
-        if math.isfinite(x):
-            return float.__repr__(x)
-        return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
     if not isinstance(x, (dict, list, tuple)):
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
     if not x:
@@ -111,17 +144,19 @@ def _json_text(x, level: int = 0) -> str:
     inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
     sep = "," + inner
     if isinstance(x, dict):
-        items = sep.join([f"{encode_basestring_ascii(k)}: {_json_text(v, level + 1)}"
-                          for k, v in sorted(x.items())])
+        items = sep.join([f"{encode_basestring_ascii(k).replace('%', '%%')}: "
+                          f"{_template(v, level + 1, floats)}" for k, v in sorted(x.items())])
         return f"{{{inner}{items}{outer}}}"
-    if _finite_floats(x):
-        items = sep.join(map(float.__repr__, x))
-    elif (set(map(type, x)) == {list} and set(map(len, x)) == {2}
-          and _finite_floats(flat := tuple(itertools.chain.from_iterable(x)))):
-        pair = f"[{inner}  %r,{inner}  %r{inner}]"
-        items = sep.join([pair] * len(x)) % flat
+    types = set(map(type, x))
+    if types == {float}:
+        items = sep.join(["%s%s"] * len(x))
+        floats.extend(x)
+    elif (types == {list} and set(map(len, x)) == {2}
+          and set(map(type, flat := tuple(itertools.chain.from_iterable(x)))) == {float}):
+        items = sep.join([f"[{inner}  %s%s,{inner}  %s%s{inner}]"] * len(x))
+        floats.extend(flat)
     else:
-        items = sep.join([_json_text(v, level + 1) for v in x])
+        items = sep.join([_template(v, level + 1, floats) for v in x])
     return f"[{inner}{items}{outer}]"
 
 
@@ -340,6 +375,7 @@ def cmd_demo(args, seed: int) -> dict:
 
 
 def cmd_usd(args, seed: int) -> dict:
+    check_trials(args.trials, 1)
     try:
         with open(args.states_file) as fh:
             raw = json.load(fh)
@@ -364,7 +400,6 @@ def cmd_usd(args, seed: int) -> dict:
 
     m = build_usd(linalg.factorize(states))
     table = born_distribution(m, states)
-    check_trials(args.trials, 1)
     counts = np.random.default_rng(seed).multinomial(
         args.trials, table[args.truth_index]).tolist()
     elements, inconclusive = povm_elements(m)

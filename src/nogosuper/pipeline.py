@@ -120,7 +120,7 @@ class ScanResult:
         the grid."""
         thetas = self.thetas.tolist()
         pieces = np.array([[f"{t!r},{prefix}%s,3\n" for t in thetas]
-                           for prefix in _DECADE_PREFIXES]
+                           for prefix in _DECADE_PREFIXES[:4]]  # sigma >= 0
                           + [[f"{t!r},%s\n" for t in thetas]], dtype=object)
         cols, leads = np.arange(len(thetas)), [f"{t!r}," for t in thetas]
         with open(path, "w", newline="") as fh:
@@ -135,41 +135,53 @@ class ScanResult:
 
 _CSV_BLOCK_ROWS = 32
 _DECADE_FLOORS = np.array([1e-3, 1e-2, 1e-1])  # each double lies above its power of ten
-_DECADE_PREFIXES = np.array(["0.000", "0.00", "0.0", "0."], dtype=object)
+_DECADE_PREFIXES = np.array(["0.000", "0.00", "0.0", "0.", "-0.000", "-0.00", "-0.0", "-0."],
+                            dtype=object)
 _DECADE_SCALES = 10.0 ** np.arange(20, 16, -1)  # 10**(16 - E), exact
 
 
 def _csv_fields(sigma: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, list]:
     """A kind per cell, in the cells' shape, and the flat list of their
-    fields. A rank-3 value in [1e-4, 1) has its decade as kind and the int D
-    as field, `_DECADE_PREFIXES[kind]` + D == repr; every other cell has
-    kind 4 and the field "repr,rank".
+    fields. A rank-3 value in [1e-4, 1) has its kind (its decade) and its
+    digits D from `_shortest_digits`, `_DECADE_PREFIXES[kind]` + D == repr;
+    every other cell has kind 4 and the field "repr,rank"."""
+    fast = (sigma >= 1e-4) & (sigma < 1.0) & (ranks == 3)
+    kinds = np.full(sigma.shape, 4)
+    fields = np.empty(sigma.shape, dtype=object)
+    kinds[fast], fields[fast] = _shortest_digits(sigma[fast])
+    fields[~fast] = [f"{s!r},{r}" for s, r in zip(sigma[~fast].tolist(), ranks[~fast].tolist())]
+    return kinds, fields.ravel().tolist()
 
-    For x in [1e-4, 1), E = floor(log10 x) is exact from `_DECADE_FLOORS`,
-    and Dekker's product on Veltkamp halves gives y = x * 10**(16 - E)
-    exactly as p + err. Rounded half-to-even, y is the 17-digit int y_int,
+
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For doubles with |x| in [1e-4, 1): each one's kind, the index of its
+    sign-and-decade prefix in `_DECADE_PREFIXES` (the decade, plus 4 when
+    x < 0), and the int D of its digits, so that prefix + str(D) == repr(x).
+
+    For a = |x|, E = floor(log10 a) is exact from `_DECADE_FLOORS`, and
+    Dekker's product on Veltkamp halves gives y = a * 10**(16 - E) exactly
+    as p + err. Rounded half-to-even, y is the 17-digit int y_int,
     t = y - y_int exactly, and rounding (y_int, t) to 16 or 15 digits is
-    integer work. A k-digit D reads back as x iff |D * 10**(17 - k) - y|,
-    a double, is below half an ulp of x (from `np.frexp`) times
+    integer work. A k-digit D reads back as a iff |D * 10**(17 - k) - y|,
+    a double, is below half an ulp of a (from `np.frexp`) times
     10**(16 - E): no D lies on the bound, a dyadic of 50+ digits. No two
     15-digit decimals read back as one double, so `repr` (the shortest
     digits that read back, the nearest, ties to even; Gay 1990) is the
     first of the 15-, 16- and 17-digit roundings that reads back (the last
     always does), as "0." + "0" * (-E - 1) + D without trailing zeros.
     A power of two there has 10 digits or fewer, so its asymmetric
-    interval never matters. Other values (0, 1, tiny, NaN, inf) keep `repr`.
+    interval never matters. The sign only picks the prefix.
     """
-    fast = (sigma >= 1e-4) & (sigma < 1.0) & (ranks == 3)
-    x = sigma[fast]
-    decade = np.searchsorted(_DECADE_FLOORS, x, side="right")  # -E - 1 = 3 - decade
+    a = np.abs(x)
+    decade = np.searchsorted(_DECADE_FLOORS, a, side="right")  # -E - 1 = 3 - decade
     scale = _DECADE_SCALES[decade]
-    p = x * scale
-    (x_hi, x_lo), (s_hi, s_lo) = _veltkamp(x), _veltkamp(scale)
-    err = ((x_hi * s_hi - p) + x_hi * s_lo + x_lo * s_hi) + x_lo * s_lo
+    p = a * scale
+    (a_hi, a_lo), (s_hi, s_lo) = _veltkamp(a), _veltkamp(scale)
+    err = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
     carry = np.rint(err)  # p >= 1e16 > 2**53 is an even int
     y_int = p.astype(np.int64) + carry.astype(np.int64)
     t = err - carry
-    half_ulp = np.ldexp(scale, np.frexp(x)[1] - 54)
+    half_ulp = np.ldexp(scale, np.frexp(a)[1] - 54)
     d = y_int
     for unit in (10, 100):  # 16, then 15 digits, the shorter overriding
         head, rest = np.divmod(y_int, unit)
@@ -181,12 +193,7 @@ def _csv_fields(sigma: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, list]
     while zeros.size:
         d[zeros] //= 10
         zeros = zeros[d[zeros] % 10 == 0]
-    kinds = np.full(sigma.shape, 4)
-    kinds[fast] = decade
-    fields = np.empty(sigma.shape, dtype=object)
-    fields[fast] = d
-    fields[~fast] = [f"{s!r},{r}" for s, r in zip(sigma[~fast].tolist(), ranks[~fast].tolist())]
-    return kinds, fields.ravel().tolist()
+    return decade + 4 * (x < 0), d
 
 
 def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,14 +11,20 @@ report and, for a scan, the CSV's row count and a fixed sample of its rows.
 A change that moves report floats on purpose reruns this script and says so,
 with the diff summary it prints. Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py          # rewrite the fixture
+    PYTHONPATH=src python tests/golden/regenerate.py --check  # exit 1 if a case moved
+
+`--check` runs every case and prints the same summary, "no change" when
+nothing moved, but writes nothing.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -137,9 +143,21 @@ def _summary(old: dict, new: dict) -> str:
     return "\n".join(lines) or "no change"
 
 
-if __name__ == "__main__":
+def run_script(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Rewrite or check the golden reports.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the fixture and write nothing; exit 1 if a case moved")
+    args = parser.parse_args(argv)
     old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
     new = regenerate()
+    summary = _summary(old, new)
+    print(summary)
+    if args.check:
+        return 0 if summary == "no change" else 1
     FIXTURE.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
-    print(_summary(old, new))
     print(f"wrote {FIXTURE} ({FIXTURE.stat().st_size} bytes)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run_script())

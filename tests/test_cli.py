@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nogosuper
-from nogosuper import linalg, states
+from nogosuper import linalg, pipeline, states
 from nogosuper.cli import _config_dict, build_parser, main
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -125,6 +125,7 @@ class TestVerify:
     ["demo", "--trials", "100000000000000000000"],
     ["usd", "STATES", "--trials", "100000000000000000000"],
     ["usd", "STATES", "--trials", "0"],
+    ["usd", "STATES=[[[1, 0], [0, 0]], [[2, 0], [0, 0]]]", "--trials", "0"],  # dependent
     ["verify", "--tol", "2"],
     ["verify", "--tol", "0"],
     ["verify", "--tol", "nan"],
@@ -474,6 +475,29 @@ def test_each_svd_is_a_factorize(capsys, monkeypatch, tmp_path):
         assert code == 0, err
         counts[argv[0]] = (len(svds), len(factorizations))
     assert counts == {"verify": (2, 2), "demo": (1, 1), "scan": (0, 0), "usd": (1, 1)}
+
+
+def test_digit_kernel_calls_per_op(capsys, monkeypatch, tmp_path):
+    # a report calls the digit kernel once if it holds enough list floats and
+    # never otherwise, so small verify and demo reports pay nothing for it;
+    # the scan CSV calls it once per block of theta21 rows
+    calls = []
+    kernel = pipeline._shortest_digits
+    monkeypatch.setattr(pipeline, "_shortest_digits", lambda x: calls.append(1) or kernel(x))
+    usd_states = tmp_path / "states.json"
+    usd_states.write_text(json.dumps(np.random.default_rng(8).standard_normal((8, 8, 2)).tolist()))
+    counts = {}
+    for argv in (["verify"], ["demo", "--trials", "1000"],
+                 ["scan", "--grid-step", "0.1", "--csv", str(tmp_path / "grid.csv")],
+                 ["usd", str(usd_states), "--trials", "1000"]):
+        calls.clear()
+        code, _, err = run(capsys, *argv, "-o", str(tmp_path / "report.json"))
+        assert code == 0, err
+        counts[argv[0]] = len(calls)
+    rows = math.isqrt(len((tmp_path / "grid.csv").read_text().splitlines()) - 1)
+    assert rows == 63  # two blocks, the second one short
+    assert counts == {"verify": 0, "demo": 0, "usd": 1,
+                      "scan": -(-rows // pipeline._CSV_BLOCK_ROWS)}
 
 
 COUNTEREXAMPLE_SETTINGS = {

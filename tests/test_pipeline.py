@@ -1,13 +1,15 @@
 import csv
+import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nogosuper import linalg, pipeline
+from nogosuper import cli, linalg, pipeline
 from nogosuper.discrimination import born_distribution, build_usd
 from nogosuper.errors import DependentOutputs, InvalidParams
 from nogosuper.states import normalize
@@ -484,6 +486,46 @@ class TestSigmaText:
         texts, fallbacks = sigma_texts(values)
         assert fallbacks == 0
         assert texts == [repr(x) for x in values.tolist()]
+
+
+
+def signed_texts(values):
+    """Each value's text from the report fields, through one kernel call:
+    sign-and-decade prefix and digits for |x| in [1e-4, 1), json's text
+    otherwise, and how many values took the kernel's digits."""
+    with mock.patch.object(cli, "_KERNEL_MIN_FLOATS", 0):
+        fields = cli._float_fields(values)
+    texts = [f"{head}{tail}" for head, tail in zip(fields[::2], fields[1::2])]
+    return texts, sum(tail != "" for tail in fields[1::2])
+
+
+class TestSignedDigits:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                    min_size=1, max_size=8))
+    def test_equals_repr_for_any_double(self, values):
+        assert signed_texts(values)[0] == list(map(json.dumps, values))
+
+    def test_equals_repr_next_to_powers_and_edges(self):
+        powers = np.concatenate([10.0 ** np.arange(-4, 1), 2.0 ** np.arange(-14, 1)])
+        near = ulp_neighbours(powers)
+        edges = [-0.0, 0.0, 5e-324, -5e-324, 2.0**-1050, -2.0**-1030, 1e-4, -1e-4,
+                 math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0)]
+        values = [*near.tolist(), *(-near).tolist(), *edges]
+        texts, digits = signed_texts(values)
+        assert texts == [repr(x) for x in values]
+        # every value with |x| in [1e-4, 1) takes the kernel's digits
+        assert digits == sum(1e-4 <= abs(x) < 1.0 for x in values)
+        assert digits > len(values) // 2
+
+    def test_kernel_digits_carry_the_sign(self):
+        values = np.random.default_rng(13).uniform(1e-4, 1.0, 1000)
+        kinds, digits = pipeline._shortest_digits(np.concatenate([values, -values]))
+        assert (kinds[1000:] == kinds[:1000] + 4).all()
+        assert (digits[1000:] == digits[:1000]).all()
+        assert [pipeline._DECADE_PREFIXES[k] + str(d) for k, d in
+                zip(kinds.tolist(), digits.tolist())] == [repr(x) for x in
+                                                          [*values.tolist(), *(-values).tolist()]]
 
 
 class TestForbiddenTaskDemo:

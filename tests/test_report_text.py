@@ -37,10 +37,9 @@ def test_subcommand_reports_match_json_dumps(argv, deterministic, monkeypatch, t
     emitted = []
     real = cli._json_text
 
-    def spy(x, level=0):
-        text = real(x, level)
-        if level == 0:
-            emitted.append((x, text))
+    def spy(x):
+        text = real(x)
+        emitted.append((x, text))
         return text
 
     monkeypatch.setattr(cli, "_json_text", spy)
@@ -113,3 +112,43 @@ TREES = st.recursive(
 @given(TREES)
 def test_random_trees_match_json_dumps(tree):
     assert cli._json_text(tree) == oracle(tree)
+
+
+def test_synthetic_report_through_the_kernel(monkeypatch):
+    # at a crossover of 0 every report, even one without list floats, takes
+    # one kernel call
+    monkeypatch.setattr(cli, "_KERNEL_MIN_FLOATS", 0)
+    test_synthetic_report_matches_json_dumps()
+
+
+def test_random_trees_through_the_kernel(monkeypatch):
+    monkeypatch.setattr(cli, "_KERNEL_MIN_FLOATS", 0)
+    test_random_trees_match_json_dumps()
+
+
+def report_of(count: int) -> dict:
+    """A report with `count` list floats: signed values in every decade of
+    [1e-4, 1), the edges of that range, zeros, subnormals, large and
+    non-finite values, half in a float list and half in [re, im] pairs."""
+    rng = np.random.default_rng(count)
+    edges = [1e-4, -1e-4, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0), 1.0, -1.0,
+             0.0, -0.0, 5e-324, -2.5e-310, 9.99e-5, 123.25, math.nan, -math.inf]
+    values = (edges + (rng.choice([-1.0, 1.0], count)
+                       * 10.0 ** rng.uniform(-4.5, 0.2, count)).tolist())[:count]
+    half = count // 4 * 2  # an even count of floats in pairs
+    pairs = values[:half]
+    return {"schema": 1, "result": {"elements": [pairs[i:i + 2] for i in range(0, half, 2)],
+                                    "probabilities": values[half:],
+                                    "label": "100% %s %%d", "%": -0.5}}
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_one_kernel_call_from_the_crossover_on(offset, monkeypatch):
+    calls = []
+    kernel = cli.pipeline._shortest_digits
+    monkeypatch.setattr(cli.pipeline, "_shortest_digits",
+                        lambda x: calls.append(x.size) or kernel(x))
+    count = cli._KERNEL_MIN_FLOATS + offset
+    report = report_of(count)
+    assert cli._json_text(report) == oracle(report)
+    assert calls == ([] if offset < 0 else [count])
