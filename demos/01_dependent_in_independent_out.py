@@ -21,9 +21,9 @@ inputs = params.inputs
 
 print("Input triple (columns):")
 print(np.round(inputs.amplitude_matrix(), 4))
-input_rank = linalg.factorize(inputs).rank
-print(f"\nInput rank: {input_rank.rank}  (singular values "
-      f"{np.round(input_rank.singular_values, 6)})")
+factored = linalg.factorize(inputs)
+print(f"\nInput rank: {factored.rank}  (singular values "
+      f"{np.round(factored.singular_values, 6)})")
 print("-> dependent, as expected: the third state lives in the span of the "
       "first two.\n")
 
@@ -37,10 +37,10 @@ print("Superposer outputs (each input superposed with phi = e3):")
 print(np.round(outputs.amplitude_matrix(), 4))
 
 cert = pipeline.certify_independence(linalg.factorize(outputs))
-print(f"\nOutput rank: {cert.gram_rank.rank}")
+print(f"\nOutput rank: {cert.gram_rank}")
 print(f"Independent: {cert.independent}")
 # det G = det(A^H A) = product of the squared singular values of A
 print(f"Gram determinant = "
-      f"{np.prod(cert.gram_rank.singular_values) ** 2:.4f} (nonzero)")
+      f"{np.prod(cert.singular_values) ** 2:.4f} (nonzero)")
 print("\nA device that did this would turn an impossible discrimination "
       "problem into a possible one -- which is why no such device can exist.")

@@ -4,7 +4,6 @@ forbidden tasks unlocked."""
 from .discrimination import USDMeasurement, build_usd
 from .linalg import (
     Factorization,
-    RankResult,
     factorize,
     reciprocal_basis,
 )

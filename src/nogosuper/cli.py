@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -54,32 +53,21 @@ EXIT_ON_LOCUS = 4
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def _complex_json(a: np.ndarray) -> list[list[float]]:
-    """Entries in C order as [re, im] pairs."""
-    return np.stack([a.real, a.imag], -1).reshape(-1, 2).tolist()
+def _complex_json(a: np.ndarray) -> np.ndarray:
+    """Entries in C order as the rows [re, im] of a (k, 2) float array."""
+    return np.stack([a.real, a.imag], -1).reshape(-1, 2)
 
 
 def _phases_json(t: pipeline.PhaseTriple) -> dict:
-    return {
-        "theta1": t.theta1,
-        "theta2": t.theta2,
-        "theta3": t.theta3,
-        "theta21": t.theta21,
-        "theta31": t.theta31,
-    }
+    return {**vars(t), "theta21": t.theta21, "theta31": t.theta31}
 
 
 def _certificate_json(c: pipeline.DependenceCertificate) -> dict:
-    return {
-        "independent": c.independent,
-        "coefficients": None if c.coefficients is None else _complex_json(c.coefficients),
-        "residual_norm": c.residual_norm,
-        "gram_rank": c.gram_rank.rank,
-        "singular_values": [float(s) for s in c.gram_rank.singular_values],
-    }
+    return {**vars(c), "coefficients": (None if c.coefficients is None
+                                        else _complex_json(c.coefficients))}
 
 
-_KERNEL_MIN_FLOATS = 200  # from this many list floats on, one kernel call beats `repr`
+_KERNEL_MIN_FLOATS = 200  # from this many array floats on, one kernel call beats `repr`
 
 
 def _float_text(x: float) -> str:
@@ -90,41 +78,42 @@ def _float_text(x: float) -> str:
 
 
 def _json_text(x) -> str:
-    """`json.dumps(x, indent=2, sort_keys=True)`, byte for byte, for trees of
-    str-keyed dicts, lists, tuples, str, int, float, bool and None; TypeError
-    for any other value. json encodes item by item in Python when it indents;
-    here the tree is walked once into a `%` template, in which each float of
-    a list of floats or of [re, im] pairs is two `%s` slots, and the template
-    is filled once from `_float_fields`."""
+    """`json.dumps(x, indent=2, sort_keys=True, default=np.ndarray.tolist)`,
+    byte for byte, for trees of str-keyed dicts, lists, tuples, numpy arrays,
+    str, int, float, bool and None; TypeError for any other value. json
+    encodes item by item in Python when it indents; here the tree is walked
+    once into a `%` template, in which each float of a float64 array of
+    shape (k,) or (k, 2) is two `%s` slots, and the template is filled once
+    from `_float_fields`."""
     floats = []
     return _template(x, 0, floats) % _float_fields(floats)
 
 
-def _float_fields(floats: list) -> tuple:
-    """Two fields per float whose concatenation is its json text. From
-    `_KERNEL_MIN_FLOATS` floats on, one `pipeline._shortest_digits` call
-    gives each one with |x| in [1e-4, 1) its sign-and-decade prefix and its
-    digits; every other float, and every float of a smaller report, gets
-    its text and ""."""
-    fields = [""] * (2 * len(floats))
-    if len(floats) < _KERNEL_MIN_FLOATS:
-        fields[::2] = (map(float.__repr__, floats) if all(map(math.isfinite, floats))
-                       else map(_float_text, floats))
+def _float_fields(floats: list[np.ndarray]) -> tuple:
+    """Two fields per float of the flat float64 arrays `floats`, whose
+    concatenation is its json text. From `_KERNEL_MIN_FLOATS` floats on, one
+    `pipeline._shortest_digits` call gives each one with |x| in [1e-4, 1)
+    its sign-and-decade prefix and its digits; every other float, and every
+    float of a smaller report, gets its text and ""."""
+    x = np.concatenate(floats) if floats else np.empty(0)
+    fields = [""] * (2 * x.size)
+    if x.size < _KERNEL_MIN_FLOATS:
+        fields[::2] = map(_float_text, x.tolist())
         return tuple(fields)
-    x = np.fromiter(floats, float, len(floats))
     a = np.abs(x)
-    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1.0)))
-    x[slow] = 0.5  # any value the kernel takes; its fields are replaced below
-    kinds, digits = pipeline._shortest_digits(x)
+    slow = ~((a >= 1e-4) & (a < 1.0))
+    # 0.5: any value the kernel takes; the fields of slow floats are replaced below
+    kinds, digits = pipeline._shortest_digits(np.where(slow, 0.5, x))
     fields[::2], fields[1::2] = pipeline._DECADE_PREFIXES[kinds].tolist(), digits.tolist()
-    for i in slow.tolist():
-        fields[2 * i], fields[2 * i + 1] = _float_text(floats[i]), ""
+    for i, v in zip(np.flatnonzero(slow).tolist(), x[slow].tolist()):
+        fields[2 * i], fields[2 * i + 1] = _float_text(v), ""
     return tuple(fields)
 
 
 def _template(x, level: int, floats: list) -> str:
-    """The text of `x` with `%` escaped, but for the floats of each list
-    fast path: two `%s` slots each, their values appended to `floats`."""
+    """The text of `x` with `%` escaped, but for the floats of each float64
+    array of shape (k,) or (k, 2): two `%s` slots each, the array appended
+    to `floats`."""
     if isinstance(x, str):
         return encode_basestring_ascii(x).replace("%", "%%")
     if isinstance(x, float):  # np.float64 too, as json spells it
@@ -137,27 +126,23 @@ def _template(x, level: int, floats: list) -> str:
         return "false"
     if isinstance(x, int):
         return int.__repr__(x)
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    sep = "," + inner
+    if isinstance(x, np.ndarray):
+        if x.dtype != np.float64 or x.ndim == 0 or x.shape[1:] not in ((), (2,)) or not x.size:
+            return _template(x.tolist(), level, floats)
+        floats.append(x.ravel())
+        slot = "%s%s" if x.ndim == 1 else f"[{inner}  %s%s,{inner}  %s%s{inner}]"
+        return f"[{inner}{sep.join([slot] * len(x))}{outer}]"
     if not isinstance(x, (dict, list, tuple)):
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
     if not x:
         return "{}" if isinstance(x, dict) else "[]"
-    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
-    sep = "," + inner
     if isinstance(x, dict):
         items = sep.join([f"{encode_basestring_ascii(k).replace('%', '%%')}: "
                           f"{_template(v, level + 1, floats)}" for k, v in sorted(x.items())])
         return f"{{{inner}{items}{outer}}}"
-    types = set(map(type, x))
-    if types == {float}:
-        items = sep.join(["%s%s"] * len(x))
-        floats.extend(x)
-    elif (types == {list} and set(map(len, x)) == {2}
-          and set(map(type, flat := tuple(itertools.chain.from_iterable(x)))) == {float}):
-        items = sep.join([f"[{inner}  %s%s,{inner}  %s%s{inner}]"] * len(x))
-        floats.extend(flat)
-    else:
-        items = sep.join([_template(v, level + 1, floats) for v in x])
-    return f"[{inner}{items}{outer}]"
+    return f"[{inner}{sep.join([_template(v, level + 1, floats) for v in x])}{outer}]"
 
 
 def _emit_report(config: dict, result: dict, args) -> None:
@@ -288,9 +273,7 @@ def _resolve_config(args, success: SuccessPolicy) -> SuperposerConfig:
 
 def _explicit_phases(args) -> pipeline.PhaseTriple | None:
     given = [args.theta1, args.theta2, args.theta3]
-    if all(t is None for t in given):
-        return None
-    return pipeline.PhaseTriple(*(0.0 if t is None else t for t in given))
+    return None if given == [None] * 3 else pipeline.PhaseTriple(*(t or 0.0 for t in given))
 
 
 def _config_dict(args, seed: int) -> dict:
@@ -307,12 +290,12 @@ def cmd_verify(args, seed: int) -> dict:
     params = pipeline.standard_params(args.a, args.b, dim=args.dim)
     outputs, phases = pipeline.apply_superposer_to_set(
         _resolve_config(args, ConstantSuccess(1.0)), params, _explicit_phases(args))
-    input_rank = linalg.factorize(params.inputs, args.tol).rank
+    inputs = linalg.factorize(params.inputs, args.tol)
     cert = pipeline.certify_independence(linalg.factorize(outputs, args.tol))
     return {
-        "input_rank": input_rank.rank,
-        "input_singular_values": [float(s) for s in input_rank.singular_values],
-        "output_rank": cert.gram_rank.rank,
+        "input_rank": inputs.rank,
+        "input_singular_values": inputs.singular_values,
+        "output_rank": cert.gram_rank,
         "phases": _phases_json(phases),
         "certificate": _certificate_json(cert),
         "output_states": [_complex_json(row) for row in outputs.rows],
@@ -336,15 +319,14 @@ def _max_deviation(pairs, targets) -> float | None:
 
 def cmd_scan(args, seed: int) -> dict:
     params = pipeline.standard_params(args.a, args.b, dim=args.dim)
-    alpha, beta = _resolve_weights(args)
-    scan = pipeline.scan_degeneracy_numeric(params, alpha, beta, args.grid_step)
+    scan = pipeline.scan_degeneracy_numeric(params, *_resolve_weights(args), args.grid_step)
     analytic = pipeline.solve_degeneracy_analytic(params.a, params.b)
     scan.write_csv(args.csv)
     return {
         "grid_step": args.grid_step,
-        "grid_points": int(scan.ranks.size),
-        "detected_pairs": [list(pair) for pair in scan.detected],
-        "analytic_pairs": [list(pair) for pair in analytic],
+        "grid_points": scan.ranks.size,
+        "detected_pairs": scan.detected,
+        "analytic_pairs": analytic,
         "analytic_family": pipeline.LOCUS_FAMILY,
         "max_deviation_detected_to_analytic": _max_deviation(scan.detected, analytic),
         "max_deviation_analytic_to_detected": _max_deviation(analytic, scan.detected),
@@ -358,20 +340,9 @@ def cmd_demo(args, seed: int) -> dict:
     report = pipeline.forbidden_task_demo(
         params, config, args.trials, np.random.default_rng(seed), args.tol,
         _explicit_phases(args))
-    return {
-        "trials": report.trials,
-        "phases": _phases_json(report.phases),
-        "certificate": _certificate_json(report.certificate),
-        "secret_counts": [int(c) for c in report.secret_counts],
-        "superposer_failures": report.superposer_failures,
-        "conclusive_counts": [int(c) for c in report.conclusive_counts],
-        "misidentifications": report.misidentifications,
-        "clone_successes": report.clone_successes,
-        "clone_fidelity_min": report.clone_fidelity_min,
-        "predicted_usd_probabilities": report.predicted_usd_probabilities,
-        "predicted_conclusive_rate": report.predicted_conclusive_rate,
-        "empirical_conclusive_rate": report.conclusive_rate,
-    }
+    return {**vars(report), "phases": _phases_json(report.phases),
+            "certificate": _certificate_json(report.certificate),
+            "empirical_conclusive_rate": report.conclusive_rate}
 
 
 def cmd_usd(args, seed: int) -> dict:
@@ -385,9 +356,10 @@ def cmd_usd(args, seed: int) -> dict:
     try:
         vectors = [[complex(re, im) for re, im in state] for state in raw]
     except (TypeError, ValueError, OverflowError) as exc:  # an int beyond float range
-        raise InvalidParams(
-            "states file must be a JSON list of states, each a list of [re, im] pairs"
-        ) from exc
+        raise InvalidParams("states file must be a JSON list of states, "
+                            "each a list of [re, im] pairs") from exc
+    if any(type(x) is bool for state in raw for pair in state for x in pair):
+        raise InvalidParams("states file: amplitudes must be numbers, not true or false")
     try:
         states = normalize(vectors)
     except (EmptySet, DimensionMismatch, NonFiniteEntry, NullVector) as exc:
@@ -406,13 +378,12 @@ def cmd_usd(args, seed: int) -> dict:
     return {
         "n_states": len(states),
         "dim": states.dim,
-        "success_probabilities": np.diag(table).tolist(),
+        "success_probabilities": np.diag(table),
         "truth_index": args.truth_index,
         "trials": args.trials,
         "per_label_counts": counts[:-1],
         "inconclusive_count": counts[-1],
-        "misidentifications": int(sum(
-            c for i, c in enumerate(counts[:-1]) if i != args.truth_index)),
+        "misidentifications": sum(counts[:-1]) - counts[args.truth_index],
         "elements": [_complex_json(e) for e in elements],
         "inconclusive_element": _complex_json(inconclusive),
     }

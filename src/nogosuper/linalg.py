@@ -1,10 +1,10 @@
 """Small dense complex linear algebra on numpy's LAPACK.
 
 Every rank in the package comes from `factorize`: one full SVD of a state
-set's amplitude matrix (states as columns), ranked by the one rank rule,
-`RankResult.of`. It counts the singular values above `tol * sigma_max` of the
-amplitude matrix, never of the Gram matrix, whose eigenvalues are the
-squares sigma^2 and would square the tolerance too.
+set's amplitude matrix (states as columns), ranked by the one rank rule. It
+counts the singular values above `tol * sigma_max` of the amplitude matrix,
+never of the Gram matrix, whose eigenvalues are the squares sigma^2 and would
+square the tolerance too.
 """
 
 from __future__ import annotations
@@ -18,23 +18,6 @@ from .errors import InvalidParams, LinearlyDependentInput
 DEFAULT_RANK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RankResult:
-    """Numerical rank together with the evidence used to decide it."""
-
-    rank: int
-    singular_values: np.ndarray  # descending, all >= 0
-
-    @classmethod
-    def of(cls, sigma: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> "RankResult":
-        """Rank = number of singular values above the relative threshold
-        tol * sigma_max; `sigma` is nonempty and sorted descending."""
-        if not 0.0 < tol < 1.0:
-            raise InvalidParams(f"tolerance must lie in (0, 1), got {tol}")
-        rank = int(np.count_nonzero(sigma > tol * sigma[0]))
-        return cls(rank=rank, singular_values=sigma)
-
-
 def row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a complex (n, d) array, from its real and
     imaginary views: bit for bit `np.linalg.norm` of each row on its own."""
@@ -44,19 +27,24 @@ def row_norms(v: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Factorization:
     """A state set's amplitude matrix A (dim x n) with its full SVD
-    A = U S V^H; `rank` holds S and the rank decided from it."""
+    A = U S V^H, and the rank decided from S."""
 
     amplitudes: np.ndarray
     u: np.ndarray  # dim x dim
-    rank: RankResult
+    singular_values: np.ndarray  # S: descending, all >= 0
+    rank: int
     vh: np.ndarray  # n x n
 
 
 def factorize(states, tol: float = DEFAULT_RANK_TOL) -> Factorization:
-    """One full SVD of the amplitude matrix of a StateSet, ranked at `tol`."""
+    """One full SVD of the amplitude matrix of a StateSet, ranked at `tol`:
+    the rank is the number of singular values above tol * sigma_max."""
+    if not 0.0 < tol < 1.0:
+        raise InvalidParams(f"tolerance must lie in (0, 1), got {tol}")
     a = states.amplitude_matrix()
     u, sigma, vh = np.linalg.svd(a)
-    return Factorization(amplitudes=a, u=u, rank=RankResult.of(sigma, tol), vh=vh)
+    return Factorization(amplitudes=a, u=u, singular_values=sigma,
+                         rank=int(np.count_nonzero(sigma > tol * sigma[0])), vh=vh)
 
 
 def reciprocal_basis(f: Factorization) -> np.ndarray:
@@ -68,11 +56,11 @@ def reciprocal_basis(f: Factorization) -> np.ndarray:
     record's tolerance: the regime where unambiguous discrimination fails.
     """
     n = f.amplitudes.shape[1]
-    if f.rank.rank < n:
+    if f.rank < n:
         raise LinearlyDependentInput(
             "reciprocal basis requires linearly independent states"
         )
     # with A = U S V^H, the columns of A (A^H A)^-1 = U S^-1 V^H are the
     # reciprocal vectors, found without squaring the condition number
-    tilde = np.ascontiguousarray(((f.u[:, :n] / f.rank.singular_values) @ f.vh).T)
+    tilde = np.ascontiguousarray(((f.u[:, :n] / f.singular_values) @ f.vh).T)
     return tilde / row_norms(tilde)[:, None]  # C order, as the Born table needs

@@ -24,13 +24,14 @@ from .superposer import (
     given_frame_phase,
     superpose_many,
     unit_pair,
+    wrap_phase,
 )
 
 ORTHOGONALITY_TOL = 1e-10
 SCAN_RANK_TOL = 1e-6
 MAX_DIM = 16
 MIN_GRID_STEP = math.pi / 720.0  # 0.25 degrees: 1440^2 points, scan peak about 42 MB
-_SCAN_BLOCK_ROWS = 32  # theta21 rows per scan kernel call
+_BLOCK_ROWS = 32  # theta21 rows per scan kernel call and per CSV template
 LOCUS_FAMILY = "theta21 in {pi/2, 3*pi/2} with a = cos(theta31), b = +/- sin(theta31)"
 
 
@@ -78,27 +79,28 @@ class PhaseTriple:
 
     def __post_init__(self):
         for name in ("theta1", "theta2", "theta3"):
-            object.__setattr__(self, name, getattr(self, name) % TWO_PI)
+            object.__setattr__(self, name, wrap_phase(getattr(self, name)))
 
     @property
     def theta21(self) -> float:
-        return (self.theta2 - self.theta1) % TWO_PI
+        return wrap_phase(self.theta2 - self.theta1)
 
     @property
     def theta31(self) -> float:
-        return (self.theta3 - self.theta1) % TWO_PI
+        return wrap_phase(self.theta3 - self.theta1)
 
 
 @dataclass
 class DependenceCertificate:
     """Either a full-rank certificate of independence or explicit coefficients
     witnessing a vanishing linear combination. `gram_rank` is decided on the
-    amplitude singular values, so its rank is also the Gram rank."""
+    amplitude singular values, so it is also the rank of the Gram matrix."""
 
     independent: bool
     coefficients: np.ndarray | None  # max modulus 1, present iff dependent
     residual_norm: float
-    gram_rank: linalg.RankResult
+    gram_rank: int
+    singular_values: np.ndarray  # of the amplitude matrix, descending
 
 
 @dataclass
@@ -113,7 +115,7 @@ class ScanResult:
     def write_csv(self, path: str) -> None:
         """The grid as CSV: header theta21,theta31,min_singular_value,rank,
         one row per point, LF line endings, each float its Python `repr`.
-        Each block of `_CSV_BLOCK_ROWS` theta21 rows is one `%` template with
+        Each block of `_BLOCK_ROWS` theta21 rows is one `%` template with
         one slot per cell: its piece, picked by the cell's kind from
         `_csv_fields`, already holds theta31, the decade prefix and rank 3,
         or, for kind 4, only theta31. The writer holds one block, whatever
@@ -125,15 +127,14 @@ class ScanResult:
         cols, leads = np.arange(len(thetas)), [f"{t!r}," for t in thetas]
         with open(path, "w", newline="") as fh:
             fh.write("theta21,theta31,min_singular_value,rank\n")
-            for start in range(0, len(thetas), _CSV_BLOCK_ROWS):
-                rows = slice(start, start + _CSV_BLOCK_ROWS)
+            for start in range(0, len(thetas), _BLOCK_ROWS):
+                rows = slice(start, start + _BLOCK_ROWS)
                 kinds, fields = _csv_fields(self.min_singular_values[rows], self.ranks[rows])
                 template = "".join([lead + lead.join(row) for lead, row in zip(
                     leads[rows], pieces[kinds, cols].tolist())])
                 fh.write(template % tuple(fields))
 
 
-_CSV_BLOCK_ROWS = 32
 _DECADE_FLOORS = np.array([1e-3, 1e-2, 1e-1])  # each double lies above its power of ten
 _DECADE_PREFIXES = np.array(["0.000", "0.00", "0.0", "0.", "-0.000", "-0.00", "-0.0", "-0."],
                             dtype=object)
@@ -225,7 +226,7 @@ def certify_independence(f: linalg.Factorization) -> DependenceCertificate:
     """Rank-certify a factored set of n states, any n; below rank n (always
     when n > dim), the last right singular vector is the vanishing
     combination, its residual verified."""
-    independent = f.rank.rank == f.vh.shape[0]
+    independent = f.rank == f.vh.shape[0]
     x = f.vh[-1].conj()  # right singular vector of the smallest sigma
     coeffs = None if independent else _normalize_coefficients(x)
     a = np.ascontiguousarray(f.amplitudes)  # BLAS rounds A x on the view rows.T otherwise
@@ -234,6 +235,7 @@ def certify_independence(f: linalg.Factorization) -> DependenceCertificate:
         coefficients=coeffs,
         residual_norm=float(np.linalg.norm(a @ (x if independent else coeffs))),
         gram_rank=f.rank,
+        singular_values=f.singular_values,
     )
 
 
@@ -252,8 +254,8 @@ def solve_degeneracy_analytic(a: float, b: float) -> list[tuple[float, float]]:
     (`LOCUS_FAMILY`): theta21 = pi/2 with (cos, sin)(theta31) = (a, b), and
     theta21 = 3*pi/2 with (cos, sin)(theta31) = (a, -b)."""
     a, b = unit_pair(a, b, "a", "b")
-    return [(math.pi / 2.0, math.atan2(b, a) % TWO_PI),
-            (3.0 * math.pi / 2.0, math.atan2(-b, a) % TWO_PI)]
+    return [(math.pi / 2.0, wrap_phase(math.atan2(b, a))),
+            (3.0 * math.pi / 2.0, wrap_phase(math.atan2(-b, a)))]
 
 
 def scan_degeneracy_numeric(
@@ -285,10 +287,10 @@ def scan_degeneracy_numeric(
                          qh @ p.phi, np.broadcast_to(thetas[:, None], (n, 3)))
     # C[k, l] has columns output 1 at theta1 = thetas[0] = 0, output 2 at
     # theta21 = thetas[k] and output 3 at theta31 = thetas[l]; the kernel's
-    # temporaries hold one block of `_SCAN_BLOCK_ROWS` theta21 rows at a time
+    # temporaries hold one block of `_BLOCK_ROWS` theta21 rows at a time
     sigma_min, ranks = np.empty((n, n)), np.empty((n, n), dtype=np.int64)
-    for start in range(0, n, _SCAN_BLOCK_ROWS):
-        rows = slice(start, start + _SCAN_BLOCK_ROWS)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
         lam_min, lam_mid, lam_max = _squared_singular_values_3x3(
             (out[0, :, 0], out[rows, None, :, 1], out[None, :, :, 2]))
         # sigma > SCAN_RANK_TOL * sigma_max, squared; sigma_max itself always counts

@@ -30,6 +30,12 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
+def wrap_phase(theta: float) -> float:
+    """theta mod 2 pi, in [0, 2 pi): a tiny negative theta gives 0, not `%`'s 2 pi."""
+    theta %= TWO_PI
+    return 0.0 if theta == TWO_PI else theta
+
+
 class PhasePolicy:
     """Maps a pair of canonical amplitude rows to a relative phase in [0, 2*pi)."""
 
@@ -38,7 +44,7 @@ class PhasePolicy:
 
     def __call__(self, psi: np.ndarray, phi: np.ndarray) -> float:
         """One policy evaluation on canonical rows, wrapped into [0, 2*pi)."""
-        return self.phase(psi, phi) % TWO_PI
+        return wrap_phase(self.phase(psi, phi))
 
 
 @dataclass(frozen=True)
@@ -91,8 +97,8 @@ def given_frame_phase(policy: PhasePolicy, psi: np.ndarray, phi: np.ndarray) -> 
     if psi.shape != phi.shape:
         raise DimensionMismatch(f"dimensions {psi.size} and {phi.size} differ")
     c_psi, c_phi = canonicalize(psi), canonicalize(phi)
-    theta = policy(c_psi, c_phi) + _canonical_phase(phi, c_phi) - _canonical_phase(psi, c_psi)
-    return theta % TWO_PI
+    return wrap_phase(policy(c_psi, c_phi) + _canonical_phase(phi, c_phi)
+                      - _canonical_phase(psi, c_psi))
 
 
 def _canonical_phase(s: np.ndarray, c: np.ndarray) -> float:

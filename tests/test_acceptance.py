@@ -165,7 +165,7 @@ def test_criterion_6_oracle_equivalence():
         s = StateSet(members)
         sigma = np.linalg.svd(s.amplitude_matrix(), compute_uv=False)
         oracle_rank = int(np.sum(sigma > 1e-9 * sigma[0]))
-        got = linalg.factorize(s, 1e-9).rank.rank == len(s)
+        got = linalg.factorize(s, 1e-9).rank == len(s)
         want = oracle_rank == size
         agreements += got == want
         checked += 1

@@ -159,6 +159,7 @@ class TestVerify:
     ["demo", "--beta-mod", "1e300"],
     ["usd", "STATES=[[[1" + "0" * 400 + ", 0], [0, 0]], [[0, 0], [1, 0]]]"],  # beyond float
     ["usd", "STATES=[[[1" + "0" * 4400 + ", 0], [0, 0]], [[0, 0], [1, 0]]]"],  # > 4300 digits
+    ["usd", "STATES=[[[true, 0], [0, 0]], [[0, 0], [1, 0]]]"],
 ])
 def test_invalid_parameters_exit_two(capsys, monkeypatch, tmp_path, tmp_path_factory, argv):
     # STATES stands for a file holding ZERO_PLUS, STATES=<json> for one holding <json>
@@ -497,7 +498,7 @@ def test_digit_kernel_calls_per_op(capsys, monkeypatch, tmp_path):
     rows = math.isqrt(len((tmp_path / "grid.csv").read_text().splitlines()) - 1)
     assert rows == 63  # two blocks, the second one short
     assert counts == {"verify": 0, "demo": 0, "usd": 1,
-                      "scan": -(-rows // pipeline._CSV_BLOCK_ROWS)}
+                      "scan": -(-rows // pipeline._BLOCK_ROWS)}
 
 
 COUNTEREXAMPLE_SETTINGS = {
@@ -534,7 +535,7 @@ def test_public_names_are_pinned():
     assert public == [
         "CanonicalHashPhase", "ConstantPhase", "ConstantSuccess", "CounterexampleParams",
         "DemoReport", "DependenceCertificate", "Factorization", "LOCUS_FAMILY",
-        "OverlapArgPhase", "OverlapScaledSuccess", "PhaseTriple", "RankResult", "ScanResult",
+        "OverlapArgPhase", "OverlapScaledSuccess", "PhaseTriple", "ScanResult",
         "StateSet", "SuperposerConfig", "USDMeasurement", "apply_superposer_to_set",
         "build_usd", "canonicalize", "certify_independence", "factorize",
         "forbidden_task_demo", "given_frame_phase", "normalize", "reciprocal_basis",

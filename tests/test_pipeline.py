@@ -188,7 +188,7 @@ class TestCertifyIndependence:
     def test_generic_outputs_independent(self):
         outputs, _ = pipeline.apply_superposer_to_set(balanced_cfg(), balanced_params())
         cert = pipeline.certify_independence(linalg.factorize(outputs))
-        assert cert.independent and cert.gram_rank.rank == 3
+        assert cert.independent and cert.gram_rank == 3
         assert cert.coefficients is None
 
     def test_constructed_dependence_coefficients(self):
@@ -221,8 +221,8 @@ class TestCertifyIndependence:
             a = s.amplitude_matrix()
             sigma = np.linalg.svd(a, compute_uv=False)
             cert = pipeline.certify_independence(linalg.factorize(s))
-            np.testing.assert_allclose(cert.gram_rank.singular_values, sigma, atol=1e-12)
-            assert not cert.independent and cert.gram_rank.rank == 2
+            np.testing.assert_allclose(cert.singular_values, sigma, atol=1e-12)
+            assert not cert.independent and cert.gram_rank == 2
             assert np.max(np.abs(cert.coefficients)) == pytest.approx(1.0, abs=1e-12)
             assert cert.residual_norm <= 1e-12
             assert np.linalg.norm(a @ cert.coefficients) <= 1e-12
@@ -232,13 +232,13 @@ class TestCertifyIndependence:
         sigma = np.linalg.svd(outputs.amplitude_matrix(), compute_uv=False)
         for tol in (1e-9, 0.05, 0.3, 0.6):
             cert = pipeline.certify_independence(linalg.factorize(outputs, tol))
-            assert cert.gram_rank.rank == np.sum(sigma > tol * sigma[0])
-            assert cert.independent == (cert.gram_rank.rank == 3)
+            assert cert.gram_rank == np.sum(sigma > tol * sigma[0])
+            assert cert.independent == (cert.gram_rank == 3)
 
     def test_independent_pair_certified(self):
         cert = pipeline.certify_independence(
             linalg.factorize(normalize([[1, 0], [1, 1]])))
-        assert cert.independent and cert.gram_rank.rank == 2
+        assert cert.independent and cert.gram_rank == 2
         assert cert.coefficients is None
 
     def test_dependent_four_states_in_three_dimensions(self, rng):
@@ -246,7 +246,7 @@ class TestCertifyIndependence:
         # null space of the 3 x 4 amplitude matrix
         s = random_state_set(rng, 3, 4)
         cert = pipeline.certify_independence(linalg.factorize(s))
-        assert not cert.independent and cert.gram_rank.rank == 3
+        assert not cert.independent and cert.gram_rank == 3
         assert np.max(np.abs(cert.coefficients)) == pytest.approx(1.0, abs=1e-12)
         assert cert.residual_norm <= 1e-12
 
@@ -279,18 +279,18 @@ class TestDegeneracyLocus:
     @given(angle=ANGLES, branch=st.sampled_from([0, 1]), delta=OFFSETS)
     def test_sigma_min_grows_linearly_off_the_locus(self, angle, branch, delta):
         # at balanced weights sigma_min = delta / (2 sqrt(3)) + O(delta^3)
-        sigma = near_locus_certificate(angle, branch, delta).gram_rank.singular_values
+        sigma = near_locus_certificate(angle, branch, delta).singular_values
         assert sigma[-1] / delta == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)), rel=1e-6)
 
     @settings(max_examples=100, deadline=None)
     @given(angle=ANGLES, branch=st.sampled_from([0, 1]), delta=OFFSETS)
     def test_verdict_flips_where_the_sigma_ratio_crosses_tol(self, angle, branch, delta):
-        sigma = near_locus_certificate(angle, branch, delta).gram_rank.singular_values
+        sigma = near_locus_certificate(angle, branch, delta).singular_values
         ratio = sigma[-1] / sigma[0]
         below = near_locus_certificate(angle, branch, delta, ratio * (1.0 - 1e-12))
         above = near_locus_certificate(angle, branch, delta, ratio * (1.0 + 1e-12))
-        assert below.independent and below.gram_rank.rank == 3
-        assert not above.independent and above.gram_rank.rank == 2
+        assert below.independent and below.gram_rank == 3
+        assert not above.independent and above.gram_rank == 2
 
     def test_invalid_coefficients_rejected(self):
         with pytest.raises(InvalidParams):
@@ -438,7 +438,7 @@ class TestScan:
                                                     math.pi / 180.0)
         assert balanced.min_singular_values.min() < 1e-4
         real = pipeline.scan_degeneracy_numeric(balanced_params(), SQ2, SQ2, 0.1)
-        assert real.thetas.size % pipeline._CSV_BLOCK_ROWS != 0
+        assert real.thetas.size % pipeline._BLOCK_ROWS != 0
         for scan in (small, balanced, real):
             scan.write_csv(tmp_path / "new.csv")
             write_csv_reference(scan, tmp_path / "reference.csv")
@@ -494,7 +494,7 @@ def signed_texts(values):
     sign-and-decade prefix and digits for |x| in [1e-4, 1), json's text
     otherwise, and how many values took the kernel's digits."""
     with mock.patch.object(cli, "_KERNEL_MIN_FLOATS", 0):
-        fields = cli._float_fields(values)
+        fields = cli._float_fields([np.asarray(values)])
     texts = [f"{head}{tail}" for head, tail in zip(fields[::2], fields[1::2])]
     return texts, sum(tail != "" for tail in fields[1::2])
 

@@ -1,6 +1,7 @@
 """The report emitter writes the bytes of `json.dumps(x, indent=2,
-sort_keys=True)`, which stays here as its oracle: on the reports of every
-subcommand, on a synthetic report of json's edge cases, and on random trees."""
+sort_keys=True, default=np.ndarray.tolist)`, which stays here as its oracle:
+on the reports of every subcommand, on a synthetic report of json's edge
+cases, and on random trees with numpy array leaves."""
 
 import json
 import math
@@ -9,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nogosuper import cli
 
 
 def oracle(x) -> str:
-    return json.dumps(x, indent=2, sort_keys=True)
+    return json.dumps(x, indent=2, sort_keys=True, default=np.ndarray.tolist)
 
 
 def usd_states(n, dim):
@@ -72,6 +74,11 @@ def synthetic_report() -> dict:
         "short_and_long_pairs": [[1.0], [1.0, 2.0, 3.0]],
         "tuple_pairs": [(1.0, 2.0), (3.0, 4.0)],
         "big_int": 10**40,
+        "float_array": np.array(EDGE_FLOATS),
+        "pair_array": np.array([[x, -x] for x in EDGE_FLOATS]),
+        "arrays_not_slotted": [np.empty(0), np.empty((0, 2)), np.float64(0.5) + np.zeros(()),
+                               np.zeros((2, 3)), np.ones(2, np.float32), np.arange(3),
+                               np.array([True, False]), np.ones((2, 2))[:, :0]],
         "strings": ["café ψ⟩", "ctl \x00\x1f\x7f\n\t\"\\", "lone \ud800 surrogate",
                     "astral \U0001f600", ""],
         "csv_path": "/tmp/été/grid.csv",
@@ -87,7 +94,7 @@ def test_synthetic_report_matches_json_dumps():
         assert cli._json_text(value) == oracle(value)
 
 
-@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), np.array([1.0]),
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), np.array([1j]),
                                    1 + 2j, {1: 2}, {"a": {1, 2}}, [object()]])
 def test_non_json_values_raise_type_error(value):
     with pytest.raises(TypeError):
@@ -98,7 +105,11 @@ FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 LEAVES = (st.none() | st.booleans() | st.integers() | FLOATS | FLOATS.map(np.float64)
           | st.text()
           | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4)
-          | st.lists(st.lists(FLOATS, min_size=1, max_size=3), max_size=4))
+          | st.lists(st.lists(FLOATS, min_size=1, max_size=3), max_size=4)
+          | hnp.arrays(np.float64, st.sampled_from([(), (0,), (0, 2), (1,), (4,), (1, 2), (3, 2),
+                                                    (2, 3)]), elements=FLOATS)
+          | hnp.arrays(st.sampled_from([np.float32, np.int64, np.bool_]),
+                       hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)))
 TREES = st.recursive(
     LEAVES,
     lambda children: (st.lists(children, max_size=4)
@@ -127,17 +138,16 @@ def test_random_trees_through_the_kernel(monkeypatch):
 
 
 def report_of(count: int) -> dict:
-    """A report with `count` list floats: signed values in every decade of
+    """A report with `count` array floats: signed values in every decade of
     [1e-4, 1), the edges of that range, zeros, subnormals, large and
-    non-finite values, half in a float list and half in [re, im] pairs."""
+    non-finite values, half in a (k,) array and half in a (k, 2) array."""
     rng = np.random.default_rng(count)
     edges = [1e-4, -1e-4, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0), 1.0, -1.0,
              0.0, -0.0, 5e-324, -2.5e-310, 9.99e-5, 123.25, math.nan, -math.inf]
-    values = (edges + (rng.choice([-1.0, 1.0], count)
-                       * 10.0 ** rng.uniform(-4.5, 0.2, count)).tolist())[:count]
+    values = np.concatenate([edges, rng.choice([-1.0, 1.0], count)
+                             * 10.0 ** rng.uniform(-4.5, 0.2, count)])[:count]
     half = count // 4 * 2  # an even count of floats in pairs
-    pairs = values[:half]
-    return {"schema": 1, "result": {"elements": [pairs[i:i + 2] for i in range(0, half, 2)],
+    return {"schema": 1, "result": {"elements": values[:half].reshape(-1, 2),
                                     "probabilities": values[half:],
                                     "label": "100% %s %%d", "%": -0.5}}
 

@@ -15,7 +15,7 @@ SQ2 = 1.0 / math.sqrt(2.0)
 
 
 def independent(s, tol=linalg.DEFAULT_RANK_TOL):
-    return linalg.factorize(s, tol).rank.rank == len(s)
+    return linalg.factorize(s, tol).rank == len(s)
 
 
 def test_normalize_scales_to_unit_norm():

@@ -185,6 +185,18 @@ class TestPhasePolicies:
                 theta = policy(canonicalize(psi), canonicalize(phi))
                 assert 0.0 <= theta < 2.0 * math.pi
 
+    def test_tiny_negative_phases_wrap_to_zero_at_every_site(self):
+        # `%` rounds a tiny negative phase up to exactly 2 pi; each site maps it to 0
+        assert -1e-20 % (2.0 * math.pi) == 2.0 * math.pi
+        ahead = pipeline.PhaseTriple(1e-20, 0.0, 0.0)
+        phi = np.array([complex(1.0, 1e-20), 0.0])  # kappa_phi = -1e-20
+        phases = [*vars(pipeline.PhaseTriple(-1e-20, -1e-20, -1e-20)).values(),
+                  ahead.theta21, ahead.theta31,
+                  ConstantPhase(-1e-20)(E2[0], E2[1]),
+                  given_frame_phase(ConstantPhase(0.0), E2[0], phi),
+                  *pipeline.solve_degeneracy_analytic(1.0, 1e-300)[1]]
+        assert all(0.0 <= t < 2.0 * math.pi for t in phases), phases
+
     def test_overlap_arg_orthogonal_inputs_gives_zero(self):
         assert OverlapArgPhase()(canonicalize(E2[0]), canonicalize(E2[1])) == 0.0
 
