@@ -37,17 +37,17 @@ LOCUS_FAMILY = "theta21 in {pi/2, 3*pi/2} with a = cos(theta31), b = +/- sin(the
 
 @dataclass(frozen=True)
 class CounterexampleParams:
-    """Amplitude rows of the dependent input triple in dimension >= 3, and the
-    two sets built from them once: `frame`, the orthonormal (psi, psi_perp,
-    phi), which is their one check and then holds them as its rows, and
-    `inputs`, the triple (psi, psi_perp, a psi + b psi_perp)."""
+    """Amplitude rows of the dependent input triple in dimension >= 3,
+    checked once as the orthonormal frame (psi, psi_perp, phi) and held as
+    its rows, and `inputs`, the triple (psi, psi_perp, a psi + b psi_perp),
+    built from them once. The scan relies on the frame being orthonormal:
+    it reads the outputs' singular values from a, b and the weights alone."""
 
     a: float
     b: float
     psi: np.ndarray
     psi_perp: np.ndarray
     phi: np.ndarray
-    frame: StateSet = field(init=False, repr=False, compare=False)
     inputs: StateSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -60,7 +60,7 @@ class CounterexampleParams:
         psi, psi_perp, phi = frame.rows
         inputs = normalize([psi, psi_perp, a * psi + b * psi_perp])
         for name, value in (("a", a), ("b", b), ("psi", psi), ("psi_perp", psi_perp),
-                            ("phi", phi), ("frame", frame), ("inputs", inputs)):
+                            ("phi", phi), ("inputs", inputs)):
             object.__setattr__(self, name, value)
 
 
@@ -115,22 +115,23 @@ class ScanResult:
     def write_csv(self, path: str) -> None:
         """The grid as CSV: header theta21,theta31,min_singular_value,rank,
         one row per point, LF line endings, each float its Python `repr`.
-        Each block of `_BLOCK_ROWS` theta21 rows is one `%` template with
-        one slot per cell: its piece, picked by the cell's kind from
-        `_csv_fields`, already holds theta31, the decade prefix and rank 3,
-        or, for kind 4, only theta31. The writer holds one block, whatever
-        the grid."""
-        thetas = self.thetas.tolist()
-        pieces = np.array([[f"{t!r},{prefix}%s,3\n" for t in thetas]
-                           for prefix in _DECADE_PREFIXES[:4]]  # sigma >= 0
-                          + [[f"{t!r},%s\n" for t in thetas]], dtype=object)
-        cols, leads = np.arange(len(thetas)), [f"{t!r}," for t in thetas]
-        with open(path, "w", newline="") as fh:
-            fh.write("theta21,theta31,min_singular_value,rank\n")
+        Each block of `_BLOCK_ROWS` theta21 rows is one bytes `%` template
+        with one slot per cell: its piece, picked by the cell's kind from
+        `_csv_fields`, already holds theta31, the decade prefix and rank 3
+        around a `%d` slot for the digits, or, for kind 4, only theta31
+        before a `%s` slot for the cell's bytes. The writer holds one block,
+        whatever the grid."""
+        thetas = [repr(t).encode() for t in self.thetas.tolist()]
+        pieces = np.array([[t + b"," + prefix + b"%d,3\n" for t in thetas]
+                           for prefix in _CSV_PREFIXES]
+                          + [[t + b",%s\n" for t in thetas]], dtype=object)
+        cols, leads = np.arange(len(thetas)), [t + b"," for t in thetas]
+        with open(path, "wb") as fh:
+            fh.write(b"theta21,theta31,min_singular_value,rank\n")
             for start in range(0, len(thetas), _BLOCK_ROWS):
                 rows = slice(start, start + _BLOCK_ROWS)
                 kinds, fields = _csv_fields(self.min_singular_values[rows], self.ranks[rows])
-                template = "".join([lead + lead.join(row) for lead, row in zip(
+                template = b"".join([lead + lead.join(row) for lead, row in zip(
                     leads[rows], pieces[kinds, cols].tolist())])
                 fh.write(template % tuple(fields))
 
@@ -138,6 +139,7 @@ class ScanResult:
 _DECADE_FLOORS = np.array([1e-3, 1e-2, 1e-1])  # each double lies above its power of ten
 _DECADE_PREFIXES = np.array(["0.000", "0.00", "0.0", "0.", "-0.000", "-0.00", "-0.0", "-0."],
                             dtype=object)
+_CSV_PREFIXES = [prefix.encode() for prefix in _DECADE_PREFIXES[:4]]  # sigma >= 0
 _DECADE_SCALES = 10.0 ** np.arange(20, 16, -1)  # 10**(16 - E), exact
 
 
@@ -145,19 +147,23 @@ def _csv_fields(sigma: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, list]
     """A kind per cell, in the cells' shape, and the flat list of their
     fields. A rank-3 value in [1e-4, 1) has its kind (its decade) and its
     digits D from `_shortest_digits`, `_DECADE_PREFIXES[kind]` + D == repr;
-    every other cell has kind 4 and the field "repr,rank"."""
+    every other cell has kind 4 and the field b"repr,rank"."""
     fast = (sigma >= 1e-4) & (sigma < 1.0) & (ranks == 3)
+    if fast.all():
+        kinds, digits = _shortest_digits(sigma.ravel())
+        return kinds.reshape(sigma.shape), digits.tolist()
     kinds = np.full(sigma.shape, 4)
     fields = np.empty(sigma.shape, dtype=object)
     kinds[fast], fields[fast] = _shortest_digits(sigma[fast])
-    fields[~fast] = [f"{s!r},{r}" for s, r in zip(sigma[~fast].tolist(), ranks[~fast].tolist())]
+    fields[~fast] = [b"%r,%d" % sr for sr in zip(sigma[~fast].tolist(), ranks[~fast].tolist())]
     return kinds, fields.ravel().tolist()
 
 
 def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For doubles with |x| in [1e-4, 1): each one's kind, the index of its
-    sign-and-decade prefix in `_DECADE_PREFIXES` (the decade, plus 4 when
-    x < 0), and the int D of its digits, so that prefix + str(D) == repr(x).
+    """For doubles with |x| in [1e-4, 1) (ValueError for any other, 0, NaN
+    and inf included): each one's kind, the index of its sign-and-decade
+    prefix in `_DECADE_PREFIXES` (the decade, plus 4 when x < 0), and the
+    int D of its digits, so that prefix + str(D) == repr(x).
 
     For a = |x|, E = floor(log10 a) is exact from `_DECADE_FLOORS`, and
     Dekker's product on Veltkamp halves gives y = a * 10**(16 - E) exactly
@@ -171,36 +177,48 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first of the 15-, 16- and 17-digit roundings that reads back (the last
     always does), as "0." + "0" * (-E - 1) + D without trailing zeros.
     A power of two there has 10 digits or fewer, so its asymmetric
-    interval never matters. The sign only picks the prefix.
+    interval never matters. The sign only picks the prefix. Each
+    input-sized temporary is dropped once it is used.
     """
     a = np.abs(x)
-    decade = np.searchsorted(_DECADE_FLOORS, a, side="right")  # -E - 1 = 3 - decade
-    scale = _DECADE_SCALES[decade]
-    p = a * scale
-    (a_hi, a_lo), (s_hi, s_lo) = _veltkamp(a), _veltkamp(scale)
-    err = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    if a.size and not (a.min() >= 1e-4 and a.max() < 1.0):  # NaN fails both
+        raise ValueError("the digit kernel takes |x| in [1e-4, 1) only")
+    kinds = np.searchsorted(_DECADE_FLOORS, a, side="right")  # -E - 1 = 3 - decade
+    half_ulp = np.ldexp(_DECADE_SCALES[kinds], np.frexp(a)[1] - 54)
+    p = a * _DECADE_SCALES[kinds]
+    (a_hi, a_lo), s_hi, s_lo = _veltkamp(a), _SCALE_HI[kinds], _SCALE_LO[kinds]
+    del a
+    np.add(kinds, 4, out=kinds, where=x < 0)
+    err = a_hi * s_hi - p
+    err += a_hi * s_lo
+    err += a_lo * s_hi
+    err += a_lo * s_lo
+    del a_hi, a_lo, s_hi, s_lo
     carry = np.rint(err)  # p >= 1e16 > 2**53 is an even int
     y_int = p.astype(np.int64) + carry.astype(np.int64)
-    t = err - carry
-    half_ulp = np.ldexp(scale, np.frexp(a)[1] - 54)
-    d = y_int
+    err -= carry  # t = y - y_int
+    del p, carry
+    d = y_int.copy()
     for unit in (10, 100):  # 16, then 15 digits, the shorter overriding
-        head, rest = np.divmod(y_int, unit)
-        rest = rest + t  # y - unit * head
+        head = y_int // unit  # floor division by a constant is fast, % is not
+        rest = (y_int - head * unit) + err  # y - unit * head
         head += (rest > unit / 2) | ((rest == unit / 2) & (head & 1 == 1))
-        miss = np.abs((unit * head - y_int) - t)  # |unit * head - y|
-        d = np.where(miss < half_ulp, unit * head, d)
-    zeros = np.flatnonzero(d % 10 == 0)
+        del rest
+        np.copyto(d, head, where=np.abs((head * unit - y_int) - err) < half_ulp)
+    zeros = np.flatnonzero(d // 10 * 10 == d)  # d >= 10**14, so this ends
     while zeros.size:
         d[zeros] //= 10
-        zeros = zeros[d[zeros] % 10 == 0]
-    return decade + 4 * (x < 0), d
+        zeros = zeros[d[zeros] // 10 * 10 == d[zeros]]
+    return kinds, d
 
 
 def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t = a * (2.0**27 + 1.0)  # a = hi + lo exactly, in two 26-bit halves
     hi = t - (t - a)
     return hi, a - hi
+
+
+_SCALE_HI, _SCALE_LO = _veltkamp(_DECADE_SCALES)
 
 
 def apply_superposer_to_set(
@@ -264,15 +282,17 @@ def scan_degeneracy_numeric(
     beta: complex,
     grid_step: float,
 ) -> ScanResult:
-    """Sweep (theta21, theta31) over [0, 2*pi)^2 with theta1 = 0, build the
-    output triples with those explicit phases, and flag every grid point where
-    their rank drops below 3 at the (looser) scan tolerance.
+    """Sweep (theta21, theta31) over [0, 2*pi)^2 with theta1 = 0 and flag
+    every grid point where the output triple's rank drops below 3 at the
+    (looser) scan tolerance.
 
-    The outputs lie in span{psi, psi_perp, phi}, so each grid point is the
-    3x3 matrix C of their coordinates in an orthonormal basis Q of that span,
-    whatever the dimension: C = Q^H (outputs) has the outputs' singular
-    values. Output j depends on theta_j alone, so `superpose_many` forms each
-    column once per grid phase and the grid's C are broadcast from them.
+    In the orthonormal frame (psi, psi_perp, phi), at any dimension, the
+    outputs are C = [[alpha, 0, alpha a], [0, alpha, alpha b], [beta,
+    beta w2, beta w3]], w_j = e^{i theta_j1}. Row phases keep its singular
+    values, so with A = |alpha| and B = |beta| the invariants of
+    `_eigenvalues_3x3` are c1 = 3 (A^2 + B^2), c2 = 2 A^4 + A^2 B^2 (3 +
+    |w3 - a|^2 + |w3 - b w2|^2) and c3 = |det C|^2 = A^4 B^2
+    |w3 - a - b w2|^2: the outputs are dependent where the phasors close.
     """
     if not MIN_GRID_STEP <= grid_step <= 0.1:
         raise InvalidParams(f"grid_step must lie in [{MIN_GRID_STEP}, 0.1], got {grid_step}")
@@ -280,62 +300,39 @@ def scan_degeneracy_numeric(
     n = int(math.floor((TWO_PI - 1e-12) / grid_step)) + 1
     thetas = grid_step * np.arange(n)
 
-    q, _ = np.linalg.qr(p.frame.amplitude_matrix())
-    qh = q.conj().T
-    # out[k, :, j]: coordinates of output j with theta_j = thetas[k]
-    out = superpose_many(alpha, beta, qh @ p.inputs.amplitude_matrix(),
-                         qh @ p.phi, np.broadcast_to(thetas[:, None], (n, 3)))
-    # C[k, l] has columns output 1 at theta1 = thetas[0] = 0, output 2 at
-    # theta21 = thetas[k] and output 3 at theta31 = thetas[l]; the kernel's
-    # temporaries hold one block of `_BLOCK_ROWS` theta21 rows at a time
+    a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
+    w = np.exp(1j * thetas)
+    w3_a = w - p.a  # per theta31 column
+    c2_cols = 2.0 * a2 * a2 + a2 * b2 * (3.0 + (w3_a.real**2 + w3_a.imag**2))
+    # the kernel's temporaries hold one block of `_BLOCK_ROWS` theta21 rows at a time
     sigma_min, ranks = np.empty((n, n)), np.empty((n, n), dtype=np.int64)
     for start in range(0, n, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        lam_min, lam_mid, lam_max = _squared_singular_values_3x3(
-            (out[0, :, 0], out[rows, None, :, 1], out[None, :, :, 2]))
+        gap = w - p.b * w[rows, None]  # w3 - b w2
+        c2 = c2_cols + a2 * b2 * (gap.real**2 + gap.imag**2)
+        gap -= p.a  # the closure, w3 - a - b w2
+        c3 = a2 * a2 * b2 * (gap.real**2 + gap.imag**2)
+        lam_min, lam_mid, lam_max = _eigenvalues_3x3(3.0 * (a2 + b2), c2, c3)
         # sigma > SCAN_RANK_TOL * sigma_max, squared; sigma_max itself always counts
         cut = SCAN_RANK_TOL**2 * lam_max
         ranks[rows] = 1 + (lam_mid > cut) + (lam_min > cut)
         sigma_min[rows] = np.sqrt(lam_min)
 
-    return ScanResult(
-        thetas=thetas,
-        min_singular_values=sigma_min,
-        ranks=ranks,
-        detected=[(float(thetas[i]), float(thetas[j])) for i, j in np.argwhere(ranks < 3)],
-    )
+    detected = [(float(thetas[i]), float(thetas[j])) for i, j in np.argwhere(ranks < 3)]
+    return ScanResult(thetas, sigma_min, ranks, detected)
 
 
-def _squared_singular_values_3x3(
-    cols: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues lam_min <= lam_mid <= lam_max of C^H C, in closed form, for
-    3x3 matrices C given by their columns: three arrays of shape (..., 3)
-    that broadcast against each other. Needs rank(C) >= 2.
+def _eigenvalues_3x3(c1, c2, c3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots lam_min <= lam_mid <= lam_max of lam^3 - c1 lam^2 + c2 lam - c3,
+    the characteristic polynomial of a Gram matrix C^H C of rank >= 2, from
+    its invariants c1 = ||C||_F^2, c2 = the sum of |2x2 minors of C|^2
+    (Cauchy-Binet) and c3 = |det C|^2, arrays that broadcast together.
 
-    The characteristic polynomial lam^3 - c1 lam^2 + c2 lam - c3 has the
-    invariants c1 = ||C||_F^2, c2 = the sum of |2x2 minors of C|^2
-    (Cauchy-Binet) and c3 = |det C|^2, each a sum of non-negative terms, so
-    no Gram entry cancels. lam_max is the largest root (trigonometric form);
-    the other two come from deflating it off the constant end:
-    lam_min lam_mid = c3 / lam_max and lam_min + lam_mid =
-    (c2 - lam_min lam_mid) / lam_max. That keeps lam_min accurate where
-    lam_max is not, at a near double root.
+    lam_max is the largest root (trigonometric form); the other two come
+    from deflating it off the constant end: lam_min lam_mid = c3 / lam_max
+    and lam_min + lam_mid = (c2 - lam_min lam_mid) / lam_max. That keeps
+    lam_min accurate where lam_max is not, at a near double root.
     """
-    e = [[col[..., r] for col in cols] for r in range(3)]  # e[r][j] = C[r, j]
-    c1 = sum(np.sum(col.real**2 + col.imag**2, axis=-1) for col in cols)
-    pairs = ((1, 2), (0, 2), (0, 1))
-    c2 = 0.0
-    cofactors = []  # minors on columns (1, 2), leaving out row 0, 1, 2
-    for r, s in pairs:
-        for j, k in pairs:
-            m = e[r][j] * e[s][k] - e[s][j] * e[r][k]
-            c2 = c2 + (m.real**2 + m.imag**2)
-            if j == 1:
-                cofactors.append(m)
-    det = e[0][0] * cofactors[0] - e[1][0] * cofactors[1] + e[2][0] * cofactors[2]
-    c3 = det.real**2 + det.imag**2
-
     spread = np.maximum(c1 * c1 - 3.0 * c2, 0.0) / 9.0  # 0 only if all are equal
     half_q = (2.0 * c1**3 - 9.0 * c1 * c2 + 27.0 * c3) / 54.0
     cos3 = np.clip(half_q / spread**1.5, -1.0, 1.0)

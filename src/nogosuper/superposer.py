@@ -8,10 +8,11 @@ see canonical rows only, so a global phase reaches them only through the
 round-off of `canonicalize`. They can still see the basis: the canonical
 pivot is the first non-negligible amplitude in the given basis.
 
-Every superposition in the package is formed by `superpose_many`, with phases
-in the frame of the given representatives psi and phi. A policy's phase is
-moved into that frame by `given_frame_phase`, so the oracle output depends on
-the inputs' density matrices only.
+Every superposition the package forms is formed by `superpose_many`, with
+phases in the frame of the given representatives psi and phi. A policy's
+phase is moved into that frame by `given_frame_phase`, so the oracle output
+depends on the inputs' density matrices only. The phase scan forms none: it
+reads each grid point's singular values from closed forms.
 """
 
 from __future__ import annotations

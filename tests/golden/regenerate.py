@@ -113,8 +113,13 @@ def regenerate() -> dict:
 
 
 def _split(x, path="", floats=None):
-    """(x with every float replaced by None, {path: float})."""
+    """(x with every float replaced by None, {path: float}). A sampled CSV
+    row is split into its fields: theta21 and theta31 stay text, so they
+    must match exactly, the sigma is a float and the rank an int."""
     floats = {} if floats is None else floats
+    if path == "/csv/sample":
+        x = [[t21, t31, float(sigma), int(rank)]
+             for t21, t31, sigma, rank in (row.split(",") for row in x)]
     if isinstance(x, dict):
         return {k: _split(v, f"{path}/{k}", floats)[0] for k, v in x.items()}, floats
     if isinstance(x, list):
@@ -126,7 +131,8 @@ def _split(x, path="", floats=None):
 
 
 def _summary(old: dict, new: dict) -> str:
-    """Which cases changed, and the largest float move in each."""
+    """Which cases changed, and the largest absolute and relative float move
+    in each."""
     lines = []
     for name in sorted(old.keys() | new.keys()):
         if old.get(name) == new.get(name):
@@ -135,10 +141,12 @@ def _summary(old: dict, new: dict) -> str:
             lines.append(f"{name}: {'added' if name in new else 'removed'}")
             continue
         (rest_old, before), (rest_new, after) = _split(old[name]), _split(new[name])
-        moves = [abs(after[k] - before[k]) for k in before.keys() & after.keys()
-                 if after[k] != before[k]]
-        lines.append(f"{name}: {len(moves)} floats moved, largest "
-                     f"{max(moves, default=0.0):.3g}; everything else "
+        moved = [k for k in before.keys() & after.keys() if after[k] != before[k]]
+        absolute = max((abs(after[k] - before[k]) for k in moved), default=0.0)
+        relative = max((abs(after[k] - before[k]) / abs(before[k]) if before[k] else math.inf
+                        for k in moved), default=0.0)
+        lines.append(f"{name}: {len(moved)} floats moved, largest {absolute:.3g} "
+                     f"(relative {relative:.3g}); everything else "
                      f"{'equal' if rest_old == rest_new else 'DIFFERS'}")
     return "\n".join(lines) or "no change"
 

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -373,6 +376,45 @@ class TestScan:
         for s in analytic:
             assert min(distance(s, d) for d in detected) <= step + 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(ANGLES, st.floats(0.0, 2 * math.pi), st.floats(1e-7, 1.0, exclude_max=True))
+    def test_complex_b_matches_svd(self, angle, phase, mod):
+        # a = cos t, b = sin t e^{i phi}: the closure w3 = a + b w2 with a complex b
+        p = pipeline.CounterexampleParams(math.cos(angle), math.sin(angle) * np.exp(1j * phase),
+                                          *np.eye(3))
+        alpha = mod * np.exp(0.7j)
+        beta = math.sqrt(1 - mod**2) * np.exp(-1.1j)
+        scan = pipeline.scan_degeneracy_numeric(p, alpha, beta, 0.1)
+        sigma_min, ranks = scan_svd_oracle(p, alpha, beta, scan.thetas)
+        np.testing.assert_allclose(scan.min_singular_values, sigma_min,
+                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_array_equal(scan.ranks, ranks)
+
+    def test_grid_ignores_the_weight_phases_and_the_frame(self, rng):
+        angle = rng.uniform(0, 2 * math.pi)
+        p = pipeline.standard_params(math.cos(angle), math.sin(angle))
+        base = pipeline.scan_degeneracy_numeric(p, 0.6, 0.8, 0.05)
+        variants = [(p, 0.6 * np.exp(1j * rng.uniform(0, 2 * math.pi)),
+                     0.8 * np.exp(1j * rng.uniform(0, 2 * math.pi))) for _ in range(3)]
+        variants += [(rotated_params(rng, dim, angle), 0.6, 0.8) for dim in (3, 8, 16)]
+        for params, alpha, beta in variants:
+            assert (params.a, params.b) == (p.a, p.b)
+            scan = pipeline.scan_degeneracy_numeric(params, alpha, beta, 0.05)
+            assert np.abs(scan.min_singular_values - base.min_singular_values).max() <= 1e-15
+            np.testing.assert_array_equal(scan.ranks, base.ranks)
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_analytic_pairs_are_zeros_of_the_grid(self, rng, dim):
+        # a = cos 60 deg: the closure vanishes on the grid points of both pairs
+        p = rotated_params(rng, dim, math.pi / 3)
+        step = math.pi / 180.0
+        scan = pipeline.scan_degeneracy_numeric(p, SQ2 * np.exp(0.7j), SQ2, step)
+        for t21, t31 in pipeline.solve_degeneracy_analytic(p.a, p.b):
+            i, j = round(t21 / step), round(t31 / step)
+            assert abs(scan.thetas[i] - t21) <= 1e-12 and abs(scan.thetas[j] - t31) <= 1e-12
+            assert scan.min_singular_values[i, j] <= 1e-15
+            assert scan.ranks[i, j] == 2
+
     def test_peak_memory_per_point_does_not_depend_on_dim(self, rng):
         per_point = []
         for dim in (3, 16):
@@ -451,7 +493,7 @@ def sigma_texts(values):
     `repr` fallback (kind 4)."""
     kinds, fields = pipeline._csv_fields(np.asarray(values, dtype=float),
                                          np.full(len(values), 3))
-    texts = [field.rpartition(",")[0] if kind == 4
+    texts = [field.decode().rpartition(",")[0] if kind == 4
              else pipeline._DECADE_PREFIXES[kind] + str(field)
              for kind, field in zip(kinds.tolist(), fields)]
     return texts, int(np.count_nonzero(kinds == 4))
@@ -526,6 +568,43 @@ class TestSignedDigits:
         assert [pipeline._DECADE_PREFIXES[k] + str(d) for k, d in
                 zip(kinds.tolist(), digits.tolist())] == [repr(x) for x in
                                                           [*values.tolist(), *(-values).tolist()]]
+
+
+class TestDigitKernel:
+    def test_values_outside_the_range_raise(self):
+        # the trailing-zero loop would never end on a 0, so a regression must
+        # not hang the suite: the calls run in a subprocess under a timeout
+        code = ("import numpy as np\n"
+                "from nogosuper import pipeline\n"
+                "for v in (0.0, -0.0, float('nan'), float('inf'), -float('inf'), 1.0, -1.0,\n"
+                "          5e-5, -5e-5):\n"
+                "    try:\n"
+                "        pipeline._shortest_digits(np.array([0.5, v]))\n"
+                "    except ValueError:\n"
+                "        continue\n"
+                "    raise SystemExit(f'{v!r} accepted')\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            os.path.join(os.path.dirname(__file__), os.pardir, "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+
+    def test_empty_input_gives_empty_fields(self):
+        kinds, digits = pipeline._shortest_digits(np.empty(0))
+        assert kinds.size == digits.size == 0
+
+    def test_peak_memory_is_a_small_multiple_of_the_input(self):
+        # the two outputs and the live temporaries: about 9 input-sized
+        # arrays at the peak, where keeping every temporary took 19
+        x = np.random.default_rng(14).uniform(1e-4, 1.0, 10**5)
+        tracemalloc.start()
+        try:
+            pipeline._shortest_digits(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * x.nbytes
 
 
 class TestForbiddenTaskDemo:
