@@ -10,7 +10,7 @@ solution against a brute-force grid sweep and writes the full grid to CSV.
 
 import math
 
-from nogosuper import pipeline
+from nogosuper import pipeline, text
 
 SQ2 = 1.0 / math.sqrt(2.0)
 STEP = math.pi / 180.0
@@ -29,7 +29,7 @@ print("Detected rank-deficient grid points:")
 for t21, t31 in scan.detected:
     print(f"  ({t21:.6f}, {t31:.6f})")
 
-scan.write_csv("degeneracy_grid.csv")  # the same format as `nogo scan --csv`
+text.write_scan_csv(scan, "degeneracy_grid.csv")  # what `nogo scan --csv` writes
 print(f"\nFull grid written to degeneracy_grid.csv "
       f"({scan.ranks.size} rows); everywhere off the locus the rank is 3.")
 print("Off-locus phases are generic: a phase policy that cannot see the "

@@ -7,10 +7,10 @@ Subcommands:
     usd     build and simulate USD for states given in a JSON file
 
 Each subcommand maps the parsed arguments and the seed to its result;
-`main` resolves the seed, writes the report and picks the exit code. All
-reports are JSON with top-level keys {schema, config, result}; complex
-numbers appear as [re, im] pairs. Exit codes: 0 success, 2 configuration
-error, 3 numerical or I/O error, 4 on-locus demo refusal.
+`main` resolves the seed, writes the report through `text` and picks the
+exit code. All reports are JSON with top-level keys {schema, config,
+result}; complex numbers appear as [re, im] pairs. Exit codes: 0 success,
+2 configuration error, 3 numerical or I/O error, 4 on-locus demo refusal.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .superposer import (
     SuccessPolicy,
     SuperposerConfig,
 )
+from .text import json_text, write_scan_csv
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
@@ -53,103 +53,15 @@ EXIT_ON_LOCUS = 4
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def _complex_json(a: np.ndarray) -> np.ndarray:
-    """Entries in C order as the rows [re, im] of a (k, 2) float array."""
-    return np.stack([a.real, a.imag], -1).reshape(-1, 2)
-
-
 def _phases_json(t: pipeline.PhaseTriple) -> dict:
     return {**vars(t), "theta21": t.theta21, "theta31": t.theta31}
-
-
-def _certificate_json(c: pipeline.DependenceCertificate) -> dict:
-    return {**vars(c), "coefficients": (None if c.coefficients is None
-                                        else _complex_json(c.coefficients))}
-
-
-_KERNEL_MIN_FLOATS = 200  # from this many array floats on, one kernel call beats `repr`
-
-
-def _float_text(x: float) -> str:
-    """json's spelling of a float (np.float64 too)."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
-
-
-def _json_text(x) -> str:
-    """`json.dumps(x, indent=2, sort_keys=True, default=np.ndarray.tolist)`,
-    byte for byte, for trees of str-keyed dicts, lists, tuples, numpy arrays,
-    str, int, float, bool and None; TypeError for any other value. json
-    encodes item by item in Python when it indents; here the tree is walked
-    once into a `%` template, in which each float of a float64 array of
-    shape (k,) or (k, 2) is two `%s` slots, and the template is filled once
-    from `_float_fields`."""
-    floats = []
-    return _template(x, 0, floats) % _float_fields(floats)
-
-
-def _float_fields(floats: list[np.ndarray]) -> tuple:
-    """Two fields per float of the flat float64 arrays `floats`, whose
-    concatenation is its json text. From `_KERNEL_MIN_FLOATS` floats on, one
-    `pipeline._shortest_digits` call gives each one with |x| in [1e-4, 1)
-    its sign-and-decade prefix and its digits; every other float, and every
-    float of a smaller report, gets its text and ""."""
-    x = np.concatenate(floats) if floats else np.empty(0)
-    fields = [""] * (2 * x.size)
-    if x.size < _KERNEL_MIN_FLOATS:
-        fields[::2] = map(_float_text, x.tolist())
-        return tuple(fields)
-    a = np.abs(x)
-    slow = ~((a >= 1e-4) & (a < 1.0))
-    # 0.5: any value the kernel takes; the fields of slow floats are replaced below
-    kinds, digits = pipeline._shortest_digits(np.where(slow, 0.5, x))
-    fields[::2], fields[1::2] = pipeline._DECADE_PREFIXES[kinds].tolist(), digits.tolist()
-    for i, v in zip(np.flatnonzero(slow).tolist(), x[slow].tolist()):
-        fields[2 * i], fields[2 * i + 1] = _float_text(v), ""
-    return tuple(fields)
-
-
-def _template(x, level: int, floats: list) -> str:
-    """The text of `x` with `%` escaped, but for the floats of each float64
-    array of shape (k,) or (k, 2): two `%s` slots each, the array appended
-    to `floats`."""
-    if isinstance(x, str):
-        return encode_basestring_ascii(x).replace("%", "%%")
-    if isinstance(x, float):  # np.float64 too, as json spells it
-        return _float_text(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
-    sep = "," + inner
-    if isinstance(x, np.ndarray):
-        if x.dtype != np.float64 or x.ndim == 0 or x.shape[1:] not in ((), (2,)) or not x.size:
-            return _template(x.tolist(), level, floats)
-        floats.append(x.ravel())
-        slot = "%s%s" if x.ndim == 1 else f"[{inner}  %s%s,{inner}  %s%s{inner}]"
-        return f"[{inner}{sep.join([slot] * len(x))}{outer}]"
-    if not isinstance(x, (dict, list, tuple)):
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-    if not x:
-        return "{}" if isinstance(x, dict) else "[]"
-    if isinstance(x, dict):
-        items = sep.join([f"{encode_basestring_ascii(k).replace('%', '%%')}: "
-                          f"{_template(v, level + 1, floats)}" for k, v in sorted(x.items())])
-        return f"{{{inner}{items}{outer}}}"
-    return f"[{inner}{sep.join([_template(v, level + 1, floats) for v in x])}{outer}]"
 
 
 def _emit_report(config: dict, result: dict, args) -> None:
     report = {"schema": SCHEMA_VERSION, "config": config, "result": result}
     if not args.deterministic:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = _json_text(report) + "\n"
+    text = json_text(report) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -297,8 +209,8 @@ def cmd_verify(args, seed: int) -> dict:
         "input_singular_values": inputs.singular_values,
         "output_rank": cert.gram_rank,
         "phases": _phases_json(phases),
-        "certificate": _certificate_json(cert),
-        "output_states": [_complex_json(row) for row in outputs.rows],
+        "certificate": vars(cert),
+        "output_states": list(outputs.rows),
     }
 
 
@@ -321,7 +233,7 @@ def cmd_scan(args, seed: int) -> dict:
     params = pipeline.standard_params(args.a, args.b, dim=args.dim)
     scan = pipeline.scan_degeneracy_numeric(params, *_resolve_weights(args), args.grid_step)
     analytic = pipeline.solve_degeneracy_analytic(params.a, params.b)
-    scan.write_csv(args.csv)
+    write_scan_csv(scan, args.csv)
     return {
         "grid_step": args.grid_step,
         "grid_points": scan.ranks.size,
@@ -341,7 +253,7 @@ def cmd_demo(args, seed: int) -> dict:
         params, config, args.trials, np.random.default_rng(seed), args.tol,
         _explicit_phases(args))
     return {**vars(report), "phases": _phases_json(report.phases),
-            "certificate": _certificate_json(report.certificate),
+            "certificate": vars(report.certificate),
             "empirical_conclusive_rate": report.conclusive_rate}
 
 
@@ -384,8 +296,8 @@ def cmd_usd(args, seed: int) -> dict:
         "per_label_counts": counts[:-1],
         "inconclusive_count": counts[-1],
         "misidentifications": sum(counts[:-1]) - counts[args.truth_index],
-        "elements": [_complex_json(e) for e in elements],
-        "inconclusive_element": _complex_json(inconclusive),
+        "elements": elements,
+        "inconclusive_element": inconclusive,
     }
 
 

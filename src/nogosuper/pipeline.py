@@ -31,7 +31,7 @@ ORTHOGONALITY_TOL = 1e-10
 SCAN_RANK_TOL = 1e-6
 MAX_DIM = 16
 MIN_GRID_STEP = math.pi / 720.0  # 0.25 degrees: 1440^2 points, scan peak about 42 MB
-_BLOCK_ROWS = 32  # theta21 rows per scan kernel call and per CSV template
+_BLOCK_ROWS = 32  # theta21 rows per scan kernel call
 LOCUS_FAMILY = "theta21 in {pi/2, 3*pi/2} with a = cos(theta31), b = +/- sin(theta31)"
 
 
@@ -111,114 +111,6 @@ class ScanResult:
     min_singular_values: np.ndarray  # shape (n, n), [theta21, theta31]
     ranks: np.ndarray  # shape (n, n)
     detected: list[tuple[float, float]]  # (theta21, theta31) where rank < 3
-
-    def write_csv(self, path: str) -> None:
-        """The grid as CSV: header theta21,theta31,min_singular_value,rank,
-        one row per point, LF line endings, each float its Python `repr`.
-        Each block of `_BLOCK_ROWS` theta21 rows is one bytes `%` template
-        with one slot per cell: its piece, picked by the cell's kind from
-        `_csv_fields`, already holds theta31, the decade prefix and rank 3
-        around a `%d` slot for the digits, or, for kind 4, only theta31
-        before a `%s` slot for the cell's bytes. The writer holds one block,
-        whatever the grid."""
-        thetas = [repr(t).encode() for t in self.thetas.tolist()]
-        pieces = np.array([[t + b"," + prefix + b"%d,3\n" for t in thetas]
-                           for prefix in _CSV_PREFIXES]
-                          + [[t + b",%s\n" for t in thetas]], dtype=object)
-        cols, leads = np.arange(len(thetas)), [t + b"," for t in thetas]
-        with open(path, "wb") as fh:
-            fh.write(b"theta21,theta31,min_singular_value,rank\n")
-            for start in range(0, len(thetas), _BLOCK_ROWS):
-                rows = slice(start, start + _BLOCK_ROWS)
-                kinds, fields = _csv_fields(self.min_singular_values[rows], self.ranks[rows])
-                template = b"".join([lead + lead.join(row) for lead, row in zip(
-                    leads[rows], pieces[kinds, cols].tolist())])
-                fh.write(template % tuple(fields))
-
-
-_DECADE_FLOORS = np.array([1e-3, 1e-2, 1e-1])  # each double lies above its power of ten
-_DECADE_PREFIXES = np.array(["0.000", "0.00", "0.0", "0.", "-0.000", "-0.00", "-0.0", "-0."],
-                            dtype=object)
-_CSV_PREFIXES = [prefix.encode() for prefix in _DECADE_PREFIXES[:4]]  # sigma >= 0
-_DECADE_SCALES = 10.0 ** np.arange(20, 16, -1)  # 10**(16 - E), exact
-
-
-def _csv_fields(sigma: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, list]:
-    """A kind per cell, in the cells' shape, and the flat list of their
-    fields. A rank-3 value in [1e-4, 1) has its kind (its decade) and its
-    digits D from `_shortest_digits`, `_DECADE_PREFIXES[kind]` + D == repr;
-    every other cell has kind 4 and the field b"repr,rank"."""
-    fast = (sigma >= 1e-4) & (sigma < 1.0) & (ranks == 3)
-    if fast.all():
-        kinds, digits = _shortest_digits(sigma.ravel())
-        return kinds.reshape(sigma.shape), digits.tolist()
-    kinds = np.full(sigma.shape, 4)
-    fields = np.empty(sigma.shape, dtype=object)
-    kinds[fast], fields[fast] = _shortest_digits(sigma[fast])
-    fields[~fast] = [b"%r,%d" % sr for sr in zip(sigma[~fast].tolist(), ranks[~fast].tolist())]
-    return kinds, fields.ravel().tolist()
-
-
-def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For doubles with |x| in [1e-4, 1) (ValueError for any other, 0, NaN
-    and inf included): each one's kind, the index of its sign-and-decade
-    prefix in `_DECADE_PREFIXES` (the decade, plus 4 when x < 0), and the
-    int D of its digits, so that prefix + str(D) == repr(x).
-
-    For a = |x|, E = floor(log10 a) is exact from `_DECADE_FLOORS`, and
-    Dekker's product on Veltkamp halves gives y = a * 10**(16 - E) exactly
-    as p + err. Rounded half-to-even, y is the 17-digit int y_int,
-    t = y - y_int exactly, and rounding (y_int, t) to 16 or 15 digits is
-    integer work. A k-digit D reads back as a iff |D * 10**(17 - k) - y|,
-    a double, is below half an ulp of a (from `np.frexp`) times
-    10**(16 - E): no D lies on the bound, a dyadic of 50+ digits. No two
-    15-digit decimals read back as one double, so `repr` (the shortest
-    digits that read back, the nearest, ties to even; Gay 1990) is the
-    first of the 15-, 16- and 17-digit roundings that reads back (the last
-    always does), as "0." + "0" * (-E - 1) + D without trailing zeros.
-    A power of two there has 10 digits or fewer, so its asymmetric
-    interval never matters. The sign only picks the prefix. Each
-    input-sized temporary is dropped once it is used.
-    """
-    a = np.abs(x)
-    if a.size and not (a.min() >= 1e-4 and a.max() < 1.0):  # NaN fails both
-        raise ValueError("the digit kernel takes |x| in [1e-4, 1) only")
-    kinds = np.searchsorted(_DECADE_FLOORS, a, side="right")  # -E - 1 = 3 - decade
-    half_ulp = np.ldexp(_DECADE_SCALES[kinds], np.frexp(a)[1] - 54)
-    p = a * _DECADE_SCALES[kinds]
-    (a_hi, a_lo), s_hi, s_lo = _veltkamp(a), _SCALE_HI[kinds], _SCALE_LO[kinds]
-    del a
-    np.add(kinds, 4, out=kinds, where=x < 0)
-    err = a_hi * s_hi - p
-    err += a_hi * s_lo
-    err += a_lo * s_hi
-    err += a_lo * s_lo
-    del a_hi, a_lo, s_hi, s_lo
-    carry = np.rint(err)  # p >= 1e16 > 2**53 is an even int
-    y_int = p.astype(np.int64) + carry.astype(np.int64)
-    err -= carry  # t = y - y_int
-    del p, carry
-    d = y_int.copy()
-    for unit in (10, 100):  # 16, then 15 digits, the shorter overriding
-        head = y_int // unit  # floor division by a constant is fast, % is not
-        rest = (y_int - head * unit) + err  # y - unit * head
-        head += (rest > unit / 2) | ((rest == unit / 2) & (head & 1 == 1))
-        del rest
-        np.copyto(d, head, where=np.abs((head * unit - y_int) - err) < half_ulp)
-    zeros = np.flatnonzero(d // 10 * 10 == d)  # d >= 10**14, so this ends
-    while zeros.size:
-        d[zeros] //= 10
-        zeros = zeros[d[zeros] // 10 * 10 == d[zeros]]
-    return kinds, d
-
-
-def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t = a * (2.0**27 + 1.0)  # a = hi + lo exactly, in two 26-bit halves
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-_SCALE_HI, _SCALE_LO = _veltkamp(_DECADE_SCALES)
 
 
 def apply_superposer_to_set(

@@ -1,0 +1,49 @@
+"""Module boundaries of the package, read off the source: no module uses a
+private name of another package module, and the numerics (`pipeline`) do not
+import the text module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nogosuper"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = {path.stem for path in SOURCES} - {"__init__"}
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def package_imports(tree: ast.Module) -> list[tuple[str, str, str]]:
+    """(module, name, local name) of each `from` import out of the package,
+    relative or absolute; module is "" for `from . import m`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "nogosuper" and not module.startswith("nogosuper."):
+                    continue
+                module = module.removeprefix("nogosuper").removeprefix(".")
+            found += [(module, a.name, a.asname or a.name) for a in node.names]
+    return found
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=[path.stem for path in SOURCES])
+def test_no_private_name_of_another_module(source):
+    tree = ast.parse(source.read_text(), str(source))
+    imports = package_imports(tree)
+    uses = [f"from .{module} import {name}" for module, name, _ in imports
+            if module and private(name)]
+    modules = {local for module, name, local in imports if not module and name in MODULES}
+    uses += [f"{node.value.id}.{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules and private(node.attr)]
+    assert uses == []
+
+
+def test_the_numerics_do_not_import_the_text_module():
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text())
+    assert [i for i in package_imports(tree) if "text" in i[:2]] == []

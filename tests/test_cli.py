@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nogosuper
-from nogosuper import linalg, pipeline, states
+from nogosuper import linalg, states, text
 from nogosuper.cli import _config_dict, build_parser, main
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -483,8 +483,8 @@ def test_digit_kernel_calls_per_op(capsys, monkeypatch, tmp_path):
     # never otherwise, so small verify and demo reports pay nothing for it;
     # the scan CSV calls it once per block of theta21 rows
     calls = []
-    kernel = pipeline._shortest_digits
-    monkeypatch.setattr(pipeline, "_shortest_digits", lambda x: calls.append(1) or kernel(x))
+    kernel = text._shortest_digits
+    monkeypatch.setattr(text, "_shortest_digits", lambda x: calls.append(1) or kernel(x))
     usd_states = tmp_path / "states.json"
     usd_states.write_text(json.dumps(np.random.default_rng(8).standard_normal((8, 8, 2)).tolist()))
     counts = {}
@@ -498,7 +498,7 @@ def test_digit_kernel_calls_per_op(capsys, monkeypatch, tmp_path):
     rows = math.isqrt(len((tmp_path / "grid.csv").read_text().splitlines()) - 1)
     assert rows == 63  # two blocks, the second one short
     assert counts == {"verify": 0, "demo": 0, "usd": 1,
-                      "scan": -(-rows // pipeline._BLOCK_ROWS)}
+                      "scan": -(-rows // text._BLOCK_ROWS)}
 
 
 COUNTEREXAMPLE_SETTINGS = {

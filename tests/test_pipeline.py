@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nogosuper import cli, linalg, pipeline
+from nogosuper import linalg, pipeline, text
 from nogosuper.discrimination import born_distribution, build_usd
 from nogosuper.errors import DependentOutputs, InvalidParams
 from nogosuper.states import normalize
@@ -448,7 +448,7 @@ class TestScan:
             scan = pipeline.scan_degeneracy_numeric(balanced_params(), SQ2, SQ2, step)
             tracemalloc.start()
             try:
-                scan.write_csv(tmp_path / "grid.csv")
+                text.write_scan_csv(scan, tmp_path / "grid.csv")
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -456,7 +456,7 @@ class TestScan:
 
     def test_csv_bytes_match_the_reference_writer(self, tmp_path):
         # row 4 mixes rank-1 and rank-2 cells in [1e-4, 1) with plain cells;
-        # every cell of row 5 takes the "repr,rank" field (kind 4)
+        # every cell of row 5 takes the "repr,rank" field (kind -1)
         small = pipeline.ScanResult(
             thetas=0.05 * np.arange(6),
             min_singular_values=np.array(
@@ -471,32 +471,31 @@ class TestScan:
                             [3, 3, 3, 3, 3, 3], [2, 3, 1, 3, 2, 3], [2, 3, 3, 1, 3, 2]]),
             detected=[],
         )
-        kinds = pipeline._csv_fields(small.min_singular_values, small.ranks)[0]
-        assert kinds[4].tolist() == [4, 3, 4, 1, 4, 1]
-        assert (kinds[5] == 4).all()
+        kinds = text._csv_fields(small.min_singular_values, small.ranks)[0]
+        assert kinds[4].tolist() == [-1, 3, -1, 1, -1, 1]
+        assert (kinds[5] == -1).all()
         # the 1 degree grid has on-grid locus points, sigma about 1e-16, and
         # step 0.1 has 63 rows, not a whole number of blocks
         balanced = pipeline.scan_degeneracy_numeric(balanced_params(), SQ2, SQ2,
                                                     math.pi / 180.0)
         assert balanced.min_singular_values.min() < 1e-4
         real = pipeline.scan_degeneracy_numeric(balanced_params(), SQ2, SQ2, 0.1)
-        assert real.thetas.size % pipeline._BLOCK_ROWS != 0
+        assert real.thetas.size % text._BLOCK_ROWS != 0
         for scan in (small, balanced, real):
-            scan.write_csv(tmp_path / "new.csv")
+            text.write_scan_csv(scan, tmp_path / "new.csv")
             write_csv_reference(scan, tmp_path / "reference.csv")
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def sigma_texts(values):
     """Each value's text from `_csv_fields` at rank 3, the decade prefix and
-    digits or the kind-4 text before its rank, and how many cells took the
-    `repr` fallback (kind 4)."""
-    kinds, fields = pipeline._csv_fields(np.asarray(values, dtype=float),
-                                         np.full(len(values), 3))
-    texts = [field.decode().rpartition(",")[0] if kind == 4
-             else pipeline._DECADE_PREFIXES[kind] + str(field)
+    digits or the kind -1 text before its rank, and how many cells took the
+    `repr` fallback (kind -1)."""
+    kinds, fields = text._csv_fields(np.asarray(values, dtype=float), np.full(len(values), 3))
+    texts = [field.decode().rpartition(",")[0] if kind == -1
+             else text._PREFIXES[kind] + str(field)
              for kind, field in zip(kinds.tolist(), fields)]
-    return texts, int(np.count_nonzero(kinds == 4))
+    return texts, int(np.count_nonzero(kinds == -1))
 
 
 def ulp_neighbours(x):
@@ -535,8 +534,8 @@ def signed_texts(values):
     """Each value's text from the report fields, through one kernel call:
     sign-and-decade prefix and digits for |x| in [1e-4, 1), json's text
     otherwise, and how many values took the kernel's digits."""
-    with mock.patch.object(cli, "_KERNEL_MIN_FLOATS", 0):
-        fields = cli._float_fields([np.asarray(values)])
+    with mock.patch.object(text, "_KERNEL_MIN_FLOATS", 0):
+        fields = text._float_fields([np.asarray(values)])
     texts = [f"{head}{tail}" for head, tail in zip(fields[::2], fields[1::2])]
     return texts, sum(tail != "" for tail in fields[1::2])
 
@@ -562,27 +561,25 @@ class TestSignedDigits:
 
     def test_kernel_digits_carry_the_sign(self):
         values = np.random.default_rng(13).uniform(1e-4, 1.0, 1000)
-        kinds, digits = pipeline._shortest_digits(np.concatenate([values, -values]))
+        kinds, digits = text._shortest_digits(np.concatenate([values, -values]))
         assert (kinds[1000:] == kinds[:1000] + 4).all()
         assert (digits[1000:] == digits[:1000]).all()
-        assert [pipeline._DECADE_PREFIXES[k] + str(d) for k, d in
+        assert [text._PREFIXES[k] + str(d) for k, d in
                 zip(kinds.tolist(), digits.tolist())] == [repr(x) for x in
                                                           [*values.tolist(), *(-values).tolist()]]
 
 
 class TestDigitKernel:
-    def test_values_outside_the_range_raise(self):
+    def test_values_outside_the_range_get_kind_minus_one(self):
         # the trailing-zero loop would never end on a 0, so a regression must
         # not hang the suite: the calls run in a subprocess under a timeout
         code = ("import numpy as np\n"
-                "from nogosuper import pipeline\n"
+                "from nogosuper import text\n"
                 "for v in (0.0, -0.0, float('nan'), float('inf'), -float('inf'), 1.0, -1.0,\n"
                 "          5e-5, -5e-5):\n"
-                "    try:\n"
-                "        pipeline._shortest_digits(np.array([0.5, v]))\n"
-                "    except ValueError:\n"
-                "        continue\n"
-                "    raise SystemExit(f'{v!r} accepted')\n")
+                "    kinds = text._shortest_digits(np.array([0.5, v]))[0]\n"
+                "    if kinds.tolist() != [3, -1]:\n"
+                "        raise SystemExit(f'{v!r}: kinds {kinds.tolist()}')\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [
             os.path.join(os.path.dirname(__file__), os.pardir, "src"), env.get("PYTHONPATH")]))
@@ -591,7 +588,7 @@ class TestDigitKernel:
         assert proc.returncode == 0, proc.stderr + proc.stdout
 
     def test_empty_input_gives_empty_fields(self):
-        kinds, digits = pipeline._shortest_digits(np.empty(0))
+        kinds, digits = text._shortest_digits(np.empty(0))
         assert kinds.size == digits.size == 0
 
     def test_peak_memory_is_a_small_multiple_of_the_input(self):
@@ -600,7 +597,7 @@ class TestDigitKernel:
         x = np.random.default_rng(14).uniform(1e-4, 1.0, 10**5)
         tracemalloc.start()
         try:
-            pipeline._shortest_digits(x)
+            text._shortest_digits(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

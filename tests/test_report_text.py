@@ -1,7 +1,8 @@
 """The report emitter writes the bytes of `json.dumps(x, indent=2,
-sort_keys=True, default=np.ndarray.tolist)`, which stays here as its oracle:
-on the reports of every subcommand, on a synthetic report of json's edge
-cases, and on random trees with numpy array leaves."""
+sort_keys=True, default=...)`, whose `default` writes a complex128 array as
+its [re, im] pairs and any other array as its `tolist()`; that stays here as
+its oracle: on the reports of every subcommand, on a synthetic report of
+json's edge cases, and on random trees with numpy array leaves."""
 
 import json
 import math
@@ -12,11 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nogosuper import cli
+from nogosuper import cli, text
+
+
+def complex_pairs(a: np.ndarray) -> np.ndarray:
+    """Entries in C order as the rows [re, im] of a (k, 2) float array."""
+    return np.stack([a.real, a.imag], -1).reshape(-1, 2)
+
+
+def array_json(a):
+    if isinstance(a, np.ndarray) and a.dtype == np.complex128:
+        return complex_pairs(a)
+    return np.ndarray.tolist(a)  # TypeError for anything but an array
 
 
 def oracle(x) -> str:
-    return json.dumps(x, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    return json.dumps(x, indent=2, sort_keys=True, default=array_json)
 
 
 def usd_states(n, dim):
@@ -37,23 +49,29 @@ def test_subcommand_reports_match_json_dumps(argv, deterministic, monkeypatch, t
     states.write_text(json.dumps(usd_states(8, 16)))
     argv = [a.format(states=states, csv=tmp_path / "grid.csv") for a in argv]
     emitted = []
-    real = cli._json_text
+    real = cli.json_text
 
     def spy(x):
-        text = real(x)
-        emitted.append((x, text))
-        return text
+        written = real(x)
+        emitted.append((x, written))
+        return written
 
-    monkeypatch.setattr(cli, "_json_text", spy)
+    monkeypatch.setattr(cli, "json_text", spy)
     out = tmp_path / "report.json"
     flags = ["--deterministic"] if deterministic else []
     assert cli.main([*argv, *flags, "-o", str(out)]) == 0
-    [(report, text)] = emitted
-    assert text == oracle(report)
-    assert out.read_text() == text + "\n"
+    [(report, written)] = emitted
+    assert written == oracle(report)
+    assert out.read_text() == written + "\n"
 
 
 EDGE_FLOATS = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]
+
+
+def complex_array(re, im) -> np.ndarray:
+    z = np.empty(np.shape(re), np.complex128)
+    z.real, z.imag = re, im
+    return z
 
 
 def synthetic_report() -> dict:
@@ -76,6 +94,10 @@ def synthetic_report() -> dict:
         "big_int": 10**40,
         "float_array": np.array(EDGE_FLOATS),
         "pair_array": np.array([[x, -x] for x in EDGE_FLOATS]),
+        "complex_arrays": [complex_array(EDGE_FLOATS, EDGE_FLOATS[::-1]),
+                           complex_array([[0.5, -1e-5], [2.0, 0.25]], [[-0.0, 1.0], [0.1, 3e-4]]),
+                           np.array(0.5 - 2j), np.empty(0, np.complex128),
+                           np.empty((2, 0), np.complex128)],
         "arrays_not_slotted": [np.empty(0), np.empty((0, 2)), np.float64(0.5) + np.zeros(()),
                                np.zeros((2, 3)), np.ones(2, np.float32), np.arange(3),
                                np.array([True, False]), np.ones((2, 2))[:, :0]],
@@ -89,16 +111,16 @@ def synthetic_report() -> dict:
 
 def test_synthetic_report_matches_json_dumps():
     report = synthetic_report()
-    assert cli._json_text(report) == oracle(report)
+    assert text.json_text(report) == oracle(report)
     for value in report.values():
-        assert cli._json_text(value) == oracle(value)
+        assert text.json_text(value) == oracle(value)
 
 
-@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), np.array([1j]),
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), np.array([1j], np.complex64),
                                    1 + 2j, {1: 2}, {"a": {1, 2}}, [object()]])
 def test_non_json_values_raise_type_error(value):
     with pytest.raises(TypeError):
-        cli._json_text(value)
+        text.json_text(value)
 
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
@@ -108,7 +130,7 @@ LEAVES = (st.none() | st.booleans() | st.integers() | FLOATS | FLOATS.map(np.flo
           | st.lists(st.lists(FLOATS, min_size=1, max_size=3), max_size=4)
           | hnp.arrays(np.float64, st.sampled_from([(), (0,), (0, 2), (1,), (4,), (1, 2), (3, 2),
                                                     (2, 3)]), elements=FLOATS)
-          | hnp.arrays(st.sampled_from([np.float32, np.int64, np.bool_]),
+          | hnp.arrays(st.sampled_from([np.float32, np.int64, np.bool_, np.complex128]),
                        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)))
 TREES = st.recursive(
     LEAVES,
@@ -122,18 +144,18 @@ TREES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(TREES)
 def test_random_trees_match_json_dumps(tree):
-    assert cli._json_text(tree) == oracle(tree)
+    assert text.json_text(tree) == oracle(tree)
 
 
 def test_synthetic_report_through_the_kernel(monkeypatch):
     # at a crossover of 0 every report, even one without list floats, takes
     # one kernel call
-    monkeypatch.setattr(cli, "_KERNEL_MIN_FLOATS", 0)
+    monkeypatch.setattr(text, "_KERNEL_MIN_FLOATS", 0)
     test_synthetic_report_matches_json_dumps()
 
 
 def test_random_trees_through_the_kernel(monkeypatch):
-    monkeypatch.setattr(cli, "_KERNEL_MIN_FLOATS", 0)
+    monkeypatch.setattr(text, "_KERNEL_MIN_FLOATS", 0)
     test_random_trees_match_json_dumps()
 
 
@@ -155,10 +177,9 @@ def report_of(count: int) -> dict:
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_one_kernel_call_from_the_crossover_on(offset, monkeypatch):
     calls = []
-    kernel = cli.pipeline._shortest_digits
-    monkeypatch.setattr(cli.pipeline, "_shortest_digits",
-                        lambda x: calls.append(x.size) or kernel(x))
-    count = cli._KERNEL_MIN_FLOATS + offset
+    kernel = text._shortest_digits
+    monkeypatch.setattr(text, "_shortest_digits", lambda x: calls.append(x.size) or kernel(x))
+    count = text._KERNEL_MIN_FLOATS + offset
     report = report_of(count)
-    assert cli._json_text(report) == oracle(report)
+    assert text.json_text(report) == oracle(report)
     assert calls == ([] if offset < 0 else [count])
