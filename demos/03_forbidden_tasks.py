@@ -40,7 +40,7 @@ print(f"Trials:                 {report.trials}")
 print(f"Secret draws:           {report.secret_counts.tolist()}")
 print(f"Conclusive counts:      {report.conclusive_counts.tolist()}")
 print(f"Misidentifications:     {report.misidentifications}")
-print(f"Conclusive rate:        {report.conclusive_rate:.5f} "
+print(f"Conclusive rate:        {report.empirical_conclusive_rate:.5f} "
       f"(predicted {report.predicted_conclusive_rate:.5f})")
 print(f"Clones produced:        {report.clone_successes} "
       f"(one per conclusive identification; lowest fidelity to the true "

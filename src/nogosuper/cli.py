@@ -53,10 +53,6 @@ EXIT_ON_LOCUS = 4
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def _phases_json(t: pipeline.PhaseTriple) -> dict:
-    return {**vars(t), "theta21": t.theta21, "theta31": t.theta31}
-
-
 def _emit_report(config: dict, result: dict, args) -> None:
     report = {"schema": SCHEMA_VERSION, "config": config, "result": result}
     if not args.deterministic:
@@ -208,7 +204,7 @@ def cmd_verify(args, seed: int) -> dict:
         "input_rank": inputs.rank,
         "input_singular_values": inputs.singular_values,
         "output_rank": cert.gram_rank,
-        "phases": _phases_json(phases),
+        "phases": vars(phases),
         "certificate": vars(cert),
         "output_states": list(outputs.rows),
     }
@@ -252,9 +248,8 @@ def cmd_demo(args, seed: int) -> dict:
     report = pipeline.forbidden_task_demo(
         params, config, args.trials, np.random.default_rng(seed), args.tol,
         _explicit_phases(args))
-    return {**vars(report), "phases": _phases_json(report.phases),
-            "certificate": vars(report.certificate),
-            "empirical_conclusive_rate": report.conclusive_rate}
+    return {**vars(report), "phases": vars(report.phases),
+            "certificate": vars(report.certificate)}
 
 
 def cmd_usd(args, seed: int) -> dict:

@@ -73,21 +73,19 @@ def standard_params(a: float, b: float, dim: int = 3) -> CounterexampleParams:
 
 @dataclass(frozen=True)
 class PhaseTriple:
+    """The oracle phases and their differences theta21, theta31, each in [0, 2*pi)."""
+
     theta1: float
     theta2: float
     theta3: float
+    theta21: float = field(init=False)
+    theta31: float = field(init=False)
 
     def __post_init__(self):
         for name in ("theta1", "theta2", "theta3"):
             object.__setattr__(self, name, wrap_phase(getattr(self, name)))
-
-    @property
-    def theta21(self) -> float:
-        return wrap_phase(self.theta2 - self.theta1)
-
-    @property
-    def theta31(self) -> float:
-        return wrap_phase(self.theta3 - self.theta1)
+        object.__setattr__(self, "theta21", wrap_phase(self.theta2 - self.theta1))
+        object.__setattr__(self, "theta31", wrap_phase(self.theta3 - self.theta1))
 
 
 @dataclass
@@ -128,8 +126,7 @@ def apply_superposer_to_set(
         phases = PhaseTriple(*(given_frame_phase(cfg.phase_policy, s, p.phi)
                                for s in p.inputs.rows))
     thetas = [phases.theta1, phases.theta2, phases.theta3]
-    out = superpose_many(cfg.alpha, cfg.beta, p.inputs.amplitude_matrix(), p.phi, thetas)
-    return StateSet(out.T), phases
+    return superpose_many(cfg.alpha, cfg.beta, p.inputs.rows, p.phi, thetas), phases
 
 
 def certify_independence(f: linalg.Factorization) -> DependenceCertificate:
@@ -250,12 +247,7 @@ class DemoReport:
     clone_fidelity_min: float  # min |<Psi_i|Psi_j>|^2, secret i cloned as j; 1.0 if none
     predicted_usd_probabilities: list[float]
     predicted_conclusive_rate: float
-
-    @property
-    def conclusive_rate(self) -> float:
-        if self.trials == 0:
-            return 0.0
-        return float(self.conclusive_counts.sum()) / self.trials
+    empirical_conclusive_rate: float  # conclusive identifications per trial; 0.0 if none
 
 
 def forbidden_task_demo(
@@ -312,4 +304,5 @@ def forbidden_task_demo(
         clone_fidelity_min=float(fidelities[identified > 0].min(initial=1.0)),
         predicted_usd_probabilities=usd_probs.tolist(),
         predicted_conclusive_rate=float(np.mean(oracle_probs * usd_probs)),
+        empirical_conclusive_rate=float(identified.sum()) / trials if trials else 0.0,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams, NullSuperposition
-from .states import NULL_THRESHOLD, canonicalize
+from .states import NULL_THRESHOLD, StateSet, canonicalize
 
 TWO_PI = 2.0 * math.pi
 UNIT_PAIR_TOL = 1e-9
@@ -78,15 +78,12 @@ class CanonicalHashPhase(PhasePolicy):
     hash arbitrarily (2 of 4,000 random pairs under random global phases)."""
 
     def phase(self, psi, phi):
+        # `or 0.0` merges -0.0 into +0.0
+        text = "".join([(round(float(p), 12) or 0.0).hex()
+                        for z in (*psi, *phi) for p in (z.real, z.imag)])
         h = _FNV_OFFSET
-        for amps in (psi, phi):
-            for z in amps:
-                for part in (round(float(z.real), 12), round(float(z.imag), 12)):
-                    if part == 0.0:
-                        part = 0.0  # merge -0.0 and +0.0
-                    for byte in part.hex().encode("ascii"):
-                        h ^= byte
-                        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+        for byte in text.encode("ascii"):
+            h = ((h ^ byte) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
         return TWO_PI * (h / 2.0**64)
 
 
@@ -172,25 +169,22 @@ def superpose_many(
     psis: np.ndarray,
     phi: np.ndarray,
     thetas: np.ndarray,
-) -> np.ndarray:
-    """Unit columns (alpha psi_j + beta e^{i theta_j} phi) / norm.
-
-    `psis` is (dim, k) with the states as columns, `phi` is (dim,) and
-    `thetas` is (..., k); the result is (..., dim, k), broadcast over the
-    leading phase axes. It is built in one array of the output's size and
-    normalized in place. Raises NullSuperposition if any column cancels.
-    """
-    out = np.exp(1j * np.asarray(thetas, dtype=float))[..., None, :] * (beta * phi)[:, None]
+) -> StateSet:
+    """The StateSet of the unit rows (alpha psi_j + beta e^{i theta_j} phi) / norm
+    for the (k, dim) rows `psis` and k phases `thetas`, normalized in place.
+    Raises NullSuperposition if any row cancels."""
+    out = np.exp(1j * np.asarray(thetas, dtype=float))[:, None] * (beta * phi)
     out += alpha * psis
-    # column norms from the real and imaginary views: no conjugate copy
-    norms = np.einsum("...ij,...ij->...j", out.real, out.real)
-    norms += np.einsum("...ij,...ij->...j", out.imag, out.imag)
+    # row norms from the real and imaginary views: no conjugate copy, and
+    # the bits of the oracle's outputs (linalg.row_norms rounds some differently)
+    norms = np.einsum("ij,ij->i", out.real, out.real)
+    norms += np.einsum("ij,ij->i", out.imag, out.imag)
     np.sqrt(norms, out=norms)
     if norms.min() <= NULL_THRESHOLD:
         raise NullSuperposition(
             "superposition cancelled to zero; the inputs are parallel with "
             "cancelling coefficients, outside the oracle's contract"
         )
-    out /= norms[..., None, :]
-    return out
+    out /= norms[:, None]
+    return StateSet(out)
 

@@ -30,8 +30,7 @@ def superpose_deterministic(cfg: SuperposerConfig, psi: np.ndarray, phi: np.ndar
     the row normalize(alpha * psi + beta * e^{i theta} * phi) with theta the
     policy's phase in the frame of the rows psi and phi."""
     theta = given_frame_phase(cfg.phase_policy, psi, phi)
-    out = superpose_many(cfg.alpha, cfg.beta, psi[:, None], phi, [theta])
-    return StateSet(out.T).rows[0]
+    return superpose_many(cfg.alpha, cfg.beta, psi[None], phi, [theta]).rows[0]
 
 
 def gram(states: StateSet) -> np.ndarray:

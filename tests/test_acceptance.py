@@ -136,13 +136,13 @@ def test_criterion_5_forbidden_task_demo():
     sigma3 = 3.0 * math.sqrt(pred * (1 - pred) / trials)
     ok = (
         rep.misidentifications == 0
-        and rep.conclusive_rate > 0.0
-        and abs(rep.conclusive_rate - pred) < sigma3
+        and rep.empirical_conclusive_rate > 0.0
+        and abs(rep.empirical_conclusive_rate - pred) < sigma3
         and abs(rep.clone_fidelity_min - 1.0) <= 1e-10
         and elapsed < 10.0
     )
     report(5, ok,
-           f"(misid {rep.misidentifications}; rate {rep.conclusive_rate:.5f} "
+           f"(misid {rep.misidentifications}; rate {rep.empirical_conclusive_rate:.5f} "
            f"vs {pred:.5f} +- {sigma3:.5f}; clones {rep.clone_successes}; "
            f"{elapsed:.2f}s)")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import nogosuper
-from nogosuper import linalg, states, text
+from nogosuper import linalg, pipeline, states, text
 from nogosuper.cli import _config_dict, build_parser, main
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -26,6 +27,10 @@ def quick_argvs(tmp_path):
         ["demo", "--trials", "1000"],
         ["usd", str(states), "--trials", "1000"],
     ]
+
+
+def field_names(record) -> set[str]:
+    return {f.name for f in dataclasses.fields(record)}
 
 
 def run(capsys, *argv):
@@ -315,6 +320,17 @@ class TestDemo:
         result = json.loads(out)["result"]
         assert result["trials"] == 0
         assert result["conclusive_counts"] == [0, 0, 0]
+        assert result["empirical_conclusive_rate"] == 0.0
+
+    def test_report_keys_are_the_record_fields(self, capsys):
+        # each report prints its records' fields under their names, and nothing else
+        for command in ("verify", "demo"):
+            code, out, err = run(capsys, command, "--deterministic")
+            assert code == 0, err
+            result = json.loads(out)["result"]
+            assert set(result["phases"]) == field_names(pipeline.PhaseTriple)
+            if command == "demo":
+                assert set(result) == field_names(pipeline.DemoReport)
 
     def test_deterministic_runs_byte_identical(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

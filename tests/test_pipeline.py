@@ -22,6 +22,7 @@ from nogosuper.superposer import (
     ConstantSuccess,
     OverlapArgPhase,
     SuperposerConfig,
+    wrap_phase,
 )
 
 from conftest import (GRAM_TOL, random_orthonormal, random_state_set, superpose_deterministic,
@@ -185,6 +186,17 @@ class TestApplySuperposer:
         for s, out, theta in zip(inputs.rows, outputs.rows, (0.3, 1.1, 2.5)):
             expected = SQ2 * s + SQ2 * np.exp(1j * theta) * p.phi
             np.testing.assert_allclose(out, expected, atol=1e-15)
+
+
+class TestPhaseTriple:
+    @pytest.mark.parametrize("thetas", [(0.3, 1.1, 2.5), (2.5, 1.1, 0.3), (1e-20, 0.0, 0.0),
+                                        (7.0, -1.0, 4.0)])
+    def test_fields_are_the_phases_and_their_wrapped_differences(self, thetas):
+        phases = pipeline.PhaseTriple(*thetas)
+        t1, t2, t3 = (wrap_phase(t) for t in thetas)
+        assert vars(phases) == {"theta1": t1, "theta2": t2, "theta3": t3,
+                                "theta21": wrap_phase(t2 - t1), "theta31": wrap_phase(t3 - t1)}
+        assert all(0.0 <= t < 2.0 * math.pi for t in vars(phases).values())
 
 
 class TestCertifyIndependence:
@@ -612,6 +624,7 @@ class TestForbiddenTaskDemo:
         assert report.misidentifications == 0
         assert report.clone_successes == 0
         assert report.clone_fidelity_min == 1.0
+        assert report.empirical_conclusive_rate == 0.0
 
     @pytest.mark.parametrize("trials", [-1, 2**63])
     def test_trials_out_of_bounds_rejected(self, trials, rng):
@@ -704,10 +717,10 @@ class TestForbiddenTaskDemo:
         )
         assert report.misidentifications == 0
         assert report.superposer_failures == 0
-        assert report.conclusive_rate > 0.0
+        assert report.empirical_conclusive_rate > 0.0
         pred = report.predicted_conclusive_rate
         sigma3 = 3.0 * math.sqrt(pred * (1 - pred) / trials)
-        assert abs(report.conclusive_rate - pred) < sigma3
+        assert abs(report.empirical_conclusive_rate - pred) < sigma3
         assert report.clone_fidelity_min == pytest.approx(1.0, abs=1e-10)
         assert report.secret_counts.sum() == trials
         # identify-then-prepare: a clone exactly when identification is conclusive

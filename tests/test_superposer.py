@@ -6,7 +6,7 @@ import pytest
 from nogosuper import pipeline, superposer
 from nogosuper.cli import SUCCESS_POLICIES
 from nogosuper.errors import DimensionMismatch, InvalidParams, NullSuperposition
-from nogosuper.states import canonicalize
+from nogosuper.states import StateSet, canonicalize
 from nogosuper.superposer import (
     CanonicalHashPhase,
     ConstantPhase,
@@ -77,20 +77,21 @@ class TestUnitPair:
 
 
 class TestSuperposeMany:
-    def test_broadcasts_over_leading_phase_axes(self, rng):
-        psis = np.column_stack([random_pure_state(rng, 4) for _ in range(3)])
-        phi = random_pure_state(rng, 4)
-        thetas = rng.uniform(0, 2 * np.pi, size=(5, 2, 3))
+    def test_rows_in_one_state_set_out(self, rng):
+        psis = np.array([random_pure_state(rng, 5) for _ in range(3)])  # (k, dim) rows
+        phi = random_pure_state(rng, 5)
+        thetas = rng.uniform(0, 2 * np.pi, size=3)
         out = superpose_many(0.6, 0.8j, psis, phi, thetas)
-        assert out.shape == (5, 2, 4, 3)
-        raw = 0.6 * psis[:, 1] + 0.8j * np.exp(1j * thetas[4, 1, 1]) * phi
-        np.testing.assert_allclose(out[4, 1, :, 1], raw / np.linalg.norm(raw), atol=1e-15)
-        np.testing.assert_allclose(np.linalg.norm(out, axis=-2), 1.0, atol=1e-15)
+        assert isinstance(out, StateSet) and out.rows.shape == (3, 5)
+        for psi, theta, row in zip(psis, thetas, out.rows):
+            raw = 0.6 * psi + 0.8j * np.exp(1j * theta) * phi
+            np.testing.assert_allclose(row, raw / np.linalg.norm(raw), atol=1e-15)
 
     def test_one_cancelled_column_raises(self):
-        psis = np.eye(2, dtype=complex)
+        # row 1 is phi itself and cancels at theta = pi; no column of psis does
+        psis = np.array([[1.0, 0.0], [SQ2, SQ2]])
         with pytest.raises(NullSuperposition):
-            superpose_many(SQ2, SQ2, psis, np.array([0.0, 1.0]), [0.0, math.pi])
+            superpose_many(SQ2, SQ2, psis, np.array([SQ2, SQ2]), [0.0, math.pi])
 
 
 class TestDeterministicSuperpose:
@@ -210,6 +211,36 @@ class TestPhasePolicies:
             v = np.exp(1j * rng.uniform(0, 2 * np.pi))
             assert policy(canonicalize(psi), canonicalize(phi)) == pytest.approx(
                 policy(canonicalize(u * psi), canonicalize(v * phi)), abs=1e-9)
+
+    def test_canonical_hash_equals_the_per_byte_reference(self, rng):
+        # the FNV-1a hash as first written: one update per byte of each part's
+        # hex text, part by part
+        def reference(psi, phi):
+            h = superposer._FNV_OFFSET
+            for amps in (psi, phi):
+                for z in amps:
+                    for part in (round(float(z.real), 12), round(float(z.imag), 12)):
+                        if part == 0.0:
+                            part = 0.0  # merge -0.0 and +0.0
+                        for byte in part.hex().encode("ascii"):
+                            h ^= byte
+                            h = (h * superposer._FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+            return 2.0 * math.pi * (h / 2.0**64)
+
+        policy = CanonicalHashPhase()
+        signed_zeros = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                                 complex(-1e-13, 4e-13), complex(0.6, -0.0), 0.8])
+        for dim in range(2, 17):
+            pairs = []
+            for _ in range(20):
+                pairs.append([canonicalize(random_pure_state(rng, dim)) for _ in range(2)])
+                real = rng.standard_normal((2, dim))  # real-dtype canonical rows
+                real[:, 0] = np.abs(real[:, 0]) + 0.1
+                pairs.append([canonicalize(r / np.linalg.norm(r)) for r in real])
+                pairs.append([rng.choice(signed_zeros, size=dim) for _ in range(2)])
+            assert pairs[1][0].dtype == np.float64
+            for psi, phi in pairs:
+                assert policy.phase(psi, phi) == reference(psi, phi)
 
     def test_canonical_hash_spreads_over_the_circle(self, rng):
         policy = CanonicalHashPhase()
