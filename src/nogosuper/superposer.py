@@ -5,8 +5,9 @@ state alpha|psi> + beta e^{i theta}|phi>, where theta comes from a pluggable
 phase policy and success is drawn from a pluggable success-probability policy
 (`ConstantSuccess(1.0)` for an oracle that always succeeds). Phase policies
 see canonical rows only, so a global phase reaches them only through the
-round-off of `canonicalize`. They can still see the basis: the canonical
-pivot is the first non-negligible amplitude in the given basis.
+round-off of `canonicalize`, which moves the built-in policies' phases by
+about 1e-11 at most on generic pairs. They can still see the basis: the
+canonical pivot is the first non-negligible amplitude in the given basis.
 
 Every superposition the package forms is formed by `superpose_many`, with
 phases in the frame of the given representatives psi and phi. A policy's
@@ -27,8 +28,7 @@ from .states import NULL_THRESHOLD, StateSet, canonicalize
 
 TWO_PI = 2.0 * math.pi
 UNIT_PAIR_TOL = 1e-9
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
+_HASH_STEP = 50.0 * (math.sqrt(5.0) - 1.0)  # 100 g, g = (sqrt 5 - 1) / 2
 
 
 def wrap_phase(theta: float) -> float:
@@ -69,22 +69,16 @@ class OverlapArgPhase(PhasePolicy):
 
 @dataclass(frozen=True)
 class CanonicalHashPhase(PhasePolicy):
-    """Adversarially arbitrary but reproducible phase: 64-bit FNV-1a over the
-    canonical amplitudes rounded to 12 decimal digits, mapped to [0, 2*pi).
-
-    Not exactly invariant under global phases: `canonicalize` removes a
-    global phase only to round-off, and a canonical amplitude within
-    round-off of a rounding boundary can round either way, which moves the
-    hash arbitrarily (2 of 4,000 random pairs under random global phases)."""
+    """Adversarially arbitrary but reproducible phase: 2 pi times the
+    fractional part of sum_k w_k v_k, where v lists the real and imaginary
+    parts of psi then phi and w_k = 100 g (k + 1), g = (sqrt 5 - 1) / 2.
+    `math.fsum` rounds the sum exactly, so every platform gives the same
+    phase, and the phase is continuous in the rows: the round-off with which
+    `canonicalize` removes a global phase moves it by about 1e-11 at dim 16."""
 
     def phase(self, psi, phi):
-        # `or 0.0` merges -0.0 into +0.0
-        text = "".join([(round(float(p), 12) or 0.0).hex()
-                        for z in (*psi, *phi) for p in (z.real, z.imag)])
-        h = _FNV_OFFSET
-        for byte in text.encode("ascii"):
-            h = ((h ^ byte) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-        return TWO_PI * (h / 2.0**64)
+        v = np.concatenate([psi, phi], dtype=complex).view(float)
+        return TWO_PI * (math.fsum((_HASH_STEP * np.arange(1, v.size + 1) * v).tolist()) % 1.0)
 
 
 def given_frame_phase(policy: PhasePolicy, psi: np.ndarray, phi: np.ndarray) -> float:

@@ -116,7 +116,7 @@ def _csv_fields(sigma: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, list]
     fields. A rank-3 value with |x| in [1e-4, 1) has its kind and digits D from
     `_shortest_digits`, `_PREFIXES[kind]` + D == repr; every other cell has
     kind -1 and the field b"repr,rank"."""
-    kinds, digits = _shortest_digits(sigma.ravel())
+    kinds, digits = _shortest_digits(sigma)
     kinds[ranks.ravel() != 3] = -1
     fields = digits.tolist()
     slow = np.flatnonzero(kinds == -1)
@@ -132,10 +132,11 @@ _DECADE_SCALES = 10.0 ** np.arange(20, 16, -1)  # 10**(16 - E), exact
 
 
 def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For any doubles: each one's kind and the int D of its digits. Kind
-    k >= 0 indexes its sign-and-decade prefix in `_PREFIXES` (the decade,
-    plus 4 when x < 0), and prefix + str(D) == repr(x); kind -1 marks |x|
-    outside [1e-4, 1), 0, NaN and inf included, and its D means nothing.
+    """For doubles of any shape: each one's kind and the int D of its
+    digits, as two 1-d arrays in the order of `x.ravel()`. Kind k >= 0
+    indexes its sign-and-decade prefix in `_PREFIXES` (the decade, plus 4
+    when x < 0), and prefix + str(D) == repr(x); kind -1 marks |x| outside
+    [1e-4, 1), 0, NaN and inf included, and its D means nothing.
 
     For a = |x|, E = floor(log10 a) is exact from `_DECADE_FLOORS`, and
     Dekker's product on Veltkamp halves gives y = a * 10**(16 - E) exactly
@@ -152,6 +153,7 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     interval never matters. The sign only picks the prefix. Each
     input-sized temporary is dropped once it is used.
     """
+    x = np.ravel(x)
     a = np.abs(x)
     out = ~((a >= 1e-4) & (a < 1.0))  # NaN too
     a[out] = 0.5  # so that the trailing-zero loop below ends

@@ -130,9 +130,20 @@ def _split(x, path="", floats=None):
     return x, floats
 
 
+def _differing_paths(a, b, path=""):
+    """The paths of the leaves at which the float-free records a and b differ,
+    in order; a container whose keys or length differ counts as one leaf."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return [p for k in a for p in _differing_paths(a[k], b[k], f"{path}/{k}")]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b))
+                for p in _differing_paths(x, y, f"{path}/{i}")]
+    return [] if type(a) is type(b) and a == b else [path]
+
+
 def _summary(old: dict, new: dict) -> str:
-    """Which cases changed, and the largest absolute and relative float move
-    in each."""
+    """Which cases changed, the largest absolute and relative float move in
+    each, and the first few other paths that differ."""
     lines = []
     for name in sorted(old.keys() | new.keys()):
         if old.get(name) == new.get(name):
@@ -145,9 +156,11 @@ def _summary(old: dict, new: dict) -> str:
         absolute = max((abs(after[k] - before[k]) for k in moved), default=0.0)
         relative = max((abs(after[k] - before[k]) / abs(before[k]) if before[k] else math.inf
                         for k in moved), default=0.0)
+        differ = _differing_paths(rest_old, rest_new)
+        shown = ", ".join(differ[:4]) + (", ..." if len(differ) > 4 else "")
         lines.append(f"{name}: {len(moved)} floats moved, largest {absolute:.3g} "
                      f"(relative {relative:.3g}); everything else "
-                     f"{'equal' if rest_old == rest_new else 'DIFFERS'}")
+                     + (f"DIFFERS at {len(differ)} paths: {shown}" if differ else "equal"))
     return "\n".join(lines) or "no change"
 
 

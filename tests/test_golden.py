@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from golden.regenerate import FIXTURE, run_case
+from golden.regenerate import FIXTURE, _summary, run_case
 
 RTOL = 1e-12
 ATOL = 1e-13
@@ -65,3 +65,11 @@ def test_report_matches_the_golden_record(name, tmp_path, capsys):
             assert row == f"{t21!r},{t31!r},{sigma!r},{rank}", f"{name}/csv: {row}"
         assert_matches([csv_fields(r) for r in got["csv"]["sample"]],
                        [csv_fields(r) for r in want["csv"]["sample"]], f"{name}/csv")
+
+
+def test_check_summary_names_the_other_paths_that_differ():
+    old = {"a": {"report": {"counts": [1, 2, 3], "rate": 0.5, "ok": True}}}
+    new = {"a": {"report": {"counts": [1, 2, 4], "rate": 0.25, "ok": 1}}}
+    assert _summary(old, new) == ("a: 1 floats moved, largest 0.25 (relative 0.5); everything "
+                                  "else DIFFERS at 2 paths: /report/counts/2, /report/ok")
+    assert _summary(old, old) == "no change"

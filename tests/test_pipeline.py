@@ -603,6 +603,15 @@ class TestDigitKernel:
         kinds, digits = text._shortest_digits(np.empty(0))
         assert kinds.size == digits.size == 0
 
+    def test_any_shape_gives_the_raveled_fields(self):
+        x = np.linspace(0.1, 0.9, 12).reshape(3, 4)
+        for shaped in (x, x.T):
+            kinds, digits = text._shortest_digits(shaped)
+            flat_kinds, flat_digits = text._shortest_digits(shaped.ravel())
+            assert kinds.shape == digits.shape == (12,)
+            assert kinds.tolist() == flat_kinds.tolist()
+            assert digits.tolist() == flat_digits.tolist()
+
     def test_peak_memory_is_a_small_multiple_of_the_input(self):
         # the two outputs and the live temporaries: about 9 input-sized
         # arrays at the peak, where keeping every temporary took 19
