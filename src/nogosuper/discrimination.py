@@ -84,7 +84,7 @@ def born_distribution(m: USDMeasurement, truths: StateSet) -> np.ndarray:
     if truths.dim != m.dim:
         raise DimensionMismatch(f"state dimension {truths.dim} != measurement {m.dim}")
     x = truths.rows
-    off = 1.0 - np.linalg.norm(x @ m.span.conj(), axis=1) ** 2
+    off = 1.0 - linalg.row_norms(x @ m.span.conj()) ** 2
     worst = int(np.argmax(np.abs(off)))
     if abs(off[worst]) > BORN_SUM_TOL:
         raise NogoError(f"truth {worst} has weight {float(off[worst])} outside the span")

@@ -1,7 +1,7 @@
 """Small dense complex linear algebra on numpy's LAPACK.
 
-Every rank in the package comes from `factorize`: one full SVD of a state
-set's amplitude matrix (states as columns), ranked by the one rank rule. It
+Every rank of a state set comes from `factorize`: one full SVD of its
+amplitude matrix (states as columns), ranked by the one rank rule. It
 counts the singular values above `tol * sigma_max` of the amplitude matrix,
 never of the Gram matrix, whose eigenvalues are the squares sigma^2 and would
 square the tolerance too.

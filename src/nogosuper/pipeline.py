@@ -136,11 +136,10 @@ def certify_independence(f: linalg.Factorization) -> DependenceCertificate:
     independent = f.rank == f.vh.shape[0]
     x = f.vh[-1].conj()  # right singular vector of the smallest sigma
     coeffs = None if independent else _normalize_coefficients(x)
-    a = np.ascontiguousarray(f.amplitudes)  # BLAS rounds A x on the view rows.T otherwise
     return DependenceCertificate(
         independent=independent,
         coefficients=coeffs,
-        residual_norm=float(np.linalg.norm(a @ (x if independent else coeffs))),
+        residual_norm=float(np.linalg.norm(f.amplitudes @ (x if independent else coeffs))),
         gram_rank=f.rank,
         singular_values=f.singular_values,
     )

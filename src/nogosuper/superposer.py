@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams, NullSuperposition
-from .states import NULL_THRESHOLD, StateSet, canonicalize
+from .errors import DimensionMismatch, InvalidParams, NullSuperposition, NullVector
+from .states import StateSet, canonicalize, normalize
 
 TWO_PI = 2.0 * math.pi
 UNIT_PAIR_TOL = 1e-9
@@ -58,11 +58,12 @@ class ConstantPhase(PhasePolicy):
 
 @dataclass(frozen=True)
 class OverlapArgPhase(PhasePolicy):
-    """theta = arg(<psi|phi>) of the canonical rows; 0 when they are orthogonal."""
+    """theta = arg(<psi|phi>) of the canonical rows; 0 when |<psi|phi>| < 1e-6,
+    where `canonicalize`'s round-off moves the arg by about 1e-16 / |<psi|phi>|."""
 
     def phase(self, psi, phi):
         overlap = complex(np.vdot(psi, phi))
-        if abs(overlap) < 1e-10:
+        if abs(overlap) < 1e-6:
             return 0.0
         return math.atan2(overlap.imag, overlap.real)
 
@@ -164,21 +165,15 @@ def superpose_many(
     phi: np.ndarray,
     thetas: np.ndarray,
 ) -> StateSet:
-    """The StateSet of the unit rows (alpha psi_j + beta e^{i theta_j} phi) / norm
-    for the (k, dim) rows `psis` and k phases `thetas`, normalized in place.
-    Raises NullSuperposition if any row cancels."""
+    """`normalize` of the rows alpha psi_j + beta e^{i theta_j} phi for the
+    (k, dim) rows `psis` and k phases `thetas`. Raises NullSuperposition if
+    any row cancels."""
     out = np.exp(1j * np.asarray(thetas, dtype=float))[:, None] * (beta * phi)
     out += alpha * psis
-    # row norms from the real and imaginary views: no conjugate copy, and
-    # the bits of the oracle's outputs (linalg.row_norms rounds some differently)
-    norms = np.einsum("ij,ij->i", out.real, out.real)
-    norms += np.einsum("ij,ij->i", out.imag, out.imag)
-    np.sqrt(norms, out=norms)
-    if norms.min() <= NULL_THRESHOLD:
+    try:
+        return normalize(out)
+    except NullVector as exc:
         raise NullSuperposition(
             "superposition cancelled to zero; the inputs are parallel with "
             "cancelling coefficients, outside the oracle's contract"
-        )
-    out /= norms[:, None]
-    return StateSet(out)
-
+        ) from exc

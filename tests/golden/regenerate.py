@@ -142,8 +142,8 @@ def _differing_paths(a, b, path=""):
 
 
 def _summary(old: dict, new: dict) -> str:
-    """Which cases changed, the largest absolute and relative float move in
-    each, and the first few other paths that differ."""
+    """Which cases changed, the largest absolute, relative and ulp float move
+    in each, and the first few other paths that differ."""
     lines = []
     for name in sorted(old.keys() | new.keys()):
         if old.get(name) == new.get(name):
@@ -156,10 +156,11 @@ def _summary(old: dict, new: dict) -> str:
         absolute = max((abs(after[k] - before[k]) for k in moved), default=0.0)
         relative = max((abs(after[k] - before[k]) / abs(before[k]) if before[k] else math.inf
                         for k in moved), default=0.0)
+        ulps = max((abs(after[k] - before[k]) / math.ulp(before[k]) for k in moved), default=0.0)
         differ = _differing_paths(rest_old, rest_new)
         shown = ", ".join(differ[:4]) + (", ..." if len(differ) > 4 else "")
         lines.append(f"{name}: {len(moved)} floats moved, largest {absolute:.3g} "
-                     f"(relative {relative:.3g}); everything else "
+                     f"(relative {relative:.3g}, {ulps:.3g} ulps); everything else "
                      + (f"DIFFERS at {len(differ)} paths: {shown}" if differ else "equal"))
     return "\n".join(lines) or "no change"
 

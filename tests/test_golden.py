@@ -70,6 +70,7 @@ def test_report_matches_the_golden_record(name, tmp_path, capsys):
 def test_check_summary_names_the_other_paths_that_differ():
     old = {"a": {"report": {"counts": [1, 2, 3], "rate": 0.5, "ok": True}}}
     new = {"a": {"report": {"counts": [1, 2, 4], "rate": 0.25, "ok": 1}}}
-    assert _summary(old, new) == ("a: 1 floats moved, largest 0.25 (relative 0.5); everything "
-                                  "else DIFFERS at 2 paths: /report/counts/2, /report/ok")
+    assert _summary(old, new) == ("a: 1 floats moved, largest 0.25 (relative 0.5, 2.25e+15 "
+                                  "ulps); everything else DIFFERS at 2 paths: /report/counts/2, "
+                                  "/report/ok")
     assert _summary(old, old) == "no change"

@@ -2,10 +2,18 @@
 sort_keys=True, default=...)`, whose `default` writes a complex128 array as
 its [re, im] pairs and any other array as its `tolist()`; that stays here as
 its oracle: on the reports of every subcommand, on a synthetic report of
-json's edge cases, and on random trees with numpy array leaves."""
+json's edge cases, and on random trees with numpy array leaves. The scan CSV
+writer is held to `csv.writer` with `repr` cells, and the digit kernel to
+`repr` on any double."""
 
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nogosuper import cli, text
+from nogosuper import cli, pipeline, text
+
+SQ2 = 1.0 / math.sqrt(2.0)
 
 
 def complex_pairs(a: np.ndarray) -> np.ndarray:
@@ -183,3 +193,194 @@ def test_one_kernel_call_from_the_crossover_on(offset, monkeypatch):
     report = report_of(count)
     assert text.json_text(report) == oracle(report)
     assert calls == ([] if offset < 0 else [count])
+
+
+def balanced_params():
+    return pipeline.standard_params(SQ2, SQ2)
+
+
+def write_csv_reference(scan, path):
+    """The scan CSV through csv.writer, one row per call (reference writer)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["theta21", "theta31", "min_singular_value", "rank"])
+        for i, t21 in enumerate(scan.thetas):
+            for j, t31 in enumerate(scan.thetas):
+                writer.writerow([
+                    repr(float(t21)), repr(float(t31)),
+                    repr(float(scan.min_singular_values[i, j])),
+                    int(scan.ranks[i, j]),
+                ])
+
+
+class TestScanCsv:
+    def test_writer_memory_grows_with_the_side_not_the_area(self, tmp_path):
+        # the writer holds one block of rows: doubling the side doubles its
+        # peak, where holding the whole grid would quadruple it
+        peaks = []
+        for step in (math.pi / 180.0, math.pi / 360.0):
+            scan = pipeline.scan_degeneracy_numeric(balanced_params(), SQ2, SQ2, step)
+            tracemalloc.start()
+            try:
+                text.write_scan_csv(scan, tmp_path / "grid.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2.5 * peaks[0]
+
+    def test_csv_bytes_match_the_reference_writer(self, tmp_path):
+        # row 4 mixes rank-1 and rank-2 cells in [1e-4, 1) with plain cells;
+        # every cell of row 5 takes the "repr,rank" field (kind -1)
+        small = pipeline.ScanResult(
+            thetas=0.05 * np.arange(6),
+            min_singular_values=np.array(
+                [[0.0, 5e-324, 1e-300, 0.5, np.nan, 0.75],
+                 [0.1, 0.30000000000000004, 1.0, 0.25, 0.7, np.inf],
+                 [2.5e-17, 123456.789, 1e22, 1e-4, 0.015625, 0.3],
+                 [np.nextafter(1e-4, 0.0), np.nextafter(1.0, 0.0), 0.5 + 2.0**-17,
+                  1e-3, 0.2, 0.6],
+                 [0.5, 0.123, 0.25, 1e-3, 0.9, 0.004],
+                 [0.5, 1.5, 0.0, 0.25, 2e-5, 1e-3]]),
+            ranks=np.array([[2, 2, 2, 3, 2, 3], [3, 3, 3, 3, 3, 3], [2, 3, 3, 3, 3, 3],
+                            [3, 3, 3, 3, 3, 3], [2, 3, 1, 3, 2, 3], [2, 3, 3, 1, 3, 2]]),
+            detected=[],
+        )
+        kinds = text._csv_fields(small.min_singular_values, small.ranks)[0]
+        assert kinds[4].tolist() == [-1, 3, -1, 1, -1, 1]
+        assert (kinds[5] == -1).all()
+        # the 1 degree grid has on-grid locus points, sigma about 1e-16, and
+        # step 0.1 has 63 rows, not a whole number of blocks
+        balanced = pipeline.scan_degeneracy_numeric(balanced_params(), SQ2, SQ2,
+                                                    math.pi / 180.0)
+        assert balanced.min_singular_values.min() < 1e-4
+        real = pipeline.scan_degeneracy_numeric(balanced_params(), SQ2, SQ2, 0.1)
+        assert real.thetas.size % text._BLOCK_ROWS != 0
+        for scan in (small, balanced, real):
+            text.write_scan_csv(scan, tmp_path / "new.csv")
+            write_csv_reference(scan, tmp_path / "reference.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def sigma_texts(values):
+    """Each value's text from `_csv_fields` at rank 3, the decade prefix and
+    digits or the kind -1 text before its rank, and how many cells took the
+    `repr` fallback (kind -1)."""
+    kinds, fields = text._csv_fields(np.asarray(values, dtype=float), np.full(len(values), 3))
+    texts = [field.decode().rpartition(",")[0] if kind == -1
+             else text._PREFIXES[kind] + str(field)
+             for kind, field in zip(kinds.tolist(), fields)]
+    return texts, int(np.count_nonzero(kinds == -1))
+
+
+def ulp_neighbours(x):
+    """x and its neighbours 1 and 2 ulps away on either side."""
+    down, up = np.nextafter(x, 0.0), np.nextafter(x, np.inf)
+    return np.concatenate([x, down, up, np.nextafter(down, 0.0), np.nextafter(up, np.inf)])
+
+
+class TestSigmaText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | st.floats(1e-4, 1.0, exclude_max=True),
+                    min_size=1, max_size=8))
+    def test_equals_repr_for_any_double(self, values):
+        assert sigma_texts(values)[0] == [repr(float(v)) for v in values]
+
+    def test_equals_repr_next_to_short_decimals_and_powers(self):
+        rng = np.random.default_rng(11)
+        # decimals of 1 to 16 significant digits, m * 10**(E + 1 - digits)
+        short = np.array([float(f"{m}e{e + 1 - digits}") for digits in range(1, 17)
+                          for m, e in zip(rng.integers(10**(digits - 1), 10**digits, 200).tolist(),
+                                          rng.integers(-4, 0, 200).tolist())])
+        assert short.min() >= 1e-4 and short.max() < 1.0
+        powers = np.concatenate([10.0 ** np.arange(-4, 1), 2.0 ** np.arange(-14, 0)])
+        values = ulp_neighbours(np.concatenate([short, powers]))
+        assert sigma_texts(values)[0] == [repr(x) for x in values.tolist()]
+
+    def test_uniform_values_take_no_fallback(self):
+        values = np.random.default_rng(12).uniform(1e-3, 1.0, 10**5)
+        texts, fallbacks = sigma_texts(values)
+        assert fallbacks == 0
+        assert texts == [repr(x) for x in values.tolist()]
+
+
+def signed_texts(values):
+    """Each value's text from the report fields, through one kernel call:
+    sign-and-decade prefix and digits for |x| in [1e-4, 1), json's text
+    otherwise, and how many values took the kernel's digits."""
+    with mock.patch.object(text, "_KERNEL_MIN_FLOATS", 0):
+        fields = text._float_fields([np.asarray(values)])
+    texts = [f"{head}{tail}" for head, tail in zip(fields[::2], fields[1::2])]
+    return texts, sum(tail != "" for tail in fields[1::2])
+
+
+class TestSignedDigits:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                    min_size=1, max_size=8))
+    def test_equals_repr_for_any_double(self, values):
+        assert signed_texts(values)[0] == list(map(json.dumps, values))
+
+    def test_equals_repr_next_to_powers_and_edges(self):
+        powers = np.concatenate([10.0 ** np.arange(-4, 1), 2.0 ** np.arange(-14, 1)])
+        near = ulp_neighbours(powers)
+        edges = [-0.0, 0.0, 5e-324, -5e-324, 2.0**-1050, -2.0**-1030, 1e-4, -1e-4,
+                 math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0)]
+        values = [*near.tolist(), *(-near).tolist(), *edges]
+        texts, digits = signed_texts(values)
+        assert texts == [repr(x) for x in values]
+        # every value with |x| in [1e-4, 1) takes the kernel's digits
+        assert digits == sum(1e-4 <= abs(x) < 1.0 for x in values)
+        assert digits > len(values) // 2
+
+    def test_kernel_digits_carry_the_sign(self):
+        values = np.random.default_rng(13).uniform(1e-4, 1.0, 1000)
+        kinds, digits = text._shortest_digits(np.concatenate([values, -values]))
+        assert (kinds[1000:] == kinds[:1000] + 4).all()
+        assert (digits[1000:] == digits[:1000]).all()
+        assert [text._PREFIXES[k] + str(d) for k, d in
+                zip(kinds.tolist(), digits.tolist())] == [repr(x) for x in
+                                                          [*values.tolist(), *(-values).tolist()]]
+
+
+class TestDigitKernel:
+    def test_values_outside_the_range_get_kind_minus_one(self):
+        # the trailing-zero loop would never end on a 0, so a regression must
+        # not hang the suite: the calls run in a subprocess under a timeout
+        code = ("import numpy as np\n"
+                "from nogosuper import text\n"
+                "for v in (0.0, -0.0, float('nan'), float('inf'), -float('inf'), 1.0, -1.0,\n"
+                "          5e-5, -5e-5):\n"
+                "    kinds = text._shortest_digits(np.array([0.5, v]))[0]\n"
+                "    if kinds.tolist() != [3, -1]:\n"
+                "        raise SystemExit(f'{v!r}: kinds {kinds.tolist()}')\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            os.path.join(os.path.dirname(__file__), os.pardir, "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+
+    def test_empty_input_gives_empty_fields(self):
+        kinds, digits = text._shortest_digits(np.empty(0))
+        assert kinds.size == digits.size == 0
+
+    def test_any_shape_gives_the_raveled_fields(self):
+        x = np.linspace(0.1, 0.9, 12).reshape(3, 4)
+        for shaped in (x, x.T):
+            kinds, digits = text._shortest_digits(shaped)
+            flat_kinds, flat_digits = text._shortest_digits(shaped.ravel())
+            assert kinds.shape == digits.shape == (12,)
+            assert kinds.tolist() == flat_kinds.tolist()
+            assert digits.tolist() == flat_digits.tolist()
+
+    def test_peak_memory_is_a_small_multiple_of_the_input(self):
+        # the two outputs and the live temporaries: about 9 input-sized
+        # arrays at the peak, where keeping every temporary took 19
+        x = np.random.default_rng(14).uniform(1e-4, 1.0, 10**5)
+        tracemalloc.start()
+        try:
+            text._shortest_digits(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * x.nbytes

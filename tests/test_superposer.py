@@ -6,7 +6,7 @@ import pytest
 from nogosuper import pipeline, superposer
 from nogosuper.cli import SUCCESS_POLICIES
 from nogosuper.errors import DimensionMismatch, InvalidParams, NullSuperposition
-from nogosuper.states import StateSet, canonicalize
+from nogosuper.states import StateSet, canonicalize, normalize
 from nogosuper.superposer import (
     CanonicalHashPhase,
     ConstantPhase,
@@ -77,15 +77,21 @@ class TestUnitPair:
 
 
 class TestSuperposeMany:
-    def test_rows_in_one_state_set_out(self, rng):
-        psis = np.array([random_pure_state(rng, 5) for _ in range(3)])  # (k, dim) rows
-        phi = random_pure_state(rng, 5)
-        thetas = rng.uniform(0, 2 * np.pi, size=3)
-        out = superpose_many(0.6, 0.8j, psis, phi, thetas)
-        assert isinstance(out, StateSet) and out.rows.shape == (3, 5)
-        for psi, theta, row in zip(psis, thetas, out.rows):
-            raw = 0.6 * psi + 0.8j * np.exp(1j * theta) * phi
-            np.testing.assert_allclose(row, raw / np.linalg.norm(raw), atol=1e-15)
+    def test_rows_in_one_state_set_out(self):
+        # the outputs are `normalize` of the raw rows, bit for bit
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            dim, k = int(rng.integers(2, 17)), int(rng.integers(1, 5))
+            psis = np.array([random_pure_state(rng, dim) for _ in range(k)])  # (k, dim) rows
+            phi = random_pure_state(rng, dim)
+            thetas = rng.uniform(0, 2 * np.pi, size=k)
+            t, a, b = rng.uniform(0, 2 * np.pi, size=3)
+            alpha, beta = math.cos(t) * np.exp(1j * a), math.sin(t) * np.exp(1j * b)
+            out = superpose_many(alpha, beta, psis, phi, thetas)
+            assert isinstance(out, StateSet) and out.rows.shape == (k, dim)
+            raw = np.exp(1j * thetas)[:, None] * (beta * phi)
+            raw += alpha * psis
+            np.testing.assert_array_equal(out.rows, normalize(raw).rows)
 
     def test_one_cancelled_column_raises(self):
         # row 1 is phi itself and cancels at theta = pi; no column of psis does
@@ -208,9 +214,17 @@ class TestPhasePolicies:
         rng = np.random.default_rng(2029)
         policies = (ConstantPhase(0.7), OverlapArgPhase(), CanonicalHashPhase())
         moves = []
-        for _ in range(4000):
+        for i in range(6000):
             dim = int(rng.integers(2, 17))
             psi, phi = random_pure_state(rng, dim), random_pure_state(rng, dim)
+            if i >= 4000:
+                # near-orthogonal, |<psi|phi>| log-uniform in [1e-12, 1e-4]:
+                # the arg of an overlap of size eps moves by about 1e-16 / eps
+                perp = phi - np.vdot(psi, phi) * psi
+                perp /= np.linalg.norm(perp)
+                eps = 10.0 ** rng.uniform(-12, -4)
+                tilt = eps * np.exp(2j * math.pi * rng.uniform())
+                phi = tilt * psi + math.sqrt(1 - eps**2) * perp
             u, v = np.exp(2j * math.pi * rng.uniform(size=2))
             rows = canonicalize(psi), canonicalize(phi)
             turned = canonicalize(u * psi), canonicalize(v * phi)
