@@ -2,11 +2,7 @@
 forbidden tasks unlocked."""
 
 from .discrimination import USDMeasurement, build_usd
-from .linalg import (
-    Factorization,
-    factorize,
-    reciprocal_basis,
-)
+from .linalg import Factorization, factorize
 from .pipeline import (
     LOCUS_FAMILY,
     CounterexampleParams,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidParams, NogoError
+from .errors import DimensionMismatch, InvalidParams, LinearlyDependentInput, NogoError
 from .states import StateSet
 
 BORN_SUM_TOL = 1e-9
@@ -40,23 +40,28 @@ class USDMeasurement:
     span: np.ndarray  # dim x n, orthonormal basis Q of the hypothesis span
     scale: float
 
-    @property
-    def dim(self) -> int:
-        return self.reciprocal.shape[1]
-
 
 def build_usd(f: linalg.Factorization) -> USDMeasurement:
     """USD POVM of hypotheses factored by `linalg.factorize`, independent at
-    its tolerance (LinearlyDependentInput otherwise).
+    its tolerance: LinearlyDependentInput otherwise, the regime where
+    unambiguous discrimination fails.
 
-    Conclusive elements are uniformly scaled reciprocal-basis projectors,
-    E_j = s |r_j><r_j| with s = 1 / lambda_max(R^H R) for the rows R, the
-    largest uniform scale keeping the inconclusive element positive
-    semidefinite; lambda_max is taken on the n x n R R^H. Q = U[:, :n].
+    The rows r_j are the unit reciprocal (biorthogonal) vectors of the set,
+    <r_i|psi_j> = 0 for i != j and <r_i|psi_i> real positive. Conclusive
+    elements are uniformly scaled projectors on them, E_j = s |r_j><r_j| with
+    s = 1 / lambda_max(R^H R) for the rows R, the largest uniform scale
+    keeping the inconclusive element positive semidefinite; lambda_max is
+    taken on the n x n R R^H. Q = U[:, :n].
     """
-    recip = linalg.reciprocal_basis(f)  # raises LinearlyDependentInput
+    n = f.amplitudes.shape[1]
+    if f.rank < n:
+        raise LinearlyDependentInput("reciprocal basis requires linearly independent states")
+    # with A = U S V^H, the columns of A (A^H A)^-1 = U S^-1 V^H are the
+    # reciprocal vectors, found without squaring the condition number
+    tilde = np.ascontiguousarray(((f.u[:, :n] / f.singular_values) @ f.vh).T)
+    recip = tilde / linalg.row_norms(tilde)[:, None]  # C order, as the Born table needs
     scale = 1.0 / float(np.linalg.eigvalsh(recip @ recip.conj().T)[-1])
-    return USDMeasurement(reciprocal=recip, span=f.u[:, :len(recip)], scale=scale)
+    return USDMeasurement(reciprocal=recip, span=f.u[:, :n], scale=scale)
 
 
 def povm_elements(m: USDMeasurement) -> tuple[list[np.ndarray], np.ndarray]:
@@ -81,8 +86,9 @@ def born_distribution(m: USDMeasurement, truths: StateSet) -> np.ndarray:
     truth whose span weight ||Q^H x||^2 is off 1 by more than BORN_SUM_TOL is
     refused.
     """
-    if truths.dim != m.dim:
-        raise DimensionMismatch(f"state dimension {truths.dim} != measurement {m.dim}")
+    dim = m.reciprocal.shape[1]
+    if truths.dim != dim:
+        raise DimensionMismatch(f"state dimension {truths.dim} != measurement {dim}")
     x = truths.rows
     off = 1.0 - linalg.row_norms(x @ m.span.conj()) ** 2
     worst = int(np.argmax(np.abs(off)))

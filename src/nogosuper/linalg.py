@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, LinearlyDependentInput
+from .errors import InvalidParams
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -46,21 +46,3 @@ def factorize(states, tol: float = DEFAULT_RANK_TOL) -> Factorization:
     return Factorization(amplitudes=a, u=u, singular_values=sigma,
                          rank=int(np.count_nonzero(sigma > tol * sigma[0])), vh=vh)
 
-
-def reciprocal_basis(f: Factorization) -> np.ndarray:
-    """Reciprocal (biorthogonal) vectors of a factored set as the rows of an
-    n x dim array: <tilde_i | psi_j> = 0 for i != j and <tilde_i | psi_i>
-    real positive, each row of unit norm.
-
-    Raises LinearlyDependentInput when the set is not independent at the
-    record's tolerance: the regime where unambiguous discrimination fails.
-    """
-    n = f.amplitudes.shape[1]
-    if f.rank < n:
-        raise LinearlyDependentInput(
-            "reciprocal basis requires linearly independent states"
-        )
-    # with A = U S V^H, the columns of A (A^H A)^-1 = U S^-1 V^H are the
-    # reciprocal vectors, found without squaring the condition number
-    tilde = np.ascontiguousarray(((f.u[:, :n] / f.singular_values) @ f.vh).T)
-    return tilde / row_norms(tilde)[:, None]  # C order, as the Born table needs

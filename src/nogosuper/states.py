@@ -18,9 +18,14 @@ CANONICAL_PIVOT_FLOOR = 1e-10
 
 def normalize(vectors: Sequence[Sequence[complex]] | np.ndarray) -> StateSet:
     """The StateSet of the vectors, each scaled to unit norm; NullVector
-    names the first vector that is numerically zero."""
+    names the first vector that is numerically zero. A vector whose squared
+    norm overflows is first divided by its largest real or imaginary part."""
     v = _finite_rows(vectors)  # before dividing: inf / inf would warn and give NaN
-    norms = row_norms(v)
+    with np.errstate(over="ignore"):
+        norms = row_norms(v)
+    if norms.max() == np.inf:  # a new array: the caller's may be `v` itself
+        v = v / np.where(np.isinf(norms), abs(v.view(float)).max(axis=1), 1.0)[:, None]
+        norms = row_norms(v)
     null = np.flatnonzero(norms <= NULL_THRESHOLD)
     if null.size:
         i = int(null[0])

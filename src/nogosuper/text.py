@@ -9,7 +9,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-_KERNEL_MIN_FLOATS = 200  # from this many array floats on, one kernel call beats `repr`
+_KERNEL_MIN_FLOATS = 70  # from this many array floats on, one kernel call beats `repr`
 _BLOCK_ROWS = 32  # theta21 rows per CSV template
 
 

@@ -5,7 +5,8 @@ Each case is one `nogo` command line with `--deterministic` and an explicit
 Its states file and scan CSV have relative names, so the paths in `config`
 and `result` do not depend on where it runs. The fixture stores each case's
 argv and input files with what it produced: the exit code, the parsed JSON
-report and, for a scan, the CSV's row count and a fixed sample of its rows.
+report and, for a scan, the CSV's row count, a fixed sample of its rows and
+every row of rank below 3.
 `tests/test_golden.py` replays the stored cases against that record.
 
 A change that moves report floats on purpose reruns this script and says so,
@@ -63,6 +64,8 @@ def _cases() -> dict[str, dict]:
                 "--success-policy", success, "--success-p", "0.7", "--trials", "5000"]
     cases["demo-locus"] = ["demo", *_LOCUS, "--trials", "1000"]
     cases["scan-step-0.1"] = ["scan", *_PIPELINE, "--grid-step", "0.1", "--csv", "grid.csv"]
+    # (a, b) = (cos, sin)(pi/3): the 1 degree grid holds both analytic pairs
+    cases["scan-locus"] = ["scan", "--a", "0.5", "--b", "0.8660254037844386", "--csv", "grid.csv"]
     cases = {name: {"argv": argv, "files": {}} for name, argv in cases.items()}
 
     sq2 = 1.0 / math.sqrt(2.0)
@@ -83,7 +86,7 @@ def _cases() -> dict[str, dict]:
 def run_case(case: dict, workdir: str | Path) -> dict:
     """Run one case in `workdir`, which should be empty, and return its
     record: exit code, report (None when none was written) and, when the
-    case writes a CSV, its row count and sampled rows."""
+    case writes a CSV, its row count, sampled rows and rows of rank below 3."""
     workdir = Path(workdir)
     for name, text in case["files"].items():
         (workdir / name).write_text(text)
@@ -100,7 +103,8 @@ def run_case(case: dict, workdir: str | Path) -> dict:
     if csv.exists():
         lines = csv.read_text().splitlines()
         rows = lines[1::CSV_SAMPLE_STEP] + lines[-1:]
-        record["csv"] = {"header": lines[0], "row_count": len(lines) - 1, "sample": rows}
+        record["csv"] = {"header": lines[0], "row_count": len(lines) - 1, "sample": rows,
+                         "deficient": [row for row in lines[1:] if not row.endswith(",3")]}
     return record
 
 
@@ -113,11 +117,11 @@ def regenerate() -> dict:
 
 
 def _split(x, path="", floats=None):
-    """(x with every float replaced by None, {path: float}). A sampled CSV
+    """(x with every float replaced by None, {path: float}). A stored CSV
     row is split into its fields: theta21 and theta31 stay text, so they
     must match exactly, the sigma is a float and the rank an int."""
     floats = {} if floats is None else floats
-    if path == "/csv/sample":
+    if path in ("/csv/sample", "/csv/deficient"):
         x = [[t21, t31, float(sigma), int(rank)]
              for t21, t31, sigma, rank in (row.split(",") for row in x)]
     if isinstance(x, dict):

@@ -1,6 +1,7 @@
-"""Module boundaries of the package, read off the source: no module uses a
-private name of another package module, and the numerics (`pipeline`) do not
-import the text module."""
+"""Module boundaries of the package, read off the source: each module
+imports only the package modules below it in the layer table, no module uses
+a private name of another package module, and the numerics (`pipeline`) do
+not import the text module."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,18 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nogosuper"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = {path.stem for path in SOURCES} - {"__init__"}
+
+# the package modules each module may import: the layer order
+MAY_IMPORT = {
+    "errors": set(),
+    "linalg": {"errors"},
+    "states": {"errors", "linalg"},
+    "superposer": {"errors", "states"},
+    "discrimination": {"errors", "linalg", "states"},
+    "pipeline": {"errors", "linalg", "states", "superposer", "discrimination"},
+    "text": set(),
+    "cli": MODULES,
+}
 
 
 def private(name: str) -> bool:
@@ -47,3 +60,21 @@ def test_no_private_name_of_another_module(source):
 def test_the_numerics_do_not_import_the_text_module():
     tree = ast.parse((PACKAGE / "pipeline.py").read_text())
     assert [i for i in package_imports(tree) if "text" in i[:2]] == []
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, by `from` or by `import`."""
+    found = {module.split(".")[0] or name for module, name, _ in package_imports(tree)}
+    found |= {alias.name.split(".")[1] for node in ast.walk(tree) if isinstance(node, ast.Import)
+              for alias in node.names if alias.name.startswith("nogosuper.")}
+    return found
+
+
+def test_the_layer_table_names_every_module():
+    assert MAY_IMPORT.keys() == MODULES
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_imports_follow_the_layer_order(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert imported_modules(tree) <= MAY_IMPORT[module]

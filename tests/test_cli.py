@@ -378,6 +378,13 @@ class TestUSD:
         assert code == 2
         assert "non-finite" in err
 
+    def test_huge_finite_amplitudes_accepted(self, capsys, tmp_path):
+        # |1e200|^2 overflows a double; the state is still |0>
+        path = self.write_states(tmp_path, [[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]])
+        code, out, err = run(capsys, "usd", path, "--trials", "1000", "--deterministic")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["success_probabilities"] == [1.0, 1.0]
+
     def test_zero_vector_config_error_prints_a_plain_float(self, capsys, tmp_path):
         path = self.write_states(tmp_path, [[[0, 0], [0, 0]]])
         code, _, err = run(capsys, "usd", path)
@@ -554,7 +561,6 @@ def test_public_names_are_pinned():
         "OverlapArgPhase", "OverlapScaledSuccess", "PhaseTriple", "ScanResult",
         "StateSet", "SuperposerConfig", "USDMeasurement", "apply_superposer_to_set",
         "build_usd", "canonicalize", "certify_independence", "factorize",
-        "forbidden_task_demo", "given_frame_phase", "normalize", "reciprocal_basis",
-        "scan_degeneracy_numeric", "solve_degeneracy_analytic", "standard_params",
-        "superpose_many", "unit_pair",
+        "forbidden_task_demo", "given_frame_phase", "normalize", "scan_degeneracy_numeric",
+        "solve_degeneracy_analytic", "standard_params", "superpose_many", "unit_pair",
     ]

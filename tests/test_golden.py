@@ -6,7 +6,7 @@ within rtol=1e-12 plus atol=1e-13, the atol for round-off-level values such
 as a dependent set's residual (about 1e-16). Bytes depend on the numpy and
 BLAS build, so they are not compared with the record; each report's text is
 held to `json.dumps(indent=2, sort_keys=True)` of its own parse instead, and
-each sampled CSV row to the `repr` of its own parsed fields.
+each stored CSV row to the `repr` of its own parsed fields.
 `tests/golden/regenerate.py` rewrites the record.
 """
 
@@ -60,11 +60,12 @@ def test_report_matches_the_golden_record(name, tmp_path, capsys):
         assert got["csv"]["header"] == want["csv"]["header"]
         assert got["csv"]["row_count"] == want["csv"]["row_count"]
         # a float within rtol can still be the wrong text of its own double
-        for row in got["csv"]["sample"]:
-            t21, t31, sigma, rank = csv_fields(row)
-            assert row == f"{t21!r},{t31!r},{sigma!r},{rank}", f"{name}/csv: {row}"
-        assert_matches([csv_fields(r) for r in got["csv"]["sample"]],
-                       [csv_fields(r) for r in want["csv"]["sample"]], f"{name}/csv")
+        for rows in ("sample", "deficient"):
+            for row in got["csv"][rows]:
+                t21, t31, sigma, rank = csv_fields(row)
+                assert row == f"{t21!r},{t31!r},{sigma!r},{rank}", f"{name}/csv: {row}"
+            assert_matches([csv_fields(r) for r in got["csv"][rows]],
+                           [csv_fields(r) for r in want["csv"][rows]], f"{name}/csv/{rows}")
 
 
 def test_check_summary_names_the_other_paths_that_differ():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nogosuper import linalg
+from nogosuper.discrimination import build_usd
 from nogosuper.errors import InvalidParams, LinearlyDependentInput
 from nogosuper.states import StateSet, normalize
 
@@ -135,7 +136,7 @@ class TestNumericalRank:
 class TestReciprocalBasis:
     def test_orthonormal_pair_is_self_reciprocal(self):
         s = StateSet(np.eye(2))
-        r = linalg.reciprocal_basis(linalg.factorize(s))
+        r = build_usd(linalg.factorize(s)).reciprocal
         np.testing.assert_allclose(r[0], [1, 0], atol=1e-12)
         np.testing.assert_allclose(r[1], [0, 1], atol=1e-12)
 
@@ -143,7 +144,7 @@ class TestReciprocalBasis:
         # {|0>, |+>} -> {|->, |1>} up to global phase, solved by hand from the
         # orthogonality conditions and checked with the inner-product oracle
         s = normalize([[1, 0], [1, 1]])
-        r = linalg.reciprocal_basis(linalg.factorize(s))
+        r = build_usd(linalg.factorize(s)).reciprocal
         minus = np.array([SQ2, -SQ2])
         one = np.array([0.0, 1.0])
         for got, want in zip(r, (minus, one)):
@@ -153,7 +154,7 @@ class TestReciprocalBasis:
     def test_dependent_input_raises(self):
         s = normalize([[1, 0], [0, 1], [1, 1]])
         with pytest.raises(LinearlyDependentInput):
-            linalg.reciprocal_basis(linalg.factorize(s))
+            build_usd(linalg.factorize(s)).reciprocal
 
     def test_matches_inverse_gram_oracle_up_to_dim_16(self, rng):
         for _ in range(20):
@@ -161,7 +162,7 @@ class TestReciprocalBasis:
             s = random_state_set(rng, dim, int(rng.integers(1, dim + 1)))
             a = s.amplitude_matrix()
             want = a @ np.linalg.inv(a.conj().T @ a)
-            r = linalg.reciprocal_basis(linalg.factorize(s))
+            r = build_usd(linalg.factorize(s)).reciprocal
             for got, col in zip(r, want.T):
                 overlap = np.vdot(col / np.linalg.norm(col), got)
                 assert overlap == pytest.approx(1.0, abs=1e-9)
@@ -174,7 +175,7 @@ class TestReciprocalBasis:
             f = linalg.factorize(random_state_set(rng, dim, int(rng.integers(1, dim + 1))))
             n = f.vh.shape[0]
             tilde = (f.u[:, :n] / f.singular_values) @ f.vh
-            r = linalg.reciprocal_basis(f)
+            r = build_usd(f).reciprocal
             assert r.flags.c_contiguous
             np.testing.assert_array_equal(r, [col / np.linalg.norm(col) for col in tilde.T])
 
@@ -182,7 +183,7 @@ class TestReciprocalBasis:
         # Gram matrix [[1, 1], [1, 1]]: the same state twice
         s = StateSet([[1, 0], [1, 0]])
         with pytest.raises(LinearlyDependentInput):
-            linalg.reciprocal_basis(linalg.factorize(s))
+            build_usd(linalg.factorize(s)).reciprocal
 
     def test_biorthogonality_on_random_independent_sets(self, rng):
         built = 0
@@ -192,7 +193,7 @@ class TestReciprocalBasis:
             s = random_state_set(rng, dim, size)
             if linalg.factorize(s, GRAM_TOL).rank < size:
                 continue
-            r = linalg.reciprocal_basis(linalg.factorize(s))
+            r = build_usd(linalg.factorize(s)).reciprocal
             for i, tilde in enumerate(r):
                 for j, psi in enumerate(s.rows):
                     overlap = np.vdot(tilde, psi)

@@ -52,6 +52,23 @@ def test_normalize_matches_per_vector_division(seed, n, dim, pick, bad):
         normalize(v)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e308])
+def test_normalize_survives_an_overflowing_squared_norm(scale):
+    # the squared norm of the first two rows overflows, and so does the
+    # modulus of the second row's first entry at 1e308; the third row keeps
+    # its bits, and the caller's array is not written to
+    v = np.array([[scale, 1j * scale, 0.0],
+                  [1.5 * scale * (1 + 1j), -scale, 1.0],
+                  [3.0, 4.0j, 0.0]])
+    before = v.copy()
+    rows = normalize(v).rows
+    w = np.array([1 + 1j, -1 / 1.5, 0.0])
+    np.testing.assert_allclose(rows[:2], [[SQ2, 1j * SQ2, 0.0], w / np.linalg.norm(w)],
+                               rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(rows[2], v[2] / np.linalg.norm(v[2]))
+    np.testing.assert_array_equal(v, before)
+
+
 def test_pure_state_validation():
     with pytest.raises(DimensionMismatch):
         StateSet([[1.0]])
