@@ -31,6 +31,7 @@ from .errors import (DependentOutputs, DimensionMismatch, EmptySet, InvalidParam
                      NonFiniteEntry, NullVector)
 from .states import normalize
 from .superposer import (
+    TWO_PI,
     CanonicalHashPhase,
     ConstantPhase,
     ConstantSuccess,
@@ -210,19 +211,16 @@ def cmd_verify(args, seed: int) -> dict:
     }
 
 
-def _max_deviation(pairs, targets) -> float | None:
-    """Largest distance from a (theta21, theta31) pair in `pairs` to its
-    nearest pair in `targets`, both angles taken mod 2 pi; None when either
-    list is empty: there is no distance to report, and strict JSON has no
-    Infinity."""
-    if not (pairs and targets):
-        return None
-
-    def gap(x: float, y: float) -> float:
-        d = abs(x - y) % (2.0 * math.pi)
-        return min(d, 2.0 * math.pi - d)
-
-    return max(min(max(gap(p[0], q[0]), gap(p[1], q[1])) for q in targets) for p in pairs)
+def _locus_deviations(detected, analytic) -> tuple[float | None, float | None]:
+    """Largest distance from a detected (theta21, theta31) pair to its nearest
+    analytic pair and back, angles mod 2 pi: the max row and column minima of
+    one k x m distance matrix. None for both when either list is empty: there
+    is no distance to report, and strict JSON has no Infinity."""
+    if not (detected and analytic):
+        return None, None
+    d = np.abs(np.array(detected)[:, None] - np.array(analytic)) % TWO_PI
+    d = np.minimum(d, TWO_PI - d).max(axis=2)
+    return float(d.min(axis=1).max()), float(d.min(axis=0).max())
 
 
 def cmd_scan(args, seed: int) -> dict:
@@ -230,14 +228,15 @@ def cmd_scan(args, seed: int) -> dict:
     scan = pipeline.scan_degeneracy_numeric(params, *_resolve_weights(args), args.grid_step)
     analytic = pipeline.solve_degeneracy_analytic(params.a, params.b)
     write_scan_csv(scan, args.csv)
+    to_analytic, to_detected = _locus_deviations(scan.detected, analytic)
     return {
         "grid_step": args.grid_step,
         "grid_points": scan.ranks.size,
         "detected_pairs": scan.detected,
         "analytic_pairs": analytic,
         "analytic_family": pipeline.LOCUS_FAMILY,
-        "max_deviation_detected_to_analytic": _max_deviation(scan.detected, analytic),
-        "max_deviation_analytic_to_detected": _max_deviation(analytic, scan.detected),
+        "max_deviation_detected_to_analytic": to_analytic,
+        "max_deviation_analytic_to_detected": to_detected,
         "csv_path": args.csv,
     }
 

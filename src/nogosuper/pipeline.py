@@ -53,8 +53,6 @@ class CounterexampleParams:
     def __post_init__(self):
         a, b = unit_pair(self.a, self.b, "a", "b")
         frame = StateSet([self.psi, self.psi_perp, self.phi])
-        if frame.dim < 3:
-            raise InvalidParams(f"dimension must be >= 3, got {frame.dim}")
         if np.abs(frame.rows.conj() @ frame.rows.T - np.eye(3)).max() > ORTHOGONALITY_TOL:
             raise InvalidParams("psi, psi_perp, phi must be pairwise orthogonal")
         psi, psi_perp, phi = frame.rows
@@ -206,7 +204,8 @@ def scan_degeneracy_numeric(
         ranks[rows] = 1 + (lam_mid > cut) + (lam_min > cut)
         sigma_min[rows] = np.sqrt(lam_min)
 
-    detected = [(float(thetas[i]), float(thetas[j])) for i, j in np.argwhere(ranks < 3)]
+    i, j = np.nonzero(ranks < 3)
+    detected = list(zip(thetas[i].tolist(), thetas[j].tolist()))
     return ScanResult(thetas, sigma_min, ranks, detected)
 
 
@@ -228,7 +227,9 @@ def _eigenvalues_3x3(c1, c2, c3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     prod = c3 / lam_max
     total = (c2 - prod) / lam_max
     lam_mid = 0.5 * (total + np.sqrt(np.maximum(total * total - 4.0 * prod, 0.0)))
-    return prod / lam_mid, lam_mid, lam_max
+    # lam_mid is 0 only where prod is too, e.g. where |alpha|^2 underflowed
+    lam_min = np.divide(prod, lam_mid, out=np.zeros_like(lam_mid), where=lam_mid > 0)
+    return lam_min, lam_mid, lam_max
 
 
 @dataclass

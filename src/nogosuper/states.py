@@ -67,9 +67,6 @@ def canonicalize(amps: np.ndarray) -> np.ndarray:
     row: its first non-negligible amplitude made real positive, so equal
     physical states map to (numerically) equal rows."""
     pivots = np.nonzero(np.abs(amps) > CANONICAL_PIVOT_FLOOR)[0]
-    if pivots.size == 0:
-        # unreachable for a unit-norm state, kept for safety
-        return amps.copy()
     pivot = amps[pivots[0]]
     if pivot.imag == 0.0 and pivot.real > 0.0:
         return amps.copy()  # already canonical; exact idempotence

@@ -2,12 +2,14 @@ import dataclasses
 import inspect
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nogosuper
-from nogosuper import linalg, pipeline, states, text
+from nogosuper import cli, linalg, pipeline, states, text
 from nogosuper.cli import _config_dict, build_parser, main
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -165,6 +167,8 @@ class TestVerify:
     ["usd", "STATES=[[[1" + "0" * 400 + ", 0], [0, 0]], [[0, 0], [1, 0]]]"],  # beyond float
     ["usd", "STATES=[[[1" + "0" * 4400 + ", 0], [0, 0]], [[0, 0], [1, 0]]]"],  # > 4300 digits
     ["usd", "STATES=[[[true, 0], [0, 0]], [[0, 0], [1, 0]]]"],
+    ["usd", "STATES", "--truth-index", "2"],
+    ["usd", "STATES", "--truth-index", "-1"],
 ])
 def test_invalid_parameters_exit_two(capsys, monkeypatch, tmp_path, tmp_path_factory, argv):
     # STATES stands for a file holding ZERO_PLUS, STATES=<json> for one holding <json>
@@ -240,6 +244,40 @@ class TestScan:
             main(["scan", *flag, "--csv", str(tmp_path / "grid.csv")])
         assert exc.value.code == 2
         assert not list(tmp_path.iterdir())
+
+    def test_underflowing_alpha_writes_no_nan(self, capsys, tmp_path):
+        csv_path = tmp_path / "grid.csv"
+        code, _, err = run(capsys, "scan", "--alpha-mod", "1e-200", "--beta-mod", "1",
+                           "--grid-step", "0.1", "--csv", str(csv_path),
+                           "-o", str(tmp_path / "scan.json"), "--deterministic")
+        assert code == 0 and err == ""
+        grid = csv_path.read_text()
+        assert "nan" not in grid
+        assert all(row.endswith(",0.0,1") for row in grid.splitlines()[1:])
+
+    def test_locus_deviations_match_the_pairwise_rule(self, rng):
+        # the distance matrix gives, bit for bit, the max over pairs of the
+        # min over targets of the larger torus distance of the two angles
+        def gap(x, y):
+            d = abs(x - y) % (2.0 * math.pi)
+            return min(d, 2.0 * math.pi - d)
+
+        def deviation(pairs, targets):
+            return max(min(max(gap(p[0], q[0]), gap(p[1], q[1])) for q in targets)
+                       for p in pairs)
+
+        centres = [0.0, math.pi / 2, math.pi, 2 * math.pi]
+        for _ in range(300):
+            k, m = (int(x) for x in rng.integers(1, 6, size=2))
+            points = (rng.choice(centres, size=(k + m, 2))
+                      + rng.choice([-1, 1], size=(k + m, 2))
+                      * 10.0 ** rng.uniform(-12, 0, size=(k + m, 2)))
+            points = [tuple(pair) for pair in (points % (2 * math.pi)).tolist()]
+            detected, analytic = points[:k], points[k:]
+            assert cli._locus_deviations(detected, analytic) == (
+                deviation(detected, analytic), deviation(analytic, detected))
+        assert cli._locus_deviations([], analytic) == (None, None)
+        assert cli._locus_deviations(detected, []) == (None, None)
 
     def test_oversized_grid_step_rejected(self, capsys):
         code, _, _ = run(capsys, "scan", "--grid-step", "0.2")
@@ -564,3 +602,13 @@ def test_public_names_are_pinned():
         "forbidden_task_demo", "given_frame_phase", "normalize", "scan_degeneracy_numeric",
         "solve_degeneracy_analytic", "standard_params", "superpose_many", "unit_pair",
     ]
+
+
+def test_readme_names_every_public_name():
+    # each export is a word of some `code` span of the README
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    spans = re.findall(r"`([^`\n]*)`", readme)
+    public = [name for name, value in vars(nogosuper).items()
+              if not name.startswith("_") and not inspect.ismodule(value)]
+    assert [name for name in public
+            if not any(re.search(rf"\b{name}\b", span) for span in spans)] == []

@@ -101,6 +101,13 @@ class TestCounterexample:
                 phi=[1, 0, 0],
             )
 
+    def test_two_dim_rows_rejected_as_non_orthogonal(self):
+        # three rows of dimension 2 cannot be orthonormal, so the frame check
+        # alone refuses them
+        with pytest.raises(InvalidParams, match="pairwise orthogonal"):
+            pipeline.CounterexampleParams(a=SQ2, b=SQ2, psi=[1, 0], psi_perp=[0, 1],
+                                          phi=[SQ2, SQ2])
+
     def test_input_rank_is_two_for_random_params(self, rng):
         for _ in range(20):
             dim = int(rng.integers(3, 7))
@@ -340,6 +347,14 @@ class TestScan:
         np.testing.assert_allclose(scan.min_singular_values, sigma_min,
                                    rtol=1e-9, atol=1e-12)
         np.testing.assert_array_equal(scan.ranks, ranks)
+
+    def test_underflowing_alpha_gives_rank_one_and_no_nan(self):
+        # |alpha|^2 = 1e-400 underflows to 0, so c2 = c3 = 0 and lam_mid = 0:
+        # lam_min is 0 there, not 0 / 0
+        scan = pipeline.scan_degeneracy_numeric(balanced_params(), 1e-200, 1.0, 0.05)
+        assert np.all(scan.min_singular_values == 0.0)
+        assert np.all(scan.ranks == 1)
+        assert len(scan.detected) == scan.ranks.size
 
     @pytest.mark.parametrize("dim", [3, 8])
     def test_grid_on_the_locus_detects_the_analytic_pairs(self, rng, dim):
