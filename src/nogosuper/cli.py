@@ -212,13 +212,13 @@ def cmd_verify(args, seed: int) -> dict:
 
 
 def _locus_deviations(detected, analytic) -> tuple[float | None, float | None]:
-    """Largest distance from a detected (theta21, theta31) pair to its nearest
+    """Largest distance from a detected (theta21, theta31) row to its nearest
     analytic pair and back, angles mod 2 pi: the max row and column minima of
-    one k x m distance matrix. None for both when either list is empty: there
-    is no distance to report, and strict JSON has no Infinity."""
-    if not (detected and analytic):
+    one k x m distance matrix. None for both when either is empty: there is
+    no distance to report, and strict JSON has no Infinity."""
+    if not (len(detected) and analytic):
         return None, None
-    d = np.abs(np.array(detected)[:, None] - np.array(analytic)) % TWO_PI
+    d = np.abs(detected[:, None] - np.array(analytic)) % TWO_PI
     d = np.minimum(d, TWO_PI - d).max(axis=2)
     return float(d.min(axis=1).max()), float(d.min(axis=0).max())
 

@@ -106,7 +106,7 @@ class ScanResult:
     thetas: np.ndarray  # the grid of both theta21 and theta31
     min_singular_values: np.ndarray  # shape (n, n), [theta21, theta31]
     ranks: np.ndarray  # shape (n, n)
-    detected: list[tuple[float, float]]  # (theta21, theta31) where rank < 3
+    detected: np.ndarray  # shape (k, 2), the (theta21, theta31) rows where rank < 3
 
 
 def apply_superposer_to_set(
@@ -155,8 +155,10 @@ def _normalize_coefficients(x: np.ndarray) -> np.ndarray:
 
 def solve_degeneracy_analytic(a: float, b: float) -> list[tuple[float, float]]:
     """Exact (theta21, theta31) pairs where the output triple stays dependent
-    (`LOCUS_FAMILY`): theta21 = pi/2 with (cos, sin)(theta31) = (a, b), and
-    theta21 = 3*pi/2 with (cos, sin)(theta31) = (a, -b)."""
+    (`LOCUS_FAMILY`), for real a and b: theta21 = pi/2 with (cos, sin)(theta31)
+    = (a, b), and theta21 = 3*pi/2 with (cos, sin)(theta31) = (a, -b)."""
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        raise InvalidParams(f"the analytic locus needs real a and b, got ({a!r}, {b!r})")
     a, b = unit_pair(a, b, "a", "b")
     return [(math.pi / 2.0, wrap_phase(math.atan2(b, a))),
             (3.0 * math.pi / 2.0, wrap_phase(math.atan2(-b, a)))]
@@ -204,9 +206,7 @@ def scan_degeneracy_numeric(
         ranks[rows] = 1 + (lam_mid > cut) + (lam_min > cut)
         sigma_min[rows] = np.sqrt(lam_min)
 
-    i, j = np.nonzero(ranks < 3)
-    detected = list(zip(thetas[i].tolist(), thetas[j].tolist()))
-    return ScanResult(thetas, sigma_min, ranks, detected)
+    return ScanResult(thetas, sigma_min, ranks, thetas[np.argwhere(ranks < 3)])
 
 
 def _eigenvalues_3x3(c1, c2, c3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

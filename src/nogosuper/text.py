@@ -37,17 +37,19 @@ def _float_fields(floats: list[np.ndarray]) -> tuple:
     concatenation is its json text. From `_KERNEL_MIN_FLOATS` floats on, one
     `_shortest_digits` call gives each one with |x| in [1e-4, 1) its
     sign-and-decade prefix and its digits; every other float (kind -1), and
-    every float of a smaller report, gets its text and ""."""
+    every float of a smaller report, gets its text and "". Kind -1 texts are
+    spelled once per distinct bit pattern (so 0.0 and -0.0 stay apart)."""
     x = np.concatenate(floats) if floats else np.empty(0)
     fields = [""] * (2 * x.size)
     if x.size < _KERNEL_MIN_FLOATS:
         fields[::2] = map(_float_text, x.tolist())
         return tuple(fields)
     kinds, digits = _shortest_digits(x)
-    fields[::2], fields[1::2] = _PREFIXES[kinds].tolist(), digits.tolist()
-    slow = np.flatnonzero(kinds == -1)
-    for i, v in zip(slow.tolist(), x[slow].tolist()):
-        fields[2 * i], fields[2 * i + 1] = _float_text(v), ""
+    heads, tails, slow = _PREFIXES[kinds], digits.astype(object), kinds == -1
+    bits, which = np.unique(x[slow].view(np.int64), return_inverse=True)
+    texts = np.array([_float_text(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    heads[slow], tails[slow] = texts[which], ""
+    fields[::2], fields[1::2] = heads.tolist(), tails.tolist()
     return tuple(fields)
 
 

@@ -66,6 +66,10 @@ def _cases() -> dict[str, dict]:
     cases["scan-step-0.1"] = ["scan", *_PIPELINE, "--grid-step", "0.1", "--csv", "grid.csv"]
     # (a, b) = (cos, sin)(pi/3): the 1 degree grid holds both analytic pairs
     cases["scan-locus"] = ["scan", "--a", "0.5", "--b", "0.8660254037844386", "--csv", "grid.csv"]
+    # a = 1e-7: the closure w3 = a + b w2 stays within the rank tolerance along
+    # the whole diagonal theta31 = theta21, so all 63 of its points are detected
+    cases["scan-thick-locus"] = ["scan", "--a", "1e-7", "--b", "1", "--grid-step", "0.1",
+                                 "--csv", "grid.csv"]
     cases = {name: {"argv": argv, "files": {}} for name, argv in cases.items()}
 
     sq2 = 1.0 / math.sqrt(2.0)

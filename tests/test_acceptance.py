@@ -73,7 +73,7 @@ def test_criterion_2_degeneracy_locus():
     def dist(u, v):
         return max(gap(u[0], v[0]), gap(u[1], v[1]))
 
-    ok = bool(detected)
+    ok = len(detected) > 0
     hausdorff = 0.0
     if ok:
         d1 = max(min(dist(d, s) for s in analytic) for d in detected)

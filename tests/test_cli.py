@@ -274,10 +274,10 @@ class TestScan:
                       * 10.0 ** rng.uniform(-12, 0, size=(k + m, 2)))
             points = [tuple(pair) for pair in (points % (2 * math.pi)).tolist()]
             detected, analytic = points[:k], points[k:]
-            assert cli._locus_deviations(detected, analytic) == (
+            assert cli._locus_deviations(np.array(detected), analytic) == (
                 deviation(detected, analytic), deviation(analytic, detected))
-        assert cli._locus_deviations([], analytic) == (None, None)
-        assert cli._locus_deviations(detected, []) == (None, None)
+        assert cli._locus_deviations(np.empty((0, 2)), analytic) == (None, None)
+        assert cli._locus_deviations(np.array(detected), []) == (None, None)
 
     def test_oversized_grid_step_rejected(self, capsys):
         code, _, _ = run(capsys, "scan", "--grid-step", "0.2")

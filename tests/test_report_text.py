@@ -195,6 +195,25 @@ def test_one_kernel_call_from_the_crossover_on(offset, monkeypatch):
     assert calls == ([] if offset < 0 else [count])
 
 
+@pytest.mark.parametrize("offset", [0, 2, 1000])
+def test_each_out_of_range_double_spelled_once(offset, monkeypatch):
+    # a scan's detected thetas repeat, most of them >= 1: from the crossover
+    # on, each distinct bit pattern outside [1e-4, 1) is spelled by one
+    # `_float_text` call, 0.0 and -0.0 by one each
+    calls = []
+    spell = text._float_text
+    monkeypatch.setattr(text, "_float_text", lambda x: calls.append(x) or spell(x))
+    fast = [0.25, -5e-4]
+    slow = [0.0, -0.0, 1.0, -2.5, 3 * math.pi / 2, 1e300, 5e-324, math.nan, -math.inf]
+    count = text._KERNEL_MIN_FLOATS + offset
+    values = np.random.default_rng(count).choice(np.array(slow + fast), count)
+    report = {"detected_pairs": values.reshape(-1, 2)}
+    assert text.json_text(report) == oracle(report)
+    bits = values.view(np.int64)
+    spelled = np.unique(bits[~np.isin(bits, np.array(fast).view(np.int64))])
+    assert sorted(np.array(calls).view(np.int64).tolist()) == spelled.tolist()
+
+
 def balanced_params():
     return pipeline.standard_params(SQ2, SQ2)
 
@@ -243,7 +262,7 @@ class TestScanCsv:
                  [0.5, 1.5, 0.0, 0.25, 2e-5, 1e-3]]),
             ranks=np.array([[2, 2, 2, 3, 2, 3], [3, 3, 3, 3, 3, 3], [2, 3, 3, 3, 3, 3],
                             [3, 3, 3, 3, 3, 3], [2, 3, 1, 3, 2, 3], [2, 3, 3, 1, 3, 2]]),
-            detected=[],
+            detected=np.empty((0, 2)),
         )
         kinds = text._csv_fields(small.min_singular_values, small.ranks)[0]
         assert kinds[4].tolist() == [-1, 3, -1, 1, -1, 1]
