@@ -37,7 +37,6 @@ from .superposer import (
     ConstantSuccess,
     OverlapArgPhase,
     OverlapScaledSuccess,
-    SuccessPolicy,
     SuperposerConfig,
 )
 from .text import json_text, write_scan_csv
@@ -175,7 +174,7 @@ def _resolve_weights(args) -> tuple[complex, complex]:
     return alpha, beta
 
 
-def _resolve_config(args, success: SuccessPolicy) -> SuperposerConfig:
+def _resolve_config(args, success: ConstantSuccess | OverlapScaledSuccess) -> SuperposerConfig:
     return SuperposerConfig(*_resolve_weights(args), PHASE_POLICIES[args.phase_policy](args),
                             success)
 

@@ -3,6 +3,7 @@ of a `StateSet`, checked once with the rest of its set."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,9 +18,9 @@ CANONICAL_PIVOT_FLOOR = 1e-10
 
 
 def normalize(vectors: Sequence[Sequence[complex]] | np.ndarray) -> StateSet:
-    """The StateSet of the vectors, each scaled to unit norm; NullVector
-    names the first vector that is numerically zero. A vector whose squared
-    norm overflows is first divided by its largest real or imaginary part."""
+    """The StateSet of the vectors scaled to unit norm; NullVector names the first
+    null vector with its `math.hypot` norm, which cannot underflow. A vector whose
+    squared norm overflows is first divided by its largest real or imaginary part."""
     v = _finite_rows(vectors)  # before dividing: inf / inf would warn and give NaN
     with np.errstate(over="ignore"):
         norms = row_norms(v)
@@ -29,7 +30,8 @@ def normalize(vectors: Sequence[Sequence[complex]] | np.ndarray) -> StateSet:
     null = np.flatnonzero(norms <= NULL_THRESHOLD)
     if null.size:
         i = int(null[0])
-        raise NullVector(f"vector {i} has norm {float(norms[i])!r}, below {NULL_THRESHOLD}")
+        norm = math.hypot(*v[i].view(float))
+        raise NullVector(f"vector {i} has norm {norm!r}, below {NULL_THRESHOLD}")
     return StateSet(v / norms[:, None])
 
 

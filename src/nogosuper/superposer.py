@@ -38,10 +38,7 @@ def wrap_phase(theta: float) -> float:
 
 
 class PhasePolicy:
-    """Maps a pair of canonical amplitude rows to a relative phase in [0, 2*pi)."""
-
-    def phase(self, psi: np.ndarray, phi: np.ndarray) -> float:
-        raise NotImplementedError
+    """Maps two canonical amplitude rows to a phase in [0, 2*pi) by `phase(psi, phi)`."""
 
     def __call__(self, psi: np.ndarray, phi: np.ndarray) -> float:
         """One policy evaluation on canonical rows, wrapped into [0, 2*pi)."""
@@ -115,16 +112,8 @@ def unit_pair(x: complex, y: complex, x_name: str, y_name: str) -> tuple[complex
     return x / scale, y / scale
 
 
-class SuccessPolicy:
-    """Success probability of one oracle invocation on the amplitude rows psi
-    and phi; must be nonzero."""
-
-    def probability(self, psi: np.ndarray, phi: np.ndarray) -> float:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ConstantSuccess(SuccessPolicy):
+class ConstantSuccess:
     p: float
 
     def __post_init__(self):
@@ -136,7 +125,7 @@ class ConstantSuccess(SuccessPolicy):
 
 
 @dataclass(frozen=True)
-class OverlapScaledSuccess(SuccessPolicy):
+class OverlapScaledSuccess:
     """p = (1 + |<psi|phi>|^2) / 2, so orthogonal inputs succeed half the time."""
 
     def probability(self, psi, phi):
@@ -150,7 +139,7 @@ class SuperposerConfig:
     alpha: complex
     beta: complex
     phase_policy: PhasePolicy
-    success_policy: SuccessPolicy
+    success_policy: ConstantSuccess | OverlapScaledSuccess
 
     def __post_init__(self):
         alpha, beta = unit_pair(self.alpha, self.beta, "alpha", "beta")

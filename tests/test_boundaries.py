@@ -1,19 +1,25 @@
 """Module boundaries of the package, read off the source: each module
 imports only the package modules below it in the layer table, no module uses
 a private name of another package module, and the numerics (`pipeline`) do
-not import the text module."""
+not import the text module. A fresh interpreter that imports one module
+loads no package module outside that module's closure in the table."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nogosuper"
 SOURCES = sorted(PACKAGE.glob("*.py"))
-MODULES = {path.stem for path in SOURCES} - {"__init__"}
+MODULES = {path.stem for path in SOURCES}
 
-# the package modules each module may import: the layer order
+# the package modules each module may import: the layer order; the package
+# root re-exports nothing, so it imports no module
 MAY_IMPORT = {
+    "__init__": set(),
     "errors": set(),
     "linalg": {"errors"},
     "states": {"errors", "linalg"},
@@ -21,7 +27,7 @@ MAY_IMPORT = {
     "discrimination": {"errors", "linalg", "states"},
     "pipeline": {"errors", "linalg", "states", "superposer", "discrimination"},
     "text": set(),
-    "cli": MODULES,
+    "cli": MODULES - {"__init__", "cli"},
 }
 
 
@@ -78,3 +84,40 @@ def test_the_layer_table_names_every_module():
 def test_imports_follow_the_layer_order(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     assert imported_modules(tree) <= MAY_IMPORT[module]
+
+
+def closure(module: str) -> set[str]:
+    """The module and every package module it may import, directly or not."""
+    found, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in found:
+            found.add(name)
+            todo += MAY_IMPORT[name]
+    return found
+
+
+def loaded_by_fresh_import(module: str) -> set[str]:
+    """The package modules, and numpy if loaded, in `sys.modules` after a
+    fresh interpreter imports the module (the root as `__init__`)."""
+    name = "nogosuper" if module == "__init__" else f"nogosuper.{module}"
+    code = (f"import sys, {name}\n"
+            "print(*(m.removeprefix('nogosuper.') for m in sys.modules\n"
+            "        if m.startswith('nogosuper.') or m == 'numpy'))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_importing_a_module_loads_only_its_closure(module):
+    loaded = loaded_by_fresh_import(module) - {"numpy"}
+    assert loaded <= closure(module)
+
+
+def test_the_error_classes_load_without_numpy():
+    assert loaded_by_fresh_import("errors") == {"errors"}
