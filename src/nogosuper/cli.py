@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_ON_LOCUS = 4
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_usd.add_argument("--truth-index", type=int, default=0)
     p_usd.add_argument("--trials", type=int, default=10_000)
     _add_common(p_usd)
+    for p in (parser, *sub.choices.values()):  # "-1e-3" is a value; no option looks like it
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

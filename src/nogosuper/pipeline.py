@@ -10,7 +10,7 @@ forbidden tasks (USD and cloning) on the independent outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -35,31 +35,28 @@ _BLOCK_ROWS = 32  # theta21 rows per scan kernel call
 LOCUS_FAMILY = "theta21 in {pi/2, 3*pi/2} with a = cos(theta31), b = +/- sin(theta31)"
 
 
-@dataclass(frozen=True)
+@dataclass
 class CounterexampleParams:
-    """Amplitude rows of the dependent input triple in dimension >= 3,
-    checked once as the orthonormal frame (psi, psi_perp, phi) and held as
-    its rows, and `inputs`, the triple (psi, psi_perp, a psi + b psi_perp),
-    built from them once. The scan relies on the frame being orthonormal:
-    it reads the outputs' singular values from a, b and the weights alone."""
+    """The dependent input triple in dimension >= 3 from the amplitude rows
+    psi, psi_perp and phi, checked once as an orthonormal frame. It keeps `a`
+    and `b` (rescaled by `unit_pair`), `phi` and `inputs`, the triple (psi,
+    psi_perp, a psi + b psi_perp). The scan relies on the frame being
+    orthonormal: it reads the outputs' singular values from a, b and the weights alone."""
 
     a: float
     b: float
-    psi: np.ndarray
-    psi_perp: np.ndarray
+    psi: InitVar[np.ndarray]
+    psi_perp: InitVar[np.ndarray]
     phi: np.ndarray
     inputs: StateSet = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        a, b = unit_pair(self.a, self.b, "a", "b")
-        frame = StateSet([self.psi, self.psi_perp, self.phi])
+    def __post_init__(self, psi, psi_perp):
+        self.a, self.b = unit_pair(self.a, self.b, "a", "b")
+        frame = StateSet([psi, psi_perp, self.phi])
         if np.abs(frame.rows.conj() @ frame.rows.T - np.eye(3)).max() > ORTHOGONALITY_TOL:
             raise InvalidParams("psi, psi_perp, phi must be pairwise orthogonal")
-        psi, psi_perp, phi = frame.rows
-        inputs = normalize([psi, psi_perp, a * psi + b * psi_perp])
-        for name, value in (("a", a), ("b", b), ("psi", psi), ("psi_perp", psi_perp),
-                            ("phi", phi), ("inputs", inputs)):
-            object.__setattr__(self, name, value)
+        psi, psi_perp, self.phi = frame.rows
+        self.inputs = normalize([psi, psi_perp, self.a * psi + self.b * psi_perp])
 
 
 def standard_params(a: float, b: float, dim: int = 3) -> CounterexampleParams:
@@ -69,7 +66,7 @@ def standard_params(a: float, b: float, dim: int = 3) -> CounterexampleParams:
     return CounterexampleParams(a, b, *np.eye(3, dim))
 
 
-@dataclass(frozen=True)
+@dataclass
 class PhaseTriple:
     """The oracle phases and their differences theta21, theta31, each in [0, 2*pi)."""
 
@@ -80,10 +77,11 @@ class PhaseTriple:
     theta31: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("theta1", "theta2", "theta3"):
-            object.__setattr__(self, name, wrap_phase(getattr(self, name)))
-        object.__setattr__(self, "theta21", wrap_phase(self.theta2 - self.theta1))
-        object.__setattr__(self, "theta31", wrap_phase(self.theta3 - self.theta1))
+        self.theta1 = wrap_phase(self.theta1)
+        self.theta2 = wrap_phase(self.theta2)
+        self.theta3 = wrap_phase(self.theta3)
+        self.theta21 = wrap_phase(self.theta2 - self.theta1)
+        self.theta31 = wrap_phase(self.theta3 - self.theta1)
 
 
 @dataclass

@@ -53,7 +53,6 @@ class ConstantPhase(PhasePolicy):
         return self.theta0
 
 
-@dataclass(frozen=True)
 class OverlapArgPhase(PhasePolicy):
     """theta = arg(<psi|phi>) of the canonical rows; 0 when |<psi|phi>| < 1e-6,
     where `canonicalize`'s round-off moves the arg by about 1e-16 / |<psi|phi>|."""
@@ -65,7 +64,6 @@ class OverlapArgPhase(PhasePolicy):
         return math.atan2(overlap.imag, overlap.real)
 
 
-@dataclass(frozen=True)
 class CanonicalHashPhase(PhasePolicy):
     """Adversarially arbitrary but reproducible phase: 2 pi times the
     fractional part of sum_k w_k v_k, where v lists the real and imaginary
@@ -124,7 +122,6 @@ class ConstantSuccess:
         return self.p
 
 
-@dataclass(frozen=True)
 class OverlapScaledSuccess:
     """p = (1 + |<psi|phi>|^2) / 2, so orthogonal inputs succeed half the time."""
 
@@ -132,7 +129,7 @@ class OverlapScaledSuccess:
         return 0.5 * (1.0 + abs(complex(np.vdot(psi, phi))) ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass
 class SuperposerConfig:
     """Oracle weights, stored rescaled by `unit_pair`, and its two policies."""
 
@@ -142,9 +139,7 @@ class SuperposerConfig:
     success_policy: ConstantSuccess | OverlapScaledSuccess
 
     def __post_init__(self):
-        alpha, beta = unit_pair(self.alpha, self.beta, "alpha", "beta")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        self.alpha, self.beta = unit_pair(self.alpha, self.beta, "alpha", "beta")
 
 
 def superpose_many(

@@ -2,7 +2,9 @@
 imports only the package modules below it in the layer table, no module uses
 a private name of another package module, and the numerics (`pipeline`) do
 not import the text module. A fresh interpreter that imports one module
-loads no package module outside that module's closure in the table."""
+loads no package module outside that module's closure in the table. No
+record writes its fields past `frozen` through `object.__setattr__`, and
+every dataclass declares a field."""
 
 import ast
 import os
@@ -61,6 +63,25 @@ def test_no_private_name_of_another_module(source):
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
              and node.value.id in modules and private(node.attr)]
     assert uses == []
+
+
+def decorator_name(node: ast.expr) -> str | None:
+    """`dataclass` for `@dataclass`, `@dataclass(...)` and `@dataclasses.dataclass`."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=[path.stem for path in SOURCES])
+def test_records_say_what_they_are(source):
+    tree = ast.parse(source.read_text(), str(source))
+    writes = [f"object.__setattr__ (line {node.lineno})" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+              and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    fieldless = [f"dataclass {node.name} has no field" for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef)
+                 and "dataclass" in map(decorator_name, node.decorator_list)
+                 and not any(isinstance(stmt, ast.AnnAssign) for stmt in node.body)]
+    assert writes + fieldless == []
 
 
 def test_the_numerics_do_not_import_the_text_module():

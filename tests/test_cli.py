@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import importlib
+import io
 import inspect
 import json
 import math
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nogosuper
 from nogosuper import cli, linalg, pipeline, states, text
@@ -193,6 +197,39 @@ def test_unit_pair_drift_within_contract_accepted(capsys):
                        "--deterministic")
     assert code == 0
     assert json.loads(out)["result"]["output_rank"] == 3
+
+
+def test_negative_value_in_exponent_notation_is_a_value(capsys):
+    # reports echo flag values as `repr`, exponent included
+    code, out, err = run(capsys, "verify", "--alpha-arg", "-1e-3", "--deterministic")
+    assert code == 0, err
+    assert '"alpha_arg": -0.001' in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--alpha-arg", "-1e-3"],
+    ["demo", "--beta-arg", "-2.5e-1", "--trials", "10"],
+])
+def test_negative_exponent_values_exit_zero(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # where scan writes its CSV
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan"])
+def test_negative_non_numbers_stay_options(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--alpha-arg", value])
+    assert exc.value.code == 2
+
+
+@settings(deadline=None)
+@given(value=st.floats(max_value=-math.ulp(0.0), allow_infinity=False))
+def test_negative_float_repr_comes_back_in_the_space_form(value):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--alpha-arg", repr(value), "--deterministic"]) == 0
+    assert json.loads(out.getvalue())["config"]["alpha_arg"] == value
 
 
 class TestScan:
