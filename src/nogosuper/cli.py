@@ -32,7 +32,6 @@ from .errors import (DependentOutputs, DimensionMismatch, EmptySet, InvalidParam
                      NonFiniteEntry, NullVector)
 from .states import normalize
 from .superposer import (
-    TWO_PI,
     CanonicalHashPhase,
     ConstantPhase,
     ConstantSuccess,
@@ -219,10 +218,10 @@ def _locus_deviations(detected, analytic) -> tuple[float | None, float | None]:
     analytic pair and back, angles mod 2 pi: the max row and column minima of
     one k x m distance matrix. None for both when either is empty: there is
     no distance to report, and strict JSON has no Infinity."""
-    if not (len(detected) and analytic):
+    if not (len(detected) and len(analytic)):
         return None, None
-    d = np.abs(detected[:, None] - np.array(analytic)) % TWO_PI
-    d = np.minimum(d, TWO_PI - d).max(axis=2)
+    d = np.abs(detected[:, None] - analytic) % math.tau
+    d = np.minimum(d, math.tau - d).max(axis=2)
     return float(d.min(axis=1).max()), float(d.min(axis=0).max())
 
 

@@ -19,7 +19,6 @@ from .discrimination import born_distribution, build_usd, check_trials
 from .errors import DependentOutputs, InvalidParams
 from .states import StateSet, normalize
 from .superposer import (
-    TWO_PI,
     SuperposerConfig,
     given_frame_phase,
     superpose_many,
@@ -151,15 +150,15 @@ def _normalize_coefficients(x: np.ndarray) -> np.ndarray:
     return x * phase
 
 
-def solve_degeneracy_analytic(a: float, b: float) -> list[tuple[float, float]]:
-    """Exact (theta21, theta31) pairs where the output triple stays dependent
-    (`LOCUS_FAMILY`), for real a and b: theta21 = pi/2 with (cos, sin)(theta31)
-    = (a, b), and theta21 = 3*pi/2 with (cos, sin)(theta31) = (a, -b)."""
+def solve_degeneracy_analytic(a: float, b: float) -> np.ndarray:
+    """The float64 (2, 2) array of the exact (theta21, theta31) pairs where
+    the output triple stays dependent (`LOCUS_FAMILY`), for real a and b:
+    theta21 = pi/2 with (cos, sin)(theta31) = (a, b), then 3*pi/2 with (a, -b)."""
     if np.iscomplexobj(a) or np.iscomplexobj(b):
         raise InvalidParams(f"the analytic locus needs real a and b, got ({a!r}, {b!r})")
     a, b = unit_pair(a, b, "a", "b")
-    return [(math.pi / 2.0, wrap_phase(math.atan2(b, a))),
-            (3.0 * math.pi / 2.0, wrap_phase(math.atan2(-b, a)))]
+    return np.array([[math.pi / 2.0, wrap_phase(math.atan2(b, a))],
+                     [3.0 * math.pi / 2.0, wrap_phase(math.atan2(-b, a))]])
 
 
 def scan_degeneracy_numeric(
@@ -183,7 +182,7 @@ def scan_degeneracy_numeric(
     if not MIN_GRID_STEP <= grid_step <= 0.1:
         raise InvalidParams(f"grid_step must lie in [{MIN_GRID_STEP}, 0.1], got {grid_step}")
     alpha, beta = unit_pair(alpha, beta, "alpha", "beta")
-    n = int(math.floor((TWO_PI - 1e-12) / grid_step)) + 1
+    n = int(math.floor((math.tau - 1e-12) / grid_step)) + 1
     thetas = grid_step * np.arange(n)
 
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2

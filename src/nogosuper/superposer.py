@@ -18,6 +18,7 @@ reads each grid point's singular values from closed forms.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,15 +27,14 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidParams, NullSuperposition, NullVector
 from .states import StateSet, canonicalize, normalize
 
-TWO_PI = 2.0 * math.pi
 UNIT_PAIR_TOL = 1e-9
 _HASH_STEP = 50.0 * (math.sqrt(5.0) - 1.0)  # 100 g, g = (sqrt 5 - 1) / 2
 
 
 def wrap_phase(theta: float) -> float:
     """theta mod 2 pi, in [0, 2 pi): a tiny negative theta gives 0, not `%`'s 2 pi."""
-    theta %= TWO_PI
-    return 0.0 if theta == TWO_PI else theta
+    theta %= math.tau
+    return 0.0 if theta == math.tau else theta
 
 
 class PhasePolicy:
@@ -59,9 +59,7 @@ class OverlapArgPhase(PhasePolicy):
 
     def phase(self, psi, phi):
         overlap = complex(np.vdot(psi, phi))
-        if abs(overlap) < 1e-6:
-            return 0.0
-        return math.atan2(overlap.imag, overlap.real)
+        return 0.0 if abs(overlap) < 1e-6 else cmath.phase(overlap)
 
 
 class CanonicalHashPhase(PhasePolicy):
@@ -74,25 +72,19 @@ class CanonicalHashPhase(PhasePolicy):
 
     def phase(self, psi, phi):
         v = np.concatenate([psi, phi], dtype=complex).view(float)
-        return TWO_PI * (math.fsum((_HASH_STEP * np.arange(1, v.size + 1) * v).tolist()) % 1.0)
+        return math.tau * (math.fsum((_HASH_STEP * np.arange(1, v.size + 1) * v).tolist()) % 1.0)
 
 
 def given_frame_phase(policy: PhasePolicy, psi: np.ndarray, phi: np.ndarray) -> float:
     """The policy's phase, chosen on canonical rows, moved into the frame of
     the given amplitude rows psi and phi: theta + kappa_phi - kappa_psi, where
-    canonicalize(s) = e^{i kappa_s} s. Superposing psi and phi with it gives
-    the canonical-form superposition up to the global phase e^{-i kappa_psi}."""
+    canonicalize(s) = e^{i kappa_s} s, so kappa_s = arg <s|canonicalize(s)>.
+    Superposing with it gives the canonical-form superposition up to e^{-i kappa_psi}."""
     if psi.shape != phi.shape:
         raise DimensionMismatch(f"dimensions {psi.size} and {phi.size} differ")
     c_psi, c_phi = canonicalize(psi), canonicalize(phi)
-    return wrap_phase(policy(c_psi, c_phi) + _canonical_phase(phi, c_phi)
-                      - _canonical_phase(psi, c_psi))
-
-
-def _canonical_phase(s: np.ndarray, c: np.ndarray) -> float:
-    """kappa_s = arg <s|c> for c = canonicalize(s); exactly 0 for a canonical s."""
-    z = complex(np.vdot(s, c))
-    return math.atan2(z.imag, z.real)
+    return wrap_phase(policy(c_psi, c_phi) + cmath.phase(np.vdot(phi, c_phi))
+                      - cmath.phase(np.vdot(psi, c_psi)))
 
 
 def unit_pair(x: complex, y: complex, x_name: str, y_name: str) -> tuple[complex, complex]:

@@ -192,6 +192,16 @@ def test_invalid_parameters_exit_two(capsys, monkeypatch, tmp_path, tmp_path_fac
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, name, value", [
+    (["demo"], "success_p", 0.5),
+    (["demo"], "trials", 100_000),
+    (["usd", "states.json"], "truth_index", 0),
+    (["usd", "states.json"], "trials", 10_000),
+])
+def test_flag_defaults(argv, name, value):
+    assert getattr(build_parser().parse_args(argv), name) == value
+
+
 def test_unit_pair_drift_within_contract_accepted(capsys):
     code, out, _ = run(capsys, "verify", "--a", "0.6", "--b", "0.8000000001",
                        "--deterministic")
@@ -448,6 +458,19 @@ class TestUSD:
         code, _, _ = run(capsys, "usd", path)
         assert code == 3
 
+    def test_truth_index_out_of_range_names_the_range(self, capsys, tmp_path):
+        path = self.write_states(tmp_path, ZERO_PLUS)
+        code, out, err = run(capsys, "usd", path, "--truth-index", "2")
+        assert (code, out) == (2, "")
+        assert err == "config error: --truth-index out of range 0..1\n"
+
+    def test_one_trial_accepted(self, capsys, tmp_path):
+        path = self.write_states(tmp_path, ZERO_PLUS)
+        code, out, err = run(capsys, "usd", path, "--trials", "1", "--deterministic")
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert sum(result["per_label_counts"]) + result["inconclusive_count"] == 1
+
     def test_non_finite_amplitude_config_error(self, capsys, tmp_path):
         path = self.write_states(tmp_path, [[[float("nan"), 0], [0, 0]], [[SQ2, 0], [SQ2, 0]]])
         code, _, err = run(capsys, "usd", path)
@@ -513,6 +536,14 @@ class TestSeedResolution:
                 assert code == 2
                 assert err.startswith("config error:") and out == ""
         assert not (tmp_path / "grid.csv").exists()
+
+    def test_seed_zero_accepted(self, capsys, monkeypatch, tmp_path):
+        for env, flag in (("0", []), ("123", ["--seed", "0"])):
+            monkeypatch.setenv("NOGO_SEED", env)
+            for argv in quick_argvs(tmp_path):
+                code, out, err = run(capsys, *argv, *flag, "--deterministic")
+                assert code == 0, err
+                assert json.loads(out)["config"]["seed"] == 0
 
     def test_output_file_matches_stdout(self, capsys, monkeypatch, tmp_path):
         monkeypatch.delenv("NOGO_SEED", raising=False)

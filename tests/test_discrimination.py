@@ -303,7 +303,9 @@ class TestBornDistribution:
         with pytest.raises(DimensionMismatch):
             born_distribution(m, StateSet(np.eye(2)[:1]))
 
-    @pytest.mark.parametrize("weight, refused", [(2e-9, True), (5e-10, False)])
+    # 1.2e-9 and 8e-10 sit within 20% of BORN_SUM_TOL, so they pin the square
+    @pytest.mark.parametrize("weight, refused", [(2e-9, True), (5e-10, False),
+                                                 (1.2e-9, True), (8e-10, False)])
     def test_span_weight_decides_refusal(self, weight, refused):
         # out-of-span weight w: truth = sqrt(1 - w) |0> + sqrt(w) |2> against
         # hypotheses spanning {|0>, |1>}, so ||Q^H truth||^2 = 1 - w

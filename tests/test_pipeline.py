@@ -101,6 +101,19 @@ class TestCounterexample:
                 phi=[1, 0, 0],
             )
 
+    @pytest.mark.parametrize("overlap, accepted", [(0.8e-10, True), (1.2e-10, False)])
+    def test_orthogonality_tolerance_is_1e_10(self, overlap, accepted):
+        frame = {"psi": [1, 0, 0], "psi_perp": [overlap, math.sqrt(1.0 - overlap**2), 0],
+                 "phi": [0, 0, 1]}
+        if accepted:
+            assert pipeline.CounterexampleParams(a=SQ2, b=SQ2, **frame).inputs.dim == 3
+        else:
+            with pytest.raises(InvalidParams, match="pairwise orthogonal"):
+                pipeline.CounterexampleParams(a=SQ2, b=SQ2, **frame)
+
+    def test_standard_params_default_to_dimension_three(self):
+        assert pipeline.standard_params(SQ2, SQ2).inputs.dim == 3
+
     def test_two_dim_rows_rejected_as_non_orthogonal(self):
         # three rows of dimension 2 cannot be orthonormal, so the frame check
         # alone refuses them
@@ -187,6 +200,13 @@ class TestPhaseTriple:
 
 
 class TestCertifyIndependence:
+    @pytest.mark.parametrize("gap, first", [(1e-12, True), (1.2e-12, False)])
+    def test_first_entry_within_1e_12_of_the_max_is_made_real_positive(self, gap, first):
+        c = pipeline._normalize_coefficients(np.array([(1.0 - gap) * 1j, 1.0]))
+        pick = c[0] if first else c[1]
+        assert pick.imag == 0.0 and pick.real > 0.0
+        assert np.abs(c).max() == pytest.approx(1.0, abs=1e-15)
+
     def test_generic_outputs_independent(self):
         outputs, _ = pipeline.apply_superposer_to_set(balanced_cfg(), balanced_params())
         cert = pipeline.certify_independence(linalg.factorize(outputs))
@@ -334,6 +354,42 @@ class TestScan:
     def test_bad_grid_step_rejected(self):
         with pytest.raises(InvalidParams):
             pipeline.scan_degeneracy_numeric(balanced_params(), SQ2, SQ2, 0.2)
+
+    def test_grid_step_bounds_are_inclusive(self):
+        p = balanced_params()
+        assert pipeline.scan_degeneracy_numeric(p, SQ2, SQ2, 0.1).ranks.shape == (63, 63)
+        fine = pipeline.scan_degeneracy_numeric(p, SQ2, SQ2, pipeline.MIN_GRID_STEP)
+        assert fine.ranks.shape == (1440, 1440)
+        for step in (math.nextafter(0.1, 1.0), math.nextafter(pipeline.MIN_GRID_STEP, 0.0)):
+            with pytest.raises(InvalidParams):
+                pipeline.scan_degeneracy_numeric(p, SQ2, SQ2, step)
+
+    def test_eigenvalues_at_double_and_close_roots(self):
+        # at a double root half_q / spread**1.5 rounds past +-1 about half the
+        # time, and the clip keeps arccos finite; roots 0.1% apart make
+        # c1^2 - 3 c2 about 3e-6 lam^2, so no floor may lift it
+        x, y = np.random.default_rng(31).uniform(0.1, 3.0, (2, 500))
+        for lam in ([x, x, y], [x, y, y], [x, 1.001 * x, 1.002 * x]):
+            lam = np.array(lam)
+            c2 = lam[0] * lam[1] + lam[0] * lam[2] + lam[1] * lam[2]
+            got = np.stack(pipeline._eigenvalues_3x3(lam.sum(0), c2, lam.prod(0)))
+            np.testing.assert_allclose(got, np.sort(lam, axis=0), rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("delta, ratio, rank", [(4.7956e-6, 0.9e-6, 2),
+                                                    (5.8613e-6, 1.1e-6, 3)])
+    def test_rank_tolerance_is_one_in_a_million(self, delta, ratio, rank):
+        # (a, b) = (cos, sin)(45 deg + delta) moves the locus off the grid
+        # point (90, 45) deg, where the SVD's sigma_min / sigma_max lies 10%
+        # below or above 1e-6; the oracle reads the literal, not SCAN_RANK_TOL
+        t = math.radians(45.0) + delta
+        p = pipeline.standard_params(math.cos(t), math.sin(t))
+        scan = pipeline.scan_degeneracy_numeric(p, SQ2, SQ2, math.pi / 180.0)
+        phases = pipeline.PhaseTriple(0.0, scan.thetas[90], scan.thetas[45])
+        outputs, _ = pipeline.apply_superposer_to_set(balanced_cfg(), p, phases)
+        sigma = np.linalg.svd(outputs.rows, compute_uv=False)
+        assert sigma[-1] / sigma[0] == pytest.approx(ratio, rel=1e-3)
+        assert 1 + np.count_nonzero(sigma[1:] > 1e-6 * sigma[0]) == rank
+        assert scan.ranks[90, 45] == rank
 
     @pytest.mark.parametrize("dim", [3, 8, 16])
     @pytest.mark.parametrize("alpha_mod", [None, 1e-4, 1e-7])

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -322,6 +323,44 @@ class TestSigmaText:
         assert texts == [repr(x) for x in values.tolist()]
 
 
+def tie_doubles():
+    """+-k / 2**17 for odd k, |x| in [0.1, 1): 17 significant digits ending
+    in 5, so the 16-digit rounding is an exact tie, both neighbours read
+    back and `repr` takes the even one. Random doubles almost never tie."""
+    x = np.arange(13109, 2**17, 2) / 2.0**17
+    return np.concatenate([x, -x])
+
+
+def assert_same_lines(got, want):
+    """Line by line, so that a failure names a few lines, not a diff of megabytes."""
+    got, want = got.splitlines(), want.splitlines()
+    wrong = [(g, w) for g, w in zip(got, want) if g != w]
+    assert (len(got), wrong[:3], len(wrong)) == (len(want), [], 0)
+
+
+class TestRoundHalfToEven:
+    def test_kernel_digits(self):
+        x = tie_doubles()
+        assert len(x) == 117_964 and np.abs(x).min() >= 0.1
+        kinds, digits = text._shortest_digits(x)
+        texts = [head + str(d) for head, d in zip(text._PREFIXES[kinds].tolist(), digits.tolist())]
+        assert_same_lines("\n".join(texts), "\n".join(map(repr, x.tolist())))
+
+    def test_json_text(self):
+        x = tie_doubles()
+        assert_same_lines(text.json_text({"x": x}), json.dumps({"x": x.tolist()}, indent=2))
+
+    def test_scan_csv(self, tmp_path):
+        n = 344  # n * n >= 117,964 cells
+        sigma = np.resize(tie_doubles(), (n, n))
+        scan = pipeline.ScanResult(0.01 * np.arange(n), sigma, np.full((n, n), 3),
+                                   np.empty((0, 2)))
+        text.write_scan_csv(scan, tmp_path / "new.csv")
+        write_csv_reference(scan, tmp_path / "reference.csv")
+        assert_same_lines((tmp_path / "new.csv").read_text(),
+                          (tmp_path / "reference.csv").read_text())
+
+
 def signed_texts(values):
     """Each value's text from the report fields, through one kernel call:
     sign-and-decade prefix and digits for |x| in [1e-4, 1), json's text
@@ -362,6 +401,19 @@ class TestSignedDigits:
 
 
 class TestDigitKernel:
+    def test_dekker_products_are_exact(self):
+        # y = a * 10**(16 - E) is exact as p + err only if each partial
+        # product of the Veltkamp halves is; checked with fractions
+        a = np.random.default_rng(41).uniform(1e-4, 1.0, 2000)
+        halves = text._veltkamp(a)
+        assert np.array_equal(halves[0] + halves[1], a)
+        assert np.array_equal(text._SCALE_HI + text._SCALE_LO, text._DECADE_SCALES)
+        for s, s_hi, s_lo in zip(text._DECADE_SCALES.tolist(), text._SCALE_HI.tolist(),
+                                 text._SCALE_LO.tolist()):
+            for x, hi, lo in zip(a.tolist(), *(h.tolist() for h in halves)):
+                products = (hi * s_hi, hi * s_lo, lo * s_hi, lo * s_lo)
+                assert sum(map(Fraction, products)) == Fraction(x) * Fraction(s)
+
     def test_values_outside_the_range_get_kind_minus_one(self):
         # the trailing-zero loop would never end on a 0, so a regression must
         # not hang the suite: the calls run in a subprocess under a timeout

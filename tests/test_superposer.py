@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -50,6 +51,10 @@ class TestConfigValidation:
         with pytest.raises(InvalidParams):
             ConstantSuccess(1.5)
 
+    @pytest.mark.parametrize("p", [1e-4, 1.0])
+    def test_constant_success_range_is_half_open(self, p):
+        assert ConstantSuccess(p).probability(E2[0], E2[1]) == p
+
 
 class CountingPhase(PhasePolicy):
     def __init__(self):
@@ -65,6 +70,15 @@ class TestUnitPair:
         x, y = unit_pair(0.6, 0.8000000001, "a", "b")
         assert x * x + y * y == pytest.approx(1.0, abs=1e-15)
         assert y / x == pytest.approx(0.8000000001 / 0.6, rel=1e-15)
+
+    @pytest.mark.parametrize("drift, accepted", [(0.8e-9, True), (1.2e-9, False)])
+    def test_tolerance_is_one_in_a_billion(self, drift, accepted):
+        y = math.sqrt(0.64 + drift)  # |0.6|^2 + |y|^2 = 1 + drift
+        if accepted:
+            assert unit_pair(0.6, y, "a", "b")[0] == pytest.approx(0.6, rel=1e-9)
+        else:
+            with pytest.raises(InvalidParams):
+                unit_pair(0.6, y, "a", "b")
 
     @pytest.mark.parametrize("pair", [(0.0, 1.0), (1.0, 0.0), (0.6, 0.8001), (math.nan, 1.0)])
     def test_invalid_pairs_rejected(self, pair):
@@ -192,17 +206,26 @@ class TestPhasePolicies:
                 theta = policy(canonicalize(psi), canonicalize(phi))
                 assert 0.0 <= theta < 2.0 * math.pi
 
+    def test_constant_phase_defaults_to_zero(self):
+        assert ConstantPhase()(E2[0], E2[1]) == 0.0
+
+    @pytest.mark.parametrize("size, theta", [(0.8e-6, 0.0), (1.2e-6, 0.5)])
+    def test_overlap_arg_cutoff_is_one_in_a_million(self, size, theta):
+        phi = np.array([size * cmath.exp(0.5j), math.sqrt(1.0 - size**2)])
+        assert OverlapArgPhase()(E2[0], phi) == pytest.approx(theta, abs=1e-12)
+
     def test_tiny_negative_phases_wrap_to_zero_at_every_site(self):
         # `%` rounds a tiny negative phase up to exactly 2 pi; each site maps it to 0
         assert -1e-20 % (2.0 * math.pi) == 2.0 * math.pi
         ahead = pipeline.PhaseTriple(1e-20, 0.0, 0.0)
         phi = np.array([complex(1.0, 1e-20), 0.0])  # kappa_phi = -1e-20
-        phases = [*vars(pipeline.PhaseTriple(-1e-20, -1e-20, -1e-20)).values(),
-                  ahead.theta21, ahead.theta31,
-                  ConstantPhase(-1e-20)(E2[0], E2[1]),
-                  given_frame_phase(ConstantPhase(0.0), E2[0], phi),
-                  *pipeline.solve_degeneracy_analytic(1.0, 1e-300)[1]]
-        assert all(0.0 <= t < 2.0 * math.pi for t in phases), phases
+        zeros = [*vars(pipeline.PhaseTriple(-1e-20, -1e-20, -1e-20)).values(),
+                 ahead.theta21, ahead.theta31,
+                 ConstantPhase(-1e-20)(E2[0], E2[1]),
+                 given_frame_phase(ConstantPhase(0.0), E2[0], phi)]
+        t21, t31 = pipeline.solve_degeneracy_analytic(1.0, 1e-300)[1]
+        assert zeros == [0.0] * 9 and t31 == 0.0, (zeros, t31)
+        assert t21 == 3.0 * math.pi / 2.0
 
     def test_overlap_arg_orthogonal_inputs_gives_zero(self):
         assert OverlapArgPhase()(canonicalize(E2[0]), canonicalize(E2[1])) == 0.0
@@ -286,6 +309,11 @@ class TestProbabilisticSuperpose:
 
     def test_overlap_scaled_orthogonal_is_half(self):
         assert OverlapScaledSuccess().probability(E2[0], E2[1]) == 0.5
+
+    def test_overlap_scaled_grows_with_the_overlap(self):
+        # |<psi|phi>| = 0.6: (1 + 0.36) / 2
+        phi = np.array([0.6j, 0.8])
+        assert OverlapScaledSuccess().probability(E2[0], phi) == pytest.approx(0.68, abs=1e-15)
 
     def test_outcome_reports_theta_and_probability(self, rng):
         # canonical inputs keep the policy's phase; the oracle's success
