@@ -9,6 +9,7 @@ forbidden tasks (USD and cloning) on the independent outputs.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import InitVar, dataclass, field
 
@@ -150,15 +151,14 @@ def _normalize_coefficients(x: np.ndarray) -> np.ndarray:
     return x * phase
 
 
-def solve_degeneracy_analytic(a: float, b: float) -> np.ndarray:
-    """The float64 (2, 2) array of the exact (theta21, theta31) pairs where
-    the output triple stays dependent (`LOCUS_FAMILY`), for real a and b:
-    theta21 = pi/2 with (cos, sin)(theta31) = (a, b), then 3*pi/2 with (a, -b)."""
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        raise InvalidParams(f"the analytic locus needs real a and b, got ({a!r}, {b!r})")
+def solve_degeneracy_analytic(a: complex, b: complex) -> np.ndarray:
+    """The float64 (2, 2) array of the (theta21, theta31) pairs, by theta21, where the phasors
+    close, e^{i theta31} = a + b w2: with |a|^2 + |b|^2 = 1 that needs Re(conj(a) b w2) = 0, so
+    w2 = +-i conj(u), u = conj(a) b / |a b|. Real a and b give w2 = +-i: `LOCUS_FAMILY`."""
     a, b = unit_pair(a, b, "a", "b")
-    return np.array([[math.pi / 2.0, wrap_phase(math.atan2(b, a))],
-                     [3.0 * math.pi / 2.0, wrap_phase(math.atan2(-b, a))]])
+    w2 = 1j * ((a / abs(a)).conjugate() * (b / abs(b))).conjugate()  # no |a b| to underflow
+    return np.array(sorted((wrap_phase(cmath.phase(w)), wrap_phase(cmath.phase(a + b * w)))
+                           for w in (w2, -w2)))
 
 
 def scan_degeneracy_numeric(
@@ -217,9 +217,9 @@ def _eigenvalues_3x3(c1, c2, c3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and lam_min + lam_mid = (c2 - lam_min lam_mid) / lam_max. That keeps
     lam_min accurate where lam_max is not, at a near double root.
     """
-    spread = np.maximum(c1 * c1 - 3.0 * c2, 0.0) / 9.0  # 0 only if all are equal
+    spread = np.maximum(c1 * c1 - 3.0 * c2, 0.0) / 9.0  # 0 only if all are equal; cos3 moot
     half_q = (2.0 * c1**3 - 9.0 * c1 * c2 + 27.0 * c3) / 54.0
-    cos3 = np.clip(half_q / spread**1.5, -1.0, 1.0)
+    cos3 = np.clip(half_q / np.where(spread > 0, spread, 1.0)**1.5, -1.0, 1.0)
     lam_max = c1 / 3.0 + 2.0 * np.sqrt(spread) * np.cos(np.arccos(cos3) / 3.0)
     prod = c3 / lam_max
     total = (c2 - prod) / lam_max

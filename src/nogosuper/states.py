@@ -75,7 +75,7 @@ def canonicalize(amps: np.ndarray) -> np.ndarray:
     phase = np.conj(pivot) / abs(pivot)
     out = amps * phase
     out[pivots[0]] = abs(pivot)  # exactly real, so a second pass is a no-op
-    return out + 0.0  # collapse -0.0 components
+    return out
 
 
 @dataclass

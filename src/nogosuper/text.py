@@ -9,7 +9,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-_KERNEL_MIN_FLOATS = 70  # from this many array floats on, one kernel call beats `repr`
+_KERNEL_MIN_FLOATS = 140  # from this many floats in [1e-4, 1) on, one kernel call beats `repr`
 _BLOCK_ROWS = 32  # theta21 rows per CSV template
 
 
@@ -34,14 +34,14 @@ def _float_text(x: float) -> str:
 
 def _float_fields(floats: list[np.ndarray]) -> tuple:
     """Two fields per float of the flat float64 arrays `floats`, whose
-    concatenation is its json text. From `_KERNEL_MIN_FLOATS` floats on, one
-    `_shortest_digits` call gives each one with |x| in [1e-4, 1) its
+    concatenation is its json text. From `_KERNEL_MIN_FLOATS` floats with
+    |x| in [1e-4, 1) on, one `_shortest_digits` call gives each of those its
     sign-and-decade prefix and its digits; every other float (kind -1), and
     every float of a smaller report, gets its text and "". Kind -1 texts are
     spelled once per distinct bit pattern (so 0.0 and -0.0 stay apart)."""
     x = np.concatenate(floats) if floats else np.empty(0)
     fields = [""] * (2 * x.size)
-    if x.size < _KERNEL_MIN_FLOATS:
+    if np.count_nonzero((abs(x) >= 1e-4) & (abs(x) < 1.0)) < _KERNEL_MIN_FLOATS:
         fields[::2] = map(_float_text, x.tolist())
         return tuple(fields)
     kinds, digits = _shortest_digits(x)
@@ -158,7 +158,7 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.ravel(x)
     a = np.abs(x)
     out = ~((a >= 1e-4) & (a < 1.0))  # NaN too
-    a[out] = 0.5  # so that the trailing-zero loop below ends
+    a[out] = 0.30000000000000004  # 17 digits, no trailing zero: the loop below skips it
     kinds = np.searchsorted(_DECADE_FLOORS, a, side="right")  # -E - 1 = 3 - decade
     half_ulp = np.ldexp(_DECADE_SCALES[kinds], np.frexp(a)[1] - 54)
     p = a * _DECADE_SCALES[kinds]

@@ -617,25 +617,29 @@ def test_each_svd_is_a_factorize(capsys, monkeypatch, tmp_path):
 
 
 def test_digit_kernel_calls_per_op(capsys, monkeypatch, tmp_path):
-    # a report calls the digit kernel once if it holds enough list floats and
-    # never otherwise, so small verify and demo reports pay nothing for it;
-    # the scan CSV calls it once per block of theta21 rows
+    # a report calls the digit kernel once if it holds enough list floats in
+    # the kernel's range and never otherwise, so verify and demo reports pay
+    # nothing for it; the scan CSV calls it once per block of theta21 rows
     calls = []
     kernel = text._shortest_digits
     monkeypatch.setattr(text, "_shortest_digits", lambda x: calls.append(1) or kernel(x))
     usd_states = tmp_path / "states.json"
     usd_states.write_text(json.dumps(np.random.default_rng(8).standard_normal((8, 8, 2)).tolist()))
+    ops = {"verify": ["verify"], "verify16": ["verify", "--dim", "16"],
+           "demo": ["demo", "--trials", "1000"],
+           "scan": ["scan", "--grid-step", "0.1", "--csv", str(tmp_path / "grid.csv")],
+           "usd": ["usd", str(usd_states), "--trials", "1000"]}
     counts = {}
-    for argv in (["verify"], ["demo", "--trials", "1000"],
-                 ["scan", "--grid-step", "0.1", "--csv", str(tmp_path / "grid.csv")],
-                 ["usd", str(usd_states), "--trials", "1000"]):
+    for name, argv in ops.items():
         calls.clear()
         code, _, err = run(capsys, *argv, "-o", str(tmp_path / "report.json"))
         assert code == 0, err
-        counts[argv[0]] = len(calls)
+        counts[name] = len(calls)
     rows = math.isqrt(len((tmp_path / "grid.csv").read_text().splitlines()) - 1)
     assert rows == 63  # two blocks, the second one short
-    assert counts == {"verify": 0, "demo": 0, "usd": 1,
+    # verify --dim 16 holds 102 list floats, but 93 are outside the kernel's
+    # range, most of them the zeros of the 13 unused coordinates
+    assert counts == {"verify": 0, "verify16": 0, "demo": 0, "usd": 1,
                       "scan": -(-rows // text._BLOCK_ROWS)}
 
 

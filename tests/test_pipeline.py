@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nogosuper import linalg, pipeline
+from nogosuper import cli, linalg, pipeline
 from nogosuper.discrimination import born_distribution, build_usd
 from nogosuper.errors import DependentOutputs, InvalidParams
 from nogosuper.states import normalize
@@ -16,6 +16,7 @@ from nogosuper.superposer import (
     ConstantSuccess,
     OverlapArgPhase,
     SuperposerConfig,
+    unit_pair,
     wrap_phase,
 )
 
@@ -319,8 +320,35 @@ class TestDegeneracyLocus:
             pipeline.solve_degeneracy_analytic(0.0, 1.0)
         with pytest.raises(InvalidParams):
             pipeline.solve_degeneracy_analytic(0.5, 0.5)
-        with pytest.raises(InvalidParams):  # the closed form covers real a, b only
-            pipeline.solve_degeneracy_analytic(0.6, 0.8j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ANGLES)
+    def test_real_pairs_keep_the_bits_of_the_real_family(self, angle):
+        # for real a and b the closure's u is exactly +-1 and w2 exactly +-i,
+        # so the pairs are the real family's: theta21 = pi/2 with
+        # (cos, sin)(theta31) = (a, b), then 3 pi/2 with (a, -b)
+        a, b = unit_pair(math.cos(angle), math.sin(angle), "a", "b")
+        family = np.array([[math.pi / 2.0, wrap_phase(math.atan2(b, a))],
+                           [3.0 * math.pi / 2.0, wrap_phase(math.atan2(-b, a))]])
+        for x, y in ((a, b), (np.float64(a), np.float64(b))):
+            pairs = pipeline.solve_degeneracy_analytic(x, y)
+            assert pairs.dtype == np.float64 and pairs.tobytes() == family.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ANGLES, st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi),
+           st.integers(3, pipeline.MAX_DIM), st.floats(0.05, 0.95))
+    def test_complex_pairs_are_dependent(self, angle, a_arg, b_arg, dim, mod):
+        a = math.cos(angle) * complex(math.cos(a_arg), math.sin(a_arg))
+        b = math.sin(angle) * complex(math.cos(b_arg), math.sin(b_arg))
+        p = pipeline.standard_params(a, b, dim)
+        cfg = SuperposerConfig(mod * np.exp(0.4j), math.sqrt(1 - mod**2) * np.exp(-2.3j),
+                               ConstantPhase(0.0), ConstantSuccess(1.0))
+        pairs = pipeline.solve_degeneracy_analytic(p.a, p.b)
+        assert pairs.shape == (2, 2) and pairs[0, 0] < pairs[1, 0]
+        for t21, t31 in pairs:
+            outputs, _ = pipeline.apply_superposer_to_set(
+                cfg, p, pipeline.PhaseTriple(0.0, t21, t31))
+            assert linalg.factorize(outputs).singular_values[-1] <= 1e-15
 
 
 class TestScan:
@@ -367,9 +395,11 @@ class TestScan:
     def test_eigenvalues_at_double_and_close_roots(self):
         # at a double root half_q / spread**1.5 rounds past +-1 about half the
         # time, and the clip keeps arccos finite; roots 0.1% apart make
-        # c1^2 - 3 c2 about 3e-6 lam^2, so no floor may lift it
+        # c1^2 - 3 c2 about 3e-6 lam^2, so no floor may lift it; at a triple
+        # root spread is 0 and nothing may divide by it
         x, y = np.random.default_rng(31).uniform(0.1, 3.0, (2, 500))
-        for lam in ([x, x, y], [x, y, y], [x, 1.001 * x, 1.002 * x]):
+        assert pipeline._eigenvalues_3x3(3.0, 3.0, 1.0) == (1.0, 1.0, 1.0)  # the identity Gram
+        for lam in ([x, x, y], [x, y, y], [x, 1.001 * x, 1.002 * x], [x, x, x]):
             lam = np.array(lam)
             c2 = lam[0] * lam[1] + lam[0] * lam[2] + lam[1] * lam[2]
             got = np.stack(pipeline._eigenvalues_3x3(lam.sum(0), c2, lam.prod(0)))
@@ -480,6 +510,19 @@ class TestScan:
             assert scan.min_singular_values[i, j] <= 1e-15
             assert scan.ranks[i, j] == 2
 
+    @pytest.mark.parametrize("m, k", [(1, 0), (7, 3), (20, 61), (50, 89), (83, 44)])
+    def test_complex_pairs_on_the_grid_are_detected(self, m, k):
+        # a = cos(m s), b = i sin(m s) e^{-i k s}: u = +-i e^{-i k s}, so
+        # theta21 is k s or k s + pi (45 steps) and theta31 is +-m s, grid
+        # points both
+        s = 2 * math.pi / 90
+        p = pipeline.standard_params(math.cos(m * s), 1j * math.sin(m * s) * np.exp(-1j * k * s))
+        scan = pipeline.scan_degeneracy_numeric(p, 0.6, 0.8, s)
+        analytic = pipeline.solve_degeneracy_analytic(p.a, p.b)
+        assert len(scan.detected) == 2
+        deviations = cli._locus_deviations(scan.detected, analytic)
+        assert max(deviations) <= 1e-12, deviations
+
     def test_peak_memory_per_point_does_not_depend_on_dim(self, rng):
         per_point = []
         for dim in (3, 16):
@@ -520,6 +563,11 @@ class TestForbiddenTaskDemo:
     def test_trials_out_of_bounds_rejected(self, trials, rng):
         with pytest.raises(InvalidParams):
             pipeline.forbidden_task_demo(balanced_params(), balanced_cfg(), trials, rng)
+
+    def test_int64_max_trials_accepted(self, rng):
+        # numpy's samplers count in int64, up to its largest value
+        report = pipeline.forbidden_task_demo(balanced_params(), balanced_cfg(), 2**63 - 1, rng)
+        assert report.trials == report.secret_counts.sum() == 2**63 - 1
 
     def test_peak_memory_does_not_depend_on_trials(self):
         peaks = []

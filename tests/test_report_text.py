@@ -171,15 +171,16 @@ def test_random_trees_through_the_kernel(monkeypatch):
 
 
 def report_of(count: int) -> dict:
-    """A report with `count` array floats: signed values in every decade of
-    [1e-4, 1), the edges of that range, zeros, subnormals, large and
-    non-finite values, half in a (k,) array and half in a (k, 2) array."""
+    """A report with `count` array floats that the digit kernel prints,
+    signed values in every decade of [1e-4, 1) and the edges of that range,
+    and 10 more that it does not: zeros, subnormals, large and non-finite
+    values; half in a (k,) array and half in a (k, 2) array."""
     rng = np.random.default_rng(count)
-    edges = [1e-4, -1e-4, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0), 1.0, -1.0,
-             0.0, -0.0, 5e-324, -2.5e-310, 9.99e-5, 123.25, math.nan, -math.inf]
-    values = np.concatenate([edges, rng.choice([-1.0, 1.0], count)
-                             * 10.0 ** rng.uniform(-4.5, 0.2, count)])[:count]
-    half = count // 4 * 2  # an even count of floats in pairs
+    edges = [1e-4, -1e-4, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0)]
+    outside = [1.0, -1.0, 0.0, -0.0, 5e-324, -2.5e-310, 9.99e-5, 123.25, math.nan, -math.inf]
+    inside = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-4.0, -1e-9, count)
+    values = np.concatenate([edges, outside, inside[:count - len(edges)]])
+    half = values.size // 4 * 2  # an even count of floats in pairs
     return {"schema": 1, "result": {"elements": values[:half].reshape(-1, 2),
                                     "probabilities": values[half:],
                                     "label": "100% %s %%d", "%": -0.5}}
@@ -187,13 +188,14 @@ def report_of(count: int) -> dict:
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_one_kernel_call_from_the_crossover_on(offset, monkeypatch):
+    # the fork counts the floats the kernel prints, not the 10 it does not
     calls = []
     kernel = text._shortest_digits
     monkeypatch.setattr(text, "_shortest_digits", lambda x: calls.append(x.size) or kernel(x))
     count = text._KERNEL_MIN_FLOATS + offset
     report = report_of(count)
     assert text.json_text(report) == oracle(report)
-    assert calls == ([] if offset < 0 else [count])
+    assert calls == ([] if offset < 0 else [count + 10])
 
 
 @pytest.mark.parametrize("offset", [0, 2, 1000])
@@ -206,8 +208,9 @@ def test_each_out_of_range_double_spelled_once(offset, monkeypatch):
     monkeypatch.setattr(text, "_float_text", lambda x: calls.append(x) or spell(x))
     fast = [0.25, -5e-4]
     slow = [0.0, -0.0, 1.0, -2.5, 3 * math.pi / 2, 1e300, 5e-324, math.nan, -math.inf]
-    count = text._KERNEL_MIN_FLOATS + offset
-    values = np.random.default_rng(count).choice(np.array(slow + fast), count)
+    count = text._KERNEL_MIN_FLOATS + offset  # of each
+    rng = np.random.default_rng(count)
+    values = rng.permutation(np.concatenate([rng.choice(fast, count), rng.choice(slow, count)]))
     report = {"detected_pairs": values.reshape(-1, 2)}
     assert text.json_text(report) == oracle(report)
     bits = values.view(np.int64)
@@ -430,6 +433,14 @@ class TestDigitKernel:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=10)
         assert proc.returncode == 0, proc.stderr + proc.stdout
+
+    def test_out_of_range_placeholder_has_17_digits(self):
+        # its digits end in no zero, so the trailing-zero loop makes no pass
+        # over the floats outside [1e-4, 1)
+        kinds, digits = text._shortest_digits(np.array([0.0, 2.5, math.nan, -math.inf]))
+        assert kinds.tolist() == [-1] * 4
+        assert [len(str(d)) for d in digits.tolist()] == [17] * 4
+        assert (digits % 10 != 0).all()
 
     def test_empty_input_gives_empty_fields(self):
         kinds, digits = text._shortest_digits(np.empty(0))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nogosuper import linalg
 from nogosuper.errors import DimensionMismatch, EmptySet, NogoError, NonFiniteEntry, NullVector
-from nogosuper.states import NORM_TOL, StateSet, canonicalize, normalize
+from nogosuper.states import NORM_TOL, NULL_THRESHOLD, StateSet, canonicalize, normalize
 
 from conftest import density_matrix, random_pure_state
 
@@ -28,6 +28,8 @@ def test_normalize_scales_to_unit_norm():
 def test_normalize_rejects_vanishing_vector():
     with pytest.raises(NullVector):
         normalize([[1e-14, 0.0]])
+    with pytest.raises(NullVector):  # null means norm <= NULL_THRESHOLD
+        normalize([[NULL_THRESHOLD, 0.0]])
 
 
 @settings(max_examples=200, deadline=None)
@@ -115,6 +117,34 @@ def test_canonicalize_idempotent(rng):
         np.testing.assert_array_equal(once, twice)
 
 
+@pytest.mark.parametrize("pivot", [1e-5, 0.49256779033487585])
+def test_canonical_row_comes_back_bit_for_bit(pivot):
+    # conj(p) / |p| is 0.9999999999999999 at these p, so a second pass that
+    # multiplied by it would move the other entries by an ulp
+    row = np.array([pivot, math.sqrt(1.0 - pivot**2) * (0.6 + 0.8j)])
+    assert np.conj(row[0]) / abs(row[0]) != 1.0
+    assert canonicalize(row).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("modulus, pivot", [(0.8e-10, 1), (1e-10, 1), (1.2e-10, 0)])
+def test_pivot_floor_is_one_in_ten_billion(modulus, pivot):
+    # a pivot lies above CANONICAL_PIVOT_FLOOR, not on it
+    row = np.array([1j * modulus, math.sqrt(1.0 - modulus**2)])
+    out = canonicalize(row)
+    assert out[pivot].imag == 0.0 and out[pivot].real > 0.0
+    assert out[1 - pivot].imag != 0.0
+
+
+@pytest.mark.parametrize("drift, accepted", [(0.8e-12, True), (1.2e-12, False)])
+def test_norm_tolerance_is_one_in_a_trillion(drift, accepted):
+    rows = [[1.0 + drift, 0.0]]
+    if accepted:
+        assert StateSet(rows).rows[0, 0] == 1.0 + drift
+    else:
+        with pytest.raises(NullVector):
+            StateSet(rows)
+
+
 def test_canonicalize_invariant_under_global_phase():
     rng = np.random.default_rng(99)
     for _ in range(1000):
@@ -143,6 +173,8 @@ def test_canonicalize_phase_invariance_property(seed, dim, phase):
 def test_state_set_validation():
     with pytest.raises(EmptySet):
         StateSet([])
+    with pytest.raises(EmptySet):  # no rows of a given length
+        normalize(np.zeros((0, 3)))
     with pytest.raises(DimensionMismatch):
         StateSet([np.eye(2)[0], np.eye(3)[0]])
 
