@@ -17,7 +17,7 @@ STEP = math.pi / 180.0
 
 params = pipeline.standard_params(a=SQ2, b=SQ2, dim=3)
 
-analytic = pipeline.solve_degeneracy_analytic(params.a, params.b)
+analytic = pipeline.solve_degeneracy_analytic(params.x[0], params.x[1])
 print("Analytic degeneracy pairs (theta21, theta31):")
 for t21, t31 in analytic:
     print(f"  ({t21:.6f}, {t31:.6f})")

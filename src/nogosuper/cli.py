@@ -30,7 +30,7 @@ from . import linalg, pipeline
 from .discrimination import born_distribution, build_usd, check_trials, povm_elements
 from .errors import (DependentOutputs, DimensionMismatch, EmptySet, InvalidParams, NogoError,
                      NonFiniteEntry, NullVector)
-from .states import normalize
+from .states import StateSet, normalize
 from .superposer import (
     CanonicalHashPhase,
     ConstantPhase,
@@ -182,6 +182,31 @@ def _resolve_config(args, success: ConstantSuccess | OverlapScaledSuccess) -> Su
                             success)
 
 
+def _params(args) -> pipeline.CounterexampleParams:  # verify, scan and demo
+    return pipeline.standard_params(args.a, args.b, dim=args.dim)
+
+
+def _read_states(path) -> StateSet:
+    """The states of a JSON file; InvalidParams on one that gives no StateSet."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    # ValueError: bad JSON, bad UTF-8, an int over 4300 digits; RecursionError: deep nesting
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InvalidParams(f"cannot read states file: {exc}") from exc
+    try:
+        vectors = [[complex(re, im) for re, im in state] for state in raw]
+    except (TypeError, ValueError, OverflowError) as exc:  # an int beyond float range
+        raise InvalidParams("states file must be a JSON list of states, "
+                            "each a list of [re, im] pairs") from exc
+    if any(type(x) is bool for state in raw for pair in state for x in pair):
+        raise InvalidParams("states file: amplitudes must be numbers, not true or false")
+    try:
+        return normalize(vectors)
+    except (EmptySet, DimensionMismatch, NonFiniteEntry, NullVector) as exc:
+        raise InvalidParams(f"states file: {exc}") from exc
+
+
 def _explicit_phases(args) -> pipeline.PhaseTriple | None:
     given = [args.theta1, args.theta2, args.theta3]
     return None if given == [None] * 3 else pipeline.PhaseTriple(*(t or 0.0 for t in given))
@@ -198,7 +223,7 @@ def _config_dict(args, seed: int) -> dict:
 # subcommands
 
 def cmd_verify(args, seed: int) -> dict:
-    params = pipeline.standard_params(args.a, args.b, dim=args.dim)
+    params = _params(args)
     outputs, phases = pipeline.apply_superposer_to_set(
         _resolve_config(args, ConstantSuccess(1.0)), params, _explicit_phases(args))
     inputs = linalg.factorize(params.inputs, args.tol)
@@ -226,9 +251,11 @@ def _locus_deviations(detected, analytic) -> tuple[float | None, float | None]:
 
 
 def cmd_scan(args, seed: int) -> dict:
-    params = pipeline.standard_params(args.a, args.b, dim=args.dim)
+    if args.output and os.path.realpath(args.output) == os.path.realpath(args.csv):
+        raise InvalidParams(f"--csv and --output name one file: {args.csv}")
+    params = _params(args)
     scan = pipeline.scan_degeneracy_numeric(params, *_resolve_weights(args), args.grid_step)
-    analytic = pipeline.solve_degeneracy_analytic(params.a, params.b)
+    analytic = pipeline.solve_degeneracy_analytic(*params.x[:2])
     write_scan_csv(scan, args.csv)
     to_analytic, to_detected = _locus_deviations(scan.detected, analytic)
     return {
@@ -244,7 +271,7 @@ def cmd_scan(args, seed: int) -> dict:
 
 
 def cmd_demo(args, seed: int) -> dict:
-    params = pipeline.standard_params(args.a, args.b, dim=args.dim)
+    params = _params(args)
     config = _resolve_config(args, SUCCESS_POLICIES[args.success_policy](args))
     report = pipeline.forbidden_task_demo(
         params, config, args.trials, np.random.default_rng(seed), args.tol,
@@ -255,23 +282,7 @@ def cmd_demo(args, seed: int) -> dict:
 
 def cmd_usd(args, seed: int) -> dict:
     check_trials(args.trials, 1)
-    try:
-        with open(args.states_file) as fh:
-            raw = json.load(fh)
-    # ValueError: bad JSON, bad UTF-8, an int over 4300 digits; RecursionError: deep nesting
-    except (OSError, ValueError, RecursionError) as exc:
-        raise InvalidParams(f"cannot read states file: {exc}") from exc
-    try:
-        vectors = [[complex(re, im) for re, im in state] for state in raw]
-    except (TypeError, ValueError, OverflowError) as exc:  # an int beyond float range
-        raise InvalidParams("states file must be a JSON list of states, "
-                            "each a list of [re, im] pairs") from exc
-    if any(type(x) is bool for state in raw for pair in state for x in pair):
-        raise InvalidParams("states file: amplitudes must be numbers, not true or false")
-    try:
-        states = normalize(vectors)
-    except (EmptySet, DimensionMismatch, NonFiniteEntry, NullVector) as exc:
-        raise InvalidParams(f"states file: {exc}") from exc
+    states = _read_states(args.states_file)
     if max(states.dim, len(states)) > pipeline.MAX_DIM:
         raise InvalidParams(f"states file: n = {len(states)}, dim = {states.dim}; "
                             f"both must be at most {pipeline.MAX_DIM}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,35 +35,37 @@ _BLOCK_ROWS = 32  # theta21 rows per scan kernel call
 LOCUS_FAMILY = "theta21 in {pi/2, 3*pi/2} with a = cos(theta31), b = +/- sin(theta31)"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CounterexampleParams:
-    """The dependent input triple in dimension >= 3 from the amplitude rows
-    psi, psi_perp and phi, checked once as an orthonormal frame. It keeps `a`
-    and `b` (rescaled by `unit_pair`), `phi` and `inputs`, the triple (psi,
-    psi_perp, a psi + b psi_perp). The scan relies on the frame being
-    orthonormal: it reads the outputs' singular values from a, b and the weights alone."""
+    """A dependent input set, its dependence vector x (sum_j x_j inputs_j = 0;
+    float64 for real coefficients, complex128 otherwise) and the partner row,
+    all read-only. Only `triple_params` builds a checked record."""
 
-    a: float
-    b: float
-    psi: InitVar[np.ndarray]
-    psi_perp: InitVar[np.ndarray]
+    inputs: StateSet
+    x: np.ndarray
     phi: np.ndarray
-    inputs: StateSet = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, psi, psi_perp):
-        self.a, self.b = unit_pair(self.a, self.b, "a", "b")
-        frame = StateSet([psi, psi_perp, self.phi])
-        if np.abs(frame.rows.conj() @ frame.rows.T - np.eye(3)).max() > ORTHOGONALITY_TOL:
-            raise InvalidParams("psi, psi_perp, phi must be pairwise orthogonal")
-        psi, psi_perp, self.phi = frame.rows
-        self.inputs = normalize([psi, psi_perp, self.a * psi + self.b * psi_perp])
+
+def triple_params(a: complex, b: complex, psi, psi_perp, phi) -> CounterexampleParams:
+    """The triple (psi, psi_perp, a psi + b psi_perp) with x = (a, b, -1), a and b
+    rescaled by `unit_pair`; the rows must be an orthonormal frame, which the scan relies on."""
+    a, b = unit_pair(a, b, "a", "b")
+    frame = StateSet([psi, psi_perp, phi])
+    if np.abs(frame.rows.conj() @ frame.rows.T - np.eye(3)).max() > ORTHOGONALITY_TOL:
+        raise InvalidParams("psi, psi_perp, phi must be pairwise orthogonal")
+    psi, psi_perp, phi = frame.rows
+    p = CounterexampleParams(normalize([psi, psi_perp, a * psi + b * psi_perp]),
+                             np.array([a, b, -1.0]), phi)
+    for array in (p.inputs.rows, p.x, p.phi):
+        array.flags.writeable = False
+    return p
 
 
 def standard_params(a: float, b: float, dim: int = 3) -> CounterexampleParams:
     """Computational-basis instantiation: psi = e1, psi_perp = e2, phi = e3."""
     if not 3 <= dim <= MAX_DIM:
         raise InvalidParams(f"dimension must lie in [3, {MAX_DIM}], got {dim}")
-    return CounterexampleParams(a, b, *np.eye(3, dim))
+    return triple_params(a, b, *np.eye(3, dim))
 
 
 @dataclass
@@ -186,16 +188,17 @@ def scan_degeneracy_numeric(
     thetas = grid_step * np.arange(n)
 
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
+    a, b = p.x[:2]
     w = np.exp(1j * thetas)
-    w3_a = w - p.a  # per theta31 column
+    w3_a = w - a  # per theta31 column
     c2_cols = 2.0 * a2 * a2 + a2 * b2 * (3.0 + (w3_a.real**2 + w3_a.imag**2))
     # the kernel's temporaries hold one block of `_BLOCK_ROWS` theta21 rows at a time
     sigma_min, ranks = np.empty((n, n)), np.empty((n, n), dtype=np.int64)
     for start in range(0, n, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        gap = w - p.b * w[rows, None]  # w3 - b w2
+        gap = w - b * w[rows, None]  # w3 - b w2
         c2 = c2_cols + a2 * b2 * (gap.real**2 + gap.imag**2)
-        gap -= p.a  # the closure, w3 - a - b w2
+        gap -= a  # the closure, w3 - a - b w2
         c3 = a2 * a2 * b2 * (gap.real**2 + gap.imag**2)
         lam_min, lam_mid, lam_max = _eigenvalues_3x3(3.0 * (a2 + b2), c2, c3)
         # sigma > SCAN_RANK_TOL * sigma_max, squared; sigma_max itself always counts

@@ -16,7 +16,9 @@ with the diff summary it prints. Run from the repository root:
     PYTHONPATH=src python tests/golden/regenerate.py --check  # exit 1 if a case moved
 
 `--check` runs every case and prints the same summary, "no change" when
-nothing moved, but writes nothing.
+nothing moved, but writes nothing. A case that only gained report keys
+reads "NAME: only added keys: /report/result/diagnostics, ...", so a
+change that should only add keys can be told from one that moved a value.
 """
 
 from __future__ import annotations
@@ -139,19 +141,28 @@ def _split(x, path="", floats=None):
 
 
 def _differing_paths(a, b, path=""):
-    """The paths of the leaves at which the float-free records a and b differ,
-    in order; a container whose keys or length differ counts as one leaf."""
-    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        return [p for k in a for p in _differing_paths(a[k], b[k], f"{path}/{k}")]
+    """The paths at which the float-free records a and b differ, in order: each
+    leaf that differs as its path, then each key that only b holds as "added
+    PATH" and each that only a holds as "removed PATH". A list whose length
+    differs counts as one leaf."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return ([p for k in a if k in b for p in _differing_paths(a[k], b[k], f"{path}/{k}")]
+                + [f"added {path}/{k}" for k in b if k not in a]
+                + [f"removed {path}/{k}" for k in a if k not in b])
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return [p for i, (x, y) in enumerate(zip(a, b))
                 for p in _differing_paths(x, y, f"{path}/{i}")]
     return [] if type(a) is type(b) and a == b else [path]
 
 
+def _shown(paths: list[str]) -> str:
+    return ", ".join(paths[:4]) + (", ..." if len(paths) > 4 else "")
+
+
 def _summary(old: dict, new: dict) -> str:
     """Which cases changed, the largest absolute, relative and ulp float move
-    in each, and the first few other paths that differ."""
+    in each, and the first few other paths that differ; "only added keys" for
+    a case whose every difference is a key that only the new record holds."""
     lines = []
     for name in sorted(old.keys() | new.keys()):
         if old.get(name) == new.get(name):
@@ -161,15 +172,19 @@ def _summary(old: dict, new: dict) -> str:
             continue
         (rest_old, before), (rest_new, after) = _split(old[name]), _split(new[name])
         moved = [k for k in before.keys() & after.keys() if after[k] != before[k]]
+        differ = _differing_paths(rest_old, rest_new)
+        added = [p.removeprefix("added ") for p in differ if p.startswith("added ")]
+        if differ and not moved and len(added) == len(differ):
+            lines.append(f"{name}: only added keys: {_shown(added)}")
+            continue
         absolute = max((abs(after[k] - before[k]) for k in moved), default=0.0)
         relative = max((abs(after[k] - before[k]) / abs(before[k]) if before[k] else math.inf
                         for k in moved), default=0.0)
         ulps = max((abs(after[k] - before[k]) / math.ulp(before[k]) for k in moved), default=0.0)
-        differ = _differing_paths(rest_old, rest_new)
-        shown = ", ".join(differ[:4]) + (", ..." if len(differ) > 4 else "")
         lines.append(f"{name}: {len(moved)} floats moved, largest {absolute:.3g} "
                      f"(relative {relative:.3g}, {ulps:.3g} ulps); everything else "
-                     + (f"DIFFERS at {len(differ)} paths: {shown}" if differ else "equal"))
+                     + (f"DIFFERS at {len(differ)} paths: {_shown(differ)}" if differ
+                        else "equal"))
     return "\n".join(lines) or "no change"
 
 

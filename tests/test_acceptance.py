@@ -35,9 +35,7 @@ def random_params(rng):
     dim = int(rng.integers(3, 7))
     psi, perp, phi = random_orthonormal(rng, dim, 3)
     angle = rng.uniform(0.05, math.pi / 2 - 0.05)
-    return pipeline.CounterexampleParams(
-        a=math.cos(angle), b=math.sin(angle), psi=psi, psi_perp=perp, phi=phi
-    )
+    return pipeline.triple_params(math.cos(angle), math.sin(angle), psi, perp, phi)
 
 
 def test_criterion_1_counterexample_verification():
@@ -85,7 +83,7 @@ def test_criterion_2_degeneracy_locus():
 
 def test_criterion_3_on_locus_dependence():
     p = pipeline.standard_params(SQ2, SQ2)
-    theta31 = math.atan2(p.b, p.a)  # a = cos(theta31), b = sin(theta31)
+    theta31 = math.atan2(p.x[1], p.x[0])  # a = cos(theta31), b = sin(theta31)
     phases = pipeline.PhaseTriple(0.0, math.pi / 2.0, theta31)
     cfg = SuperposerConfig(SQ2, SQ2, ConstantPhase(0.0), ConstantSuccess(1.0))
     outputs, _ = pipeline.apply_superposer_to_set(cfg, p, phases)

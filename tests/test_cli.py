@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import nogosuper
 from nogosuper import cli, linalg, pipeline, states, text
 from nogosuper.cli import _config_dict, build_parser, main
+from nogosuper.errors import InvalidParams
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SCAN_DROPPED_KEYS = {"phase_policy", "theta0", "theta1", "theta2", "theta3",
@@ -242,6 +243,94 @@ def test_negative_float_repr_comes_back_in_the_space_form(value):
     assert json.loads(out.getvalue())["config"]["alpha_arg"] == value
 
 
+# the flag contract: each flag's edge values, and the config keys of each subcommand
+EDGE_FLOATS = ["0.0", "-0.0", "5e-324", "1e-162", "1e-7", "1e308", "-1e-7", "-2.5e-1",
+               "-1e308", "nan", "inf"]
+UNIT_FLOATS = [*EDGE_FLOATS, "0.6", "0.8"]
+STATE_FLAGS = {"--dim": [str(d) for d in range(2, 18)], "--a": UNIT_FLOATS, "--b": UNIT_FLOATS,
+               "--alpha-mod": UNIT_FLOATS, "--alpha-arg": EDGE_FLOATS,
+               "--beta-mod": UNIT_FLOATS, "--beta-arg": EDGE_FLOATS}
+ORACLE_FLAGS = {"--phase-policy": list(cli.PHASE_POLICIES), "--theta0": EDGE_FLOATS,
+                "--theta1": EDGE_FLOATS, "--theta2": EDGE_FLOATS, "--theta3": EDGE_FLOATS,
+                "--tol": EDGE_FLOATS}
+COMMON_FLAGS = {"--seed": ["-1", "0", "7", str(2**63 - 1)], "--deterministic": [None]}
+CONTRACT_FLAGS = {
+    "verify": {**STATE_FLAGS, **ORACLE_FLAGS, **COMMON_FLAGS},
+    # steps of at least 0.05 or outside [pi/720, 0.1], so a scan that runs stays small
+    "scan": {**STATE_FLAGS, **COMMON_FLAGS, "--grid-step": [
+        "0.05", "0.1", "0.1000001", "0.004", "0.0", "-0.05", "5e-324", "1e308", "nan", "inf"]},
+    "demo": {**STATE_FLAGS, **ORACLE_FLAGS, **COMMON_FLAGS,
+             "--success-policy": list(cli.SUCCESS_POLICIES), "--success-p": EDGE_FLOATS,
+             "--trials": ["-1", "0", "1", str(2**63 - 1)]},
+}
+STATE_KEYS = {"command", "seed", "dim", "a", "b", "alpha_mod", "alpha_arg", "beta_mod",
+              "beta_arg"}
+ORACLE_KEYS = {"phase_policy", "theta0", "theta1", "theta2", "theta3", "tol"}
+CONFIG_KEYS = {"verify": STATE_KEYS | ORACLE_KEYS,
+               "scan": STATE_KEYS | {"grid_step", "csv"},
+               "demo": STATE_KEYS | ORACLE_KEYS | {"success_policy", "success_p", "trials"}}
+INT_FLAGS = {"--dim", "--seed", "--trials"}
+
+
+def dest(flag: str) -> str:
+    return flag.removeprefix("--").replace("-", "_")
+
+
+@st.composite
+def contract_argvs(draw):
+    """(subcommand, {flag: value}) with a subset of the subcommand's flags, each
+    value from its edge pool; a scan always sets its grid step."""
+    command = draw(st.sampled_from(sorted(CONTRACT_FLAGS)))
+    pools = CONTRACT_FLAGS[command]
+    names = draw(st.lists(st.sampled_from(sorted(pools)), max_size=5, unique=True))
+    if command == "scan" and "--grid-step" not in names:
+        names.append("--grid-step")
+    return command, {name: draw(st.sampled_from(pools[name])) for name in names}
+
+
+@settings(deadline=None, max_examples=500)
+@given(drawn=contract_argvs())
+def test_flag_contract(drawn, tmp_path_factory):
+    # exit 0, 2 or 4 with no traceback; a report that is its own json.dumps and
+    # echoes every given flag's parsed value; config keys pinned per subcommand,
+    # plus each flag with an argparse.SUPPRESS default that the argv gave
+    command, flags = drawn
+    argv = [command]
+    for name, value in flags.items():
+        argv += [name] if value is None else [name, value]
+    if command == "scan":
+        csv = str(tmp_path_factory.mktemp("contract") / "grid.csv")
+        argv += ["--csv", csv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 4), (argv, code, err)
+    if code == 2:
+        assert err.startswith(("config error:", "usage: nogo")), (argv, err)
+    if code == 4:
+        assert command == "demo" and err.startswith("on degeneracy locus:"), (argv, err)
+    if code != 0:
+        return
+    assert err == ""
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    config = report["config"]
+    for name, value in flags.items():
+        if value is not None:
+            parse = int if name in INT_FLAGS else str if name.endswith("policy") else float
+            assert repr(config[dest(name)]) == repr(parse(value)), (argv, name)
+    if command == "scan":
+        assert config["csv"] == csv
+    # a flag whose default is argparse.SUPPRESS is missing from the bare parse
+    defaults = vars(build_parser().parse_args([command]))
+    suppressed = {dest(name) for name in flags if dest(name) not in defaults}
+    assert set(config) == CONFIG_KEYS[command] | suppressed, argv
+
+
 class TestScan:
     def test_summary_deviation_within_grid_step(self, capsys, tmp_path):
         csv_path = tmp_path / "grid.csv"
@@ -330,6 +419,30 @@ class TestScan:
     def test_oversized_grid_step_rejected(self, capsys):
         code, _, _ = run(capsys, "scan", "--grid-step", "0.2")
         assert code == 2
+
+    @pytest.mark.parametrize("csv, output", [("r.json", "r.json"), ("./sub/../r.json", "ABS"),
+                                             ("r.csv", "r.csv")])
+    def test_csv_and_output_naming_one_file_exit_two(self, capsys, monkeypatch, tmp_path,
+                                                     csv, output):
+        # the report would overwrite the grid its own csv_path names
+        monkeypatch.chdir(tmp_path)
+        output = str(tmp_path / "r.json") if output == "ABS" else output
+        code, out, err = run(capsys, "scan", "--grid-step", "0.1", "--csv", csv, "-o", output,
+                             "--deterministic")
+        assert (code, out) == (2, "")
+        assert err == f"config error: --csv and --output name one file: {csv}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_distinct_csv_and_output_keep_their_bytes(self, capsys, tmp_path):
+        argv = ["scan", "--grid-step", "0.1", "--csv", str(tmp_path / "grid.csv"),
+                "--deterministic"]
+        code, out, _ = run(capsys, *argv)
+        grid = (tmp_path / "grid.csv").read_bytes()
+        assert code == 0 and grid.startswith(b"theta21,")
+        code, _, err = run(capsys, *argv, "-o", str(tmp_path / "grid.csv.json"))
+        assert (code, err) == (0, "")
+        assert (tmp_path / "grid.csv.json").read_text() == out
+        assert (tmp_path / "grid.csv").read_bytes() == grid
 
     def test_unwritable_csv_path(self, capsys, tmp_path):
         code, _, _ = run(capsys, "scan", "--csv", "/nonexistent/dir/x.csv")
@@ -434,6 +547,38 @@ class TestUSD:
         path = tmp_path / "states.json"
         path.write_text(json.dumps(states))
         return str(path)
+
+    def test_states_come_only_from_read_states(self, capsys, monkeypatch, tmp_path):
+        # cmd_usd opens no file: the states file reaches it through _read_states
+        read = []
+        monkeypatch.setattr(cli, "_read_states", lambda path: read.append(path) or
+                            states.normalize(np.array(ZERO_PLUS) @ [1, 1j]))
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, "usd", missing, "--trials", "100", "--deterministic")
+        assert (code, err, read) == (0, "", [missing])
+        assert json.loads(out)["result"]["n_states"] == 2
+
+    def test_read_states_returns_the_normalized_states(self, tmp_path):
+        path = self.write_states(tmp_path, [[[3, 0], [0, 4]], [[0, 0], [2.5, 0]]])
+        np.testing.assert_array_equal(cli._read_states(path).rows,
+                                      states.normalize([[3, 4j], [0, 2.5]]).rows)
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read states file: [Errno 2]"),
+        ("[1, 2]", "states file must be a JSON list of states, each a list of [re, im] pairs"),
+        ("[[[1, 0, 0], [0, 1, 0]]]", "states file must be a JSON list of states, each a list"),
+        ("[[[false, 0], [1, 0]]]", "states file: amplitudes must be numbers, not true or false"),
+        ("[]", "states file: a state set must contain at least one state"),
+        ("[[[1, 0]]]", "states file: a pure state needs a 1-d amplitude vector of length >= 2"),
+    ])
+    def test_read_states_refuses_a_bad_file_with_invalid_params(self, tmp_path, text, message):
+        # InvalidParams is what `nogo usd` exits 2 on; each message names the file's fault
+        path = tmp_path / "states.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(InvalidParams) as exc:
+            cli._read_states(path)
+        assert str(exc.value).startswith(message)
 
     def test_zero_plus_pair(self, capsys, tmp_path):
         path = self.write_states(

@@ -75,3 +75,21 @@ def test_check_summary_names_the_other_paths_that_differ():
                                   "ulps); everything else DIFFERS at 2 paths: /report/counts/2, "
                                   "/report/ok")
     assert _summary(old, old) == "no change"
+
+
+def test_check_summary_names_an_added_key_beside_a_moved_int():
+    old = {"a": {"report": {"result": {"rank": 2, "rate": 0.5}}}}
+    new = {"a": {"report": {"result": {"rank": 3, "rate": 0.5, "diagnostics": {"margin": 1.0}}}}}
+    assert _summary(old, new) == ("a: 0 floats moved, largest 0 (relative 0, 0 ulps); everything "
+                                  "else DIFFERS at 2 paths: /report/result/rank, "
+                                  "added /report/result/diagnostics")
+    assert _summary(new, old) == ("a: 0 floats moved, largest 0 (relative 0, 0 ulps); everything "
+                                  "else DIFFERS at 2 paths: /report/result/rank, "
+                                  "removed /report/result/diagnostics")
+
+
+def test_check_summary_of_an_added_key_alone():
+    old = {"a": {"report": {"result": {"rank": 2}}}, "b": {"report": {"x": 1.0}}}
+    new = {"a": {"report": {"result": {"rank": 2, "diagnostics": {"margin": 1.0}}}},
+           "b": {"report": {"x": 1.0}}}
+    assert _summary(old, new) == "a: only added keys: /report/result/diagnostics"

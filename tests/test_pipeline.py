@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -38,9 +40,7 @@ def balanced_cfg(policy=None, success=None):
 def rotated_params(rng, dim, angle):
     """psi, psi_perp, phi: a random orthonormal triple, not basis vectors."""
     psi, perp, phi = random_orthonormal(rng, dim, 3)
-    return pipeline.CounterexampleParams(
-        a=math.cos(angle), b=math.sin(angle), psi=psi, psi_perp=perp, phi=phi
-    )
+    return pipeline.triple_params(math.cos(angle), math.sin(angle), psi, perp, phi)
 
 
 def scan_svd_oracle(p, alpha, beta, thetas):
@@ -64,7 +64,7 @@ def near_locus_certificate(angle, branch, delta, tol=linalg.DEFAULT_RANK_TOL):
     """Certificate of the balanced outputs at theta1 = 0 and analytic pair
     `branch` of (cos, sin)(angle), with theta31 moved off the locus by delta."""
     p = pipeline.standard_params(math.cos(angle), math.sin(angle))
-    t21, t31 = pipeline.solve_degeneracy_analytic(p.a, p.b)[branch]
+    t21, t31 = pipeline.solve_degeneracy_analytic(p.x[0], p.x[1])[branch]
     outputs, _ = pipeline.apply_superposer_to_set(
         balanced_cfg(), p, pipeline.PhaseTriple(0.0, t21, t31 + delta))
     return pipeline.certify_independence(linalg.factorize(outputs, tol))
@@ -95,22 +95,17 @@ class TestCounterexample:
 
     def test_non_orthogonal_states_rejected(self):
         with pytest.raises(InvalidParams):
-            pipeline.CounterexampleParams(
-                a=SQ2, b=SQ2,
-                psi=[1, 0, 0],
-                psi_perp=[0, 1, 0],
-                phi=[1, 0, 0],
-            )
+            pipeline.triple_params(SQ2, SQ2, psi=[1, 0, 0], psi_perp=[0, 1, 0], phi=[1, 0, 0])
 
     @pytest.mark.parametrize("overlap, accepted", [(0.8e-10, True), (1.2e-10, False)])
     def test_orthogonality_tolerance_is_1e_10(self, overlap, accepted):
         frame = {"psi": [1, 0, 0], "psi_perp": [overlap, math.sqrt(1.0 - overlap**2), 0],
                  "phi": [0, 0, 1]}
         if accepted:
-            assert pipeline.CounterexampleParams(a=SQ2, b=SQ2, **frame).inputs.dim == 3
+            assert pipeline.triple_params(SQ2, SQ2, **frame).inputs.dim == 3
         else:
             with pytest.raises(InvalidParams, match="pairwise orthogonal"):
-                pipeline.CounterexampleParams(a=SQ2, b=SQ2, **frame)
+                pipeline.triple_params(SQ2, SQ2, **frame)
 
     def test_standard_params_default_to_dimension_three(self):
         assert pipeline.standard_params(SQ2, SQ2).inputs.dim == 3
@@ -119,17 +114,46 @@ class TestCounterexample:
         # three rows of dimension 2 cannot be orthonormal, so the frame check
         # alone refuses them
         with pytest.raises(InvalidParams, match="pairwise orthogonal"):
-            pipeline.CounterexampleParams(a=SQ2, b=SQ2, psi=[1, 0], psi_perp=[0, 1],
-                                          phi=[SQ2, SQ2])
+            pipeline.triple_params(SQ2, SQ2, psi=[1, 0], psi_perp=[0, 1], phi=[SQ2, SQ2])
+
+    def test_record_is_inputs_x_and_phi_frozen(self):
+        record = pipeline.CounterexampleParams
+        assert [f.name for f in dataclasses.fields(record)] == ["inputs", "x", "phi"]
+        assert list(record.__annotations__) == ["inputs", "x", "phi"]  # no InitVar
+        assert all(f.init for f in dataclasses.fields(record))
+        assert "__post_init__" not in vars(record)
+        p = balanced_params()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.x = np.zeros(3)
+        # its arrays too: a checked record cannot be changed in place after the check
+        for array in (p.inputs.rows, p.x, p.phi):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("a, b", [(SQ2, SQ2), (0.6, 0.8000000001), (-0.6, 0.8),
+                                      (0.6, 0.8j), (1e-7, 1.0)])
+    def test_x_is_the_rescaled_pair_then_minus_one(self, a, b):
+        p = pipeline.standard_params(a, b, dim=5)
+        assert p.x.dtype == (np.complex128 if isinstance(b, complex) else np.float64)
+        assert p.x.tolist() == [*unit_pair(a, b, "a", "b"), -1.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, pipeline.MAX_DIM), ANGLES,
+           st.one_of(st.just(0.0), st.floats(0.0, 2.0 * math.pi)))
+    def test_x_is_a_dependence_of_the_inputs(self, seed, dim, angle, b_arg):
+        # sum_j x_j inputs_j = 0 in a random orthonormal frame, real b and complex b
+        psi, perp, phi = random_orthonormal(np.random.default_rng(seed), dim, 3)
+        b = math.sin(angle) * (cmath.exp(1j * b_arg) if b_arg else 1.0)
+        p = pipeline.triple_params(math.cos(angle), b, psi, perp, phi)
+        assert np.abs(p.x @ p.inputs.rows).max() <= 1e-15
+        np.testing.assert_array_equal(p.phi, phi)
 
     def test_input_rank_is_two_for_random_params(self, rng):
         for _ in range(20):
             dim = int(rng.integers(3, 7))
             psi, perp, phi = random_orthonormal(rng, dim, 3)
             angle = rng.uniform(0.1, math.pi / 2 - 0.1)
-            p = pipeline.CounterexampleParams(
-                a=math.cos(angle), b=math.sin(angle), psi=psi, psi_perp=perp, phi=phi
-            )
+            p = pipeline.triple_params(math.cos(angle), math.sin(angle), psi, perp, phi)
             s = p.inputs
             assert svd_rank_oracle(s.amplitude_matrix(), GRAM_TOL) == 2
 
@@ -167,9 +191,7 @@ class TestApplySuperposer:
             dim = int(rng.integers(3, 7))
             psi, perp, phi = random_orthonormal(rng, dim, 3)
             angle = rng.uniform(0.05, 2 * math.pi)
-            p = pipeline.CounterexampleParams(
-                a=math.cos(angle), b=math.sin(angle), psi=psi, psi_perp=perp, phi=phi
-            )
+            p = pipeline.triple_params(math.cos(angle), math.sin(angle), psi, perp, phi)
             alpha = np.exp(1j * rng.uniform(0, 2 * math.pi)) * math.cos(0.4)
             for policy in policies:
                 cfg = SuperposerConfig(alpha, math.sin(0.4), policy, ConstantSuccess(1.0))
@@ -227,7 +249,7 @@ class TestCertifyIndependence:
 
     def test_on_locus_phases_dependent(self):
         p = balanced_params()
-        theta31 = math.atan2(p.b, p.a)  # a = cos, b = sin branch
+        theta31 = math.atan2(p.x[1], p.x[0])  # a = cos, b = sin branch
         phases = pipeline.PhaseTriple(0.0, math.pi / 2.0, theta31)
         outputs, used = pipeline.apply_superposer_to_set(balanced_cfg(), p, phases)
         assert used == phases
@@ -343,7 +365,7 @@ class TestDegeneracyLocus:
         p = pipeline.standard_params(a, b, dim)
         cfg = SuperposerConfig(mod * np.exp(0.4j), math.sqrt(1 - mod**2) * np.exp(-2.3j),
                                ConstantPhase(0.0), ConstantSuccess(1.0))
-        pairs = pipeline.solve_degeneracy_analytic(p.a, p.b)
+        pairs = pipeline.solve_degeneracy_analytic(p.x[0], p.x[1])
         assert pairs.shape == (2, 2) and pairs[0, 0] < pairs[1, 0]
         for t21, t31 in pairs:
             outputs, _ = pipeline.apply_superposer_to_set(
@@ -356,7 +378,7 @@ class TestScan:
         p = balanced_params()
         step = math.pi / 180.0
         scan = pipeline.scan_degeneracy_numeric(p, SQ2, SQ2, step)
-        analytic = pipeline.solve_degeneracy_analytic(p.a, p.b)
+        analytic = pipeline.solve_degeneracy_analytic(p.x[0], p.x[1])
         detected = scan.detected
         assert len(detected) > 0, "scan found no degeneracies"
         for d in detected:
@@ -464,7 +486,7 @@ class TestScan:
             return max(gap(u[0], v[0]), gap(u[1], v[1]))
 
         detected = scan.detected
-        analytic = pipeline.solve_degeneracy_analytic(p.a, p.b)
+        analytic = pipeline.solve_degeneracy_analytic(p.x[0], p.x[1])
         assert len(detected) > 0
         for d in detected:
             assert min(distance(d, s) for s in analytic) <= step + 1e-12
@@ -475,8 +497,8 @@ class TestScan:
     @given(ANGLES, st.floats(0.0, 2 * math.pi), st.floats(1e-7, 1.0, exclude_max=True))
     def test_complex_b_matches_svd(self, angle, phase, mod):
         # a = cos t, b = sin t e^{i phi}: the closure w3 = a + b w2 with a complex b
-        p = pipeline.CounterexampleParams(math.cos(angle), math.sin(angle) * np.exp(1j * phase),
-                                          *np.eye(3))
+        p = pipeline.triple_params(math.cos(angle), math.sin(angle) * np.exp(1j * phase),
+                                   *np.eye(3))
         alpha = mod * np.exp(0.7j)
         beta = math.sqrt(1 - mod**2) * np.exp(-1.1j)
         scan = pipeline.scan_degeneracy_numeric(p, alpha, beta, 0.1)
@@ -493,7 +515,7 @@ class TestScan:
                      0.8 * np.exp(1j * rng.uniform(0, 2 * math.pi))) for _ in range(3)]
         variants += [(rotated_params(rng, dim, angle), 0.6, 0.8) for dim in (3, 8, 16)]
         for params, alpha, beta in variants:
-            assert (params.a, params.b) == (p.a, p.b)
+            assert np.array_equal(params.x, p.x)
             scan = pipeline.scan_degeneracy_numeric(params, alpha, beta, 0.05)
             assert np.abs(scan.min_singular_values - base.min_singular_values).max() <= 1e-15
             np.testing.assert_array_equal(scan.ranks, base.ranks)
@@ -504,7 +526,7 @@ class TestScan:
         p = rotated_params(rng, dim, math.pi / 3)
         step = math.pi / 180.0
         scan = pipeline.scan_degeneracy_numeric(p, SQ2 * np.exp(0.7j), SQ2, step)
-        for t21, t31 in pipeline.solve_degeneracy_analytic(p.a, p.b):
+        for t21, t31 in pipeline.solve_degeneracy_analytic(p.x[0], p.x[1]):
             i, j = round(t21 / step), round(t31 / step)
             assert abs(scan.thetas[i] - t21) <= 1e-12 and abs(scan.thetas[j] - t31) <= 1e-12
             assert scan.min_singular_values[i, j] <= 1e-15
@@ -518,7 +540,7 @@ class TestScan:
         s = 2 * math.pi / 90
         p = pipeline.standard_params(math.cos(m * s), 1j * math.sin(m * s) * np.exp(-1j * k * s))
         scan = pipeline.scan_degeneracy_numeric(p, 0.6, 0.8, s)
-        analytic = pipeline.solve_degeneracy_analytic(p.a, p.b)
+        analytic = pipeline.solve_degeneracy_analytic(p.x[0], p.x[1])
         assert len(scan.detected) == 2
         deviations = cli._locus_deviations(scan.detected, analytic)
         assert max(deviations) <= 1e-12, deviations
@@ -644,7 +666,7 @@ class TestForbiddenTaskDemo:
         # constant policies give theta21 = 0, never on the locus; pin the
         # phases explicitly to hit it
         p = balanced_params()
-        phases = pipeline.PhaseTriple(0.0, math.pi / 2.0, math.atan2(p.b, p.a))
+        phases = pipeline.PhaseTriple(0.0, math.pi / 2.0, math.atan2(p.x[1], p.x[0]))
         with pytest.raises(DependentOutputs):
             pipeline.forbidden_task_demo(p, balanced_cfg(), 10, rng, phases=phases)
 
